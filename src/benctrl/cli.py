@@ -90,6 +90,9 @@ class Scenario:
             raise ConfigurationError("law must be 'simple' or 'gramian'")
         if self.law == "gramian" and self.decay_lambda <= 0:
             raise ConfigurationError("decay_lambda must be positive")
+        if self.experiment == "stabilize" and self.n_times < 10:
+            raise ConfigurationError(
+                "n_times must be >= 10: the decay fit needs 10 samples")
         return self
 
     def canonical(self) -> dict:
@@ -283,7 +286,8 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
         ],
     }
     with open(outdir / "control_coeffs.json", "w") as fh:
-        json.dump(coeff_payload, fh, sort_keys=True)
+        # json.dump never uses the C encoder; json.dumps writes the same bytes
+        fh.write(json.dumps(coeff_payload, sort_keys=True))
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
@@ -336,6 +340,7 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
         "M": fitobj.M,
         "r2": fitobj.r2,
         "spectral_abscissa": absc,
+        "closed_loop_cond_V": law.eigensystem.cond,
         "delta": delta,
         "t_final": float(t_final),
     }

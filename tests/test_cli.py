@@ -6,6 +6,7 @@ import pytest
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
 from benctrl.operators import evolve_free
+from benctrl.stabilization import EIG_COND_LIMIT
 from benctrl.spectral import mean, sobolev_norm
 
 
@@ -102,6 +103,12 @@ class TestControlCommand:
         assert report["terminal_residual"] <= 1e-8
         assert report["hum"]["terminal_residual"] <= 1e-8
 
+    def test_coeffs_json_is_canonical(self, tmp_path):
+        assert main(["control", "--alpha", "1.0", "--n", "8", "--T", "1.0",
+                     "--seed", "3", "--outdir", str(tmp_path)]) == 0
+        raw = (tmp_path / "control_coeffs.json").read_text()
+        assert raw == json.dumps(json.loads(raw), sort_keys=True)
+
     def test_strict_mode_singular_gram_exits_3(self, tmp_path):
         scn = {"experiment": "control", "alpha": 0.1, "n": 16, "T": 0.05,
                "seed": 1, "strict": True, "outdir": str(tmp_path)}
@@ -130,6 +137,13 @@ class TestStabilizeCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["fitted_rate"] > 0
 
+    def test_too_few_samples_exits_2(self, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"experiment": "stabilize", "n": 8,
+                                    "n_times": 5, "outdir": str(tmp_path)}))
+        assert main(["stabilize", "--scenario", str(path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestObservabilityCommand:
     def test_delta_pairs(self, tmp_path):
@@ -152,6 +166,16 @@ class TestReproducibility:
         assert main(args + ["--outdir", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
+
+    def test_identical_stabilize_reports(self, tmp_path):
+        args = ["stabilize", "--law", "simple", "--alpha", "7/3", "--n", "8",
+                "--seed", "5"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--outdir", str(out1)]) == 0
+        assert main(args + ["--outdir", str(out2)]) == 0
+        raw = (out1 / "report.json").read_bytes()
+        assert raw == (out2 / "report.json").read_bytes()
+        assert 1.0 <= json.loads(raw)["closed_loop_cond_V"] <= EIG_COND_LIMIT
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import benctrl.spectrum as spectrum_mod
 from benctrl._closedform import weighted_gramian, weighted_gramian_quadrature
@@ -7,7 +8,8 @@ from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError
 from benctrl.operators import build_bump, evolve_free, gg_star_matrix, m_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, mean
-from benctrl.stabilization import (build_L_lambda, energy_identity_defect,
+from benctrl.stabilization import (EIG_COND_LIMIT, FeedbackLaw,
+                                   build_L_lambda, energy_identity_defect,
                                    estimate_decay_rate, feedback_gramian,
                                    feedback_none, feedback_simple,
                                    norm_history, observability_constant,
@@ -163,6 +165,77 @@ class TestSimulation:
     def test_requires_law(self):
         with pytest.raises(ConfigurationError):
             simulate_closed_loop(TorusFunction.zero(4), None, [1.0])
+
+
+def law_at_n32(kind, alpha):
+    spec, mm = setup(n=32, alpha=alpha)
+    if kind == "simple":
+        return feedback_simple(mm, spec)
+    return feedback_gramian(build_L_lambda(mm, spec, 1.0, 1.0), mm, spec)
+
+
+LAWS_N32 = [("simple", 1.0), ("simple", 7 / 3), ("gramian", 1.0),
+            ("gramian", 7 / 3)]
+
+
+class TestEigenPropagation:
+    @pytest.mark.parametrize("kind,alpha", LAWS_N32)
+    def test_norm_history_matches_expm_per_sample(self, kind, alpha):
+        law = law_at_n32(kind, alpha)
+        assert law.eigensystem.Vinv is not None
+        u0 = random_state(31, 32, 0.0)
+        times = np.linspace(0.0, 12.0 / abs(spectral_abscissa(law)), 25)
+        hist = norm_history(u0, law, times)
+        ref = np.array([np.linalg.norm(sla.expm(law.closed_loop * t)
+                                       @ u0.psi_coeffs) for t in times])
+        # at alpha=7/3 the simple law's horizon is 8e4, and there expm
+        # itself missed a 30-digit eigendecomposition by up to 1.3e-9 of the
+        # initial norm on the states tried (this path by 3e-13)
+        tol = 1e-8 if (kind, alpha) == ("simple", 7 / 3) else 1e-9
+        assert np.abs(hist[0.0] - ref).max() <= tol * ref[0]
+
+    @pytest.mark.parametrize("kind,alpha", LAWS_N32)
+    def test_abscissa_matches_eigvals(self, kind, alpha):
+        law = law_at_n32(kind, alpha)
+        nz = law.spectrum.wavenumbers != 0
+        block = law.closed_loop[np.ix_(nz, nz)]
+        plain = np.linalg.eigvals(block).real.max()
+        # eigvals is accurate to about eps*||B|| only, which is 1e-9 relative
+        # to the simple law's abscissa of about -1e-4
+        tol = max(1e-10 * abs(plain),
+                  4 * np.finfo(float).eps * np.linalg.norm(block, 2))
+        assert abs(spectral_abscissa(law) - plain) <= tol
+
+    def test_abscissa_to_thirty_digits(self):
+        mp = pytest.importorskip("mpmath")
+        spec, mm = setup()
+        law = feedback_simple(mm, spec)
+        nz = spec.wavenumbers != 0
+        block = law.closed_loop[np.ix_(nz, nz)].tolist()
+        with mp.workdps(30):
+            ev = mp.eig(mp.matrix(block), left=False, right=False)
+            exact = max(float(mp.re(e)) for e in ev)
+        # plain eig is off by 2.6e-12 relative here, the Rayleigh quotient
+        # by 7e-16
+        assert spectral_abscissa(law) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_jordan_block_falls_back_to_expm(self):
+        spec = spectrum_mod.analyze(2, 1.0)
+        nz = spec.wavenumbers != 0
+        N = np.eye(4, k=1)
+        C = np.zeros((5, 5), dtype=complex)
+        C[np.ix_(nz, nz)] = -np.eye(4) + N
+        law = FeedbackLaw("jordan", 0.0, -C, C, spec)
+        assert law.eigensystem.cond > EIG_COND_LIMIT
+        assert law.eigensystem.Vinv is None
+        u0 = TorusFunction(2, np.array([0.3, -0.2j, 0.5, 1.0, 0.4]))
+        times = [0.0, 0.5, 2.0, 7.0]
+        for t, u in zip(times, simulate_closed_loop(u0, law, times)):
+            tN = t * N
+            exact = np.exp(-t) * (np.eye(4) + tN + tN @ tN / 2
+                                  + tN @ tN @ tN / 6) @ u0.coeffs[nz]
+            assert np.abs(u.coeffs[nz] - exact).max() <= 1e-14
+            assert u.coeff(0) == u0.coeff(0)
 
 
 class TestDecayFit:
