@@ -10,7 +10,7 @@ decay statements can be verified to near machine precision.
 __version__ = "0.1.0"
 
 from .errors import (AliasingError, BenctrlError, ClusterSizeError,
-                     ConfigurationError, ObservabilityError,
+                     ConfigurationError, DecayFitError, ObservabilityError,
                      SingularClusterBlockError, SingularGramError)
 from .moment_control import (BiorthogonalFamily, ControlProblem, ControlSignal,
                              SynthesisResult, assemble_control,
@@ -19,20 +19,19 @@ from .moment_control import (BiorthogonalFamily, ControlProblem, ControlSignal,
                              reduce_to_zero_start, solve_coefficients,
                              synthesize_control, terminal_residual,
                              verify_moments)
-from .operators import (BumpProfile, MMatrix, apply_G, build_bump,
+from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
-                        m_entry_quadrature, m_matrix, propagator_multiplier)
+                        gramian, m_matrix)
 from .spectral import (TorusFunction, analyze, coeffs_from_json,
-                       coeffs_to_json, hilbert_transform, inner_product, mean,
-                       project_mean_zero, samples_to_csv, sobolev_norm,
-                       synthesize)
+                       coeffs_to_json, hilbert_transform, hs_weights,
+                       inner_product, mean, project_mean_zero, samples_to_csv,
+                       sobolev_norm, synthesize, write_csv)
 from .spectrum import Spectrum, clusters, eigenvalue, eigenvalues, gap_gamma
 from .spectrum import analyze as analyze_spectrum
 from .spectrum import spectrum_report, window_bound
-from .stabilization import (DecayFit, FeedbackLaw, GramianWeighted,
-                            build_L_lambda, energy_identity_defect,
-                            estimate_decay_rate, feedback_gramian,
-                            feedback_none, feedback_simple, norm_history,
+from .stabilization import (DecayFit, FeedbackLaw, build_L_lambda,
+                            energy_identity_defect, estimate_decay_rate,
+                            feedback_gramian, feedback_simple, norm_history,
                             observability_constant, simulate_closed_loop,
                             spectral_abscissa)
 

@@ -1,17 +1,14 @@
-"""Closed-form time integrals of exponentials and quadrature cross-checks.
+"""Closed-form time integrals of exponentials.
 
 Every time integral in the toolkit reduces to
 
     phi(z, T) = int_0^T e^{z t} dt  =  (e^{zT} - 1)/z     (z != 0),
 
 evaluated by a Taylor series when |z|T is tiny so that the subtraction
-e^{zT}-1 never loses precision.  Gauss-Legendre rules serve as the
-independent quadrature oracle for validating closed forms.
+e^{zT}-1 never loses precision.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,61 +40,3 @@ def exp_gram(freqs, T: float) -> np.ndarray:
     """Gram matrix of {e^{i f t}} in L2([0, T]): entry (k,m) = phi_osc(f_k - f_m, T)."""
     f = np.asarray(freqs, dtype=float)
     return phi_osc(f[:, None] - f[None, :], T)
-
-
-def weighted_gramian(gg, lams, T: float, rate: float = 0.0,
-                     flow: str = "backward") -> np.ndarray:
-    """Closed form of int_0^T e^{-2*rate*tau} U(s*tau) GG* U(s*tau)^* dtau.
-
-    ``flow="backward"`` (s = -1) is the weighted Gramian driving the
-    prescribed-decay feedback: entry (k,l) is
-    gg[k,l] * int_0^T e^{(-2*rate + i(lam_k - lam_l)) tau} dtau.
-    ``flow="forward"`` (s = +1) flips the frequency sign and, at rate=0, is
-    the controllability/observability Gramian int U(tau) GG* U(tau)^* dtau.
-    (Both are Hermitian with identical spectra; the eigenvectors conjugate.)
-    """
-    lams = np.asarray(lams, dtype=float)
-    diff = lams[:, None] - lams[None, :]
-    if flow == "forward":
-        diff = -diff
-    elif flow != "backward":
-        raise ValueError("flow must be 'backward' or 'forward'")
-    z = -2.0 * rate + 1j * diff
-    w = np.asarray(gg) * phi(z, T)
-    return 0.5 * (w + w.conj().T)
-
-
-@lru_cache(maxsize=8)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def gauss_legendre_nodes(T: float, total_nodes: int, panel_order: int = 32):
-    """Composite Gauss-Legendre rule on [0, T] with ~total_nodes nodes.
-
-    Resolves oscillations up to roughly 2*panel_order/panel_width rad, far
-    beyond what a trapezoid rule of equal cost can; used as the independent
-    oracle for all closed-form time integrals.
-    """
-    x, w = _leggauss(panel_order)
-    panels = max(1, int(np.ceil(total_nodes / panel_order)))
-    edges = np.linspace(0.0, T, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def weighted_gramian_quadrature(gg, lams, T, rate=0.0, flow="backward",
-                                total_nodes=1024, panel_order=32):
-    """Quadrature evaluation of ``weighted_gramian`` (validation oracle)."""
-    lams = np.asarray(lams, dtype=float)
-    sign = 1.0 if flow == "backward" else -1.0
-    nodes, weights = gauss_legendre_nodes(T, total_nodes, panel_order)
-    out = np.zeros((len(lams), len(lams)), dtype=complex)
-    gg = np.asarray(gg)
-    for t, w in zip(nodes, weights):
-        ph = np.exp(1j * sign * lams * t) * np.exp(-rate * t)
-        out += w * (ph[:, None] * gg * np.conj(ph)[None, :])
-    return out

@@ -31,7 +31,7 @@ from . import stabilization as stab
 from .errors import BenctrlError, ConfigurationError
 from .operators import (apply_G, build_bump, bump_from_coefficients,
                         evolve_free, m_matrix)
-from .spectral import TorusFunction, mean, sobolev_norm
+from .spectral import TorusFunction, mean, sobolev_norm, write_csv
 
 SCHEMA_VERSION = 1
 
@@ -133,11 +133,12 @@ def load_scenario(path=None, overrides=None) -> Scenario:
 # -- deterministic state generation ------------------------------------------
 
 
-def random_state(seed: int, n: int, s: float, norm: float = 1.0) -> TorusFunction:
+def random_state(seed, n: int, s: float, norm: float = 1.0) -> TorusFunction:
     """Seeded real mean-zero state with coefficients ~ (1+|k|)^{-s-1}.
 
     Scaled so that the H^s norm equals ``norm`` exactly (to rounding).
-    Determinism: NumPy PCG64 seeded with ``seed``.
+    Determinism: NumPy PCG64 seeded with ``seed``, an int or a sequence of
+    ints (a separate stream per sequence).
     """
     rng = np.random.default_rng(seed)
     c = np.zeros(2 * n + 1, dtype=complex)
@@ -151,7 +152,7 @@ def random_state(seed: int, n: int, s: float, norm: float = 1.0) -> TorusFunctio
     return f.with_coeffs(f.coeffs * (norm / current))
 
 
-def _state_from_config(cfg: dict, n: int, s: float, seed: int) -> TorusFunction:
+def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
     kind = cfg.get("type", "random")
     if kind == "random":
         return random_state(seed, n, s, float(cfg.get("norm", 1.0)))
@@ -179,7 +180,8 @@ def _state_from_config(cfg: dict, n: int, s: float, seed: int) -> TorusFunction:
     raise ConfigurationError(f"unknown state type {kind!r}")
 
 
-def _build_bump(scn: Scenario):
+def _build_bump(scn: Scenario, kmax: int):
+    """The scenario's localizer, profiled to ``kmax`` unless given by coefficients."""
     cfg = scn.bump
     if "coefficients" in cfg:
         ghat = np.array([re + 1j * im for _, re, im in cfg["coefficients"]])
@@ -187,7 +189,7 @@ def _build_bump(scn: Scenario):
     return build_bump(kind=cfg.get("kind", "raised_cosine"),
                       center=float(cfg.get("center", np.pi)),
                       width=float(cfg.get("width", np.pi / 2)),
-                      kmax=2 * scn.n)
+                      kmax=kmax)
 
 
 # -- report/CSV emission -----------------------------------------------------
@@ -209,13 +211,6 @@ def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 # -- experiments -------------------------------------------------------------
 
 
@@ -232,7 +227,7 @@ def _run_simulate(scn: Scenario, outdir: Path) -> dict:
     for t in times:
         u = evolve_free(u0, float(t), scn.alpha, scn.mu)
         rows.append((t, sobolev_norm(u, 0.0), sobolev_norm(u, scn.s)))
-    _write_csv(outdir / "norms.csv", "t,L2_norm,Hs_norm", rows)
+    write_csv(outdir / "norms.csv", "t,L2_norm,Hs_norm", rows)
     u_end = evolve_free(u0, float(times[-1]), scn.alpha, scn.mu)
     drift = abs(sobolev_norm(u_end, scn.s) - sobolev_norm(u0, scn.s))
     return {
@@ -244,9 +239,10 @@ def _run_simulate(scn: Scenario, outdir: Path) -> dict:
 
 
 def _run_control(scn: Scenario, outdir: Path) -> dict:
-    bump = _build_bump(scn)
+    bump = _build_bump(scn, 2 * scn.n)
     u0 = _state_from_config(scn.u0, scn.n, scn.s, scn.seed)
-    u1 = _state_from_config(scn.u1, scn.n, scn.s, scn.seed + 1)
+    # u1 draws from its own stream: seed + 1 is the next sweep case's u0
+    u1 = _state_from_config(scn.u1, scn.n, scn.s, [scn.seed, 1])
     # the shared mean rides along in mode 0 (feedback/control never touch it);
     # recorded so downstream tools can re-add it after mean-zero analysis
     mu0 = complex(mean(u0))
@@ -262,10 +258,7 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     # (2n+1)-truncated simulation never sees, relative to |Gh|
     spillover = None
     if scn.n_sim and scn.n_sim > scn.n and "coefficients" not in scn.bump:
-        fine = build_bump(kind=scn.bump.get("kind", "raised_cosine"),
-                          center=float(scn.bump.get("center", np.pi)),
-                          width=float(scn.bump.get("width", np.pi / 2)),
-                          kmax=scn.n_sim + scn.n)
+        fine = _build_bump(scn, scn.n_sim + scn.n)
         spillover = 0.0
         for t in np.linspace(0.0, scn.T, 9):
             h_t = result.signal.at_time(float(t))
@@ -291,12 +284,9 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
-    with open(outdir / "control_samples.csv", "w") as fh:
-        fh.write("t,x,h_re,h_im\n")
-        for i, t in enumerate(ts):
-            for j, x in enumerate(xs):
-                fh.write(f"{float(t)!r},{float(x)!r},"
-                         f"{vals[i, j].real!r},{vals[i, j].imag!r}\n")
+    write_csv(outdir / "control_samples.csv", "t,x,h_re,h_im",
+              ((t, x, vals[i, j].real, vals[i, j].imag)
+               for i, t in enumerate(ts) for j, x in enumerate(xs)))
     return {
         "experiment": "control",
         "terminal_residual": result.terminal_residual,
@@ -314,7 +304,7 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
 
 
 def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
-    bump = _build_bump(scn)
+    bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
     if scn.law == "simple":
@@ -328,8 +318,8 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
         min(12.0 / max(abs(absc), 1e-6), 1e6)
     times = np.linspace(0.0, t_final, scn.n_times)
     hist = stab.norm_history(u0, law, times, s_values=(0.0, scn.s))
-    _write_csv(outdir / "decay.csv", "t,L2_norm,Hs_norm",
-               zip(hist["times"], hist[0.0], hist[scn.s]))
+    write_csv(outdir / "decay.csv", "t,L2_norm,Hs_norm",
+              zip(hist["times"], hist[0.0], hist[scn.s]))
     fitobj = stab.estimate_decay_rate(hist["times"], hist[0.0])
     delta, _ = stab.observability_constant(mm, spec, scn.T)
     return {
@@ -347,7 +337,7 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
 
 
 def _run_observability(scn: Scenario, outdir: Path) -> dict:
-    bump = _build_bump(scn)
+    bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
     pairs = []
@@ -453,12 +443,6 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "scenario") and v is not None}
     overrides["experiment"] = args.command
-    if "alpha" in overrides:
-        overrides["alpha"] = _parse_number(overrides["alpha"])
-    if "mu" in overrides:
-        overrides["mu"] = _parse_number(overrides["mu"])
-    if "T_list" in overrides:
-        overrides["T_list"] = tuple(overrides["T_list"])
     try:
         scn = load_scenario(args.scenario, overrides)
     except (ConfigurationError, OSError, json.JSONDecodeError, TypeError) as exc:

@@ -32,3 +32,7 @@ class SingularClusterBlockError(BenctrlError, RuntimeError):
 
 class ObservabilityError(BenctrlError, RuntimeError):
     """Observability Gramian singular at this truncation/horizon."""
+
+
+class DecayFitError(BenctrlError, ValueError):
+    """Too few closed-loop norms above the noise floor to fit a decay rate."""

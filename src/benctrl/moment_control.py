@@ -13,8 +13,7 @@ equations, except inside eigenvalue clusters where a 2x2 or 3x3 block of
 m-matrix entries must be inverted.
 
 Everything stays in coefficients-of-exponentials form, so moments, terminal
-states, and L2-in-time norms all evaluate in closed form; composite
-Gauss-Legendre quadrature provides the independent cross-check.  A second,
+states, and L2-in-time norms all evaluate in closed form.  A second,
 independently-derived control comes from the controllability Gramian
 W_T = int_0^T U(T-s) GG* U(T-s)^* ds: h = G* U(T-t)^* W_T^{-1} c is the
 minimal-L2-norm control and serves as the oracle for the moment route.
@@ -28,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from ._closedform import exp_gram, gauss_legendre_nodes, phi_osc, weighted_gramian
-from .errors import ConfigurationError, ObservabilityError, SingularClusterBlockError, \
-    SingularGramError
-from .operators import BumpProfile, MMatrix, evolve_free, m_matrix
-from .spectral import TorusFunction, sobolev_norm
+from ._closedform import exp_gram, phi_osc
+from .errors import ConfigurationError, SingularClusterBlockError, SingularGramError
+from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
+from .spectral import TorusFunction, hs_weights, sobolev_norm
 from .spectrum import Spectrum, eigenvalues
 
 #: Gram matrices with condition number beyond this are declared singular.
@@ -224,15 +222,14 @@ class ControlSignal:
         return self.mode_values(times).T @ basis
 
     def l2_hs_norm(self, s: float = 0.0) -> float:
-        """||h||_{L2([0,T]; H^s)} evaluated exactly through the Gram matrix."""
-        gram = exp_gram(-self.lambdas, self.T)  # conj frequencies e^{-i lam t}
-        vals, vecs = np.linalg.eigh(gram)
-        vals = np.clip(vals, 0.0, None)
-        proj = self.exp_coeffs @ vecs            # rows: modes
-        k = np.arange(-self.n, self.n + 1, dtype=float)
-        weights = (1.0 + k**2) ** s
-        total = float(np.sum(weights[:, None] * vals[None, :]
-                             * np.abs(proj) ** 2))
+        """||h||_{L2([0,T]; H^s)} as the quadratic form sum_j w_j Re(E_j Gamma E_j^H).
+
+        Gamma is the Gram matrix of the conjugate frequencies e^{-i lam t}.
+        """
+        gram = exp_gram(-self.lambdas, self.T)
+        E = self.exp_coeffs
+        quad = ((E @ gram) * E.conj()).sum(axis=1).real
+        total = float(hs_weights(self.n, s) @ quad)
         return float(np.sqrt(max(total, 0.0)))
 
     def hermitian_defect(self) -> float:
@@ -280,71 +277,47 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
 
 
 def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
-                   mm: MMatrix, method: str = "closed",
-                   total_nodes: int = 10_016) -> dict:
+                   mm: MMatrix) -> dict:
     """Evaluate the moment integrals and compare with the targets c_k.
 
     moment_k = e^{-i lam_k T} sum_j m[j,k] int_0^T a_j(t) e^{i lam_k t} dt
-    with a_j the mode-j time profile; closed form resolves the inner
-    integral exactly, the quadrature path uses composite Gauss-Legendre.
+    with a_j the mode-j time profile; the inner integral is resolved in
+    closed form.
     """
     lam = spec.lambdas
     T = signal.T
-    if method == "closed":
-        inner = phi_osc(lam[:, None] - signal.lambdas[None, :], T)
-        moments = np.exp(-1j * lam * T) * \
-            ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
-    elif method == "quadrature":
-        nodes, wts = gauss_legendre_nodes(T, total_nodes)
-        a = signal.mode_values(nodes)
-        b = mm.operator @ a
-        integ = b * np.exp(1j * np.outer(lam, nodes))
-        moments = np.exp(-1j * lam * T) * (integ @ wts)
-    else:
-        raise ValueError("method must be 'closed' or 'quadrature'")
+    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], T)
+    moments = np.exp(-1j * lam * T) * \
+        ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
     resid = np.abs(moments - np.asarray(c, complex))
     return {"moments": moments, "max_residual": float(resid.max()),
             "residuals": resid}
 
 
 def evolve_controlled(u0: TorusFunction, signal: ControlSignal, t: float,
-                      alpha, mu, mm: MMatrix,
-                      method: str = "closed",
-                      total_nodes: int = 10_016) -> TorusFunction:
+                      alpha, mu, mm: MMatrix) -> TorusFunction:
     """Variation-of-constants solution u(t) = U(t)u0 + int_0^t U(t-s) Gh(s) ds.
 
     Per mode the Duhamel integrand is a finite sum of exponentials, so
     u(t)_k = e^{-i lam_k t}(v0_k + sum_j op[k,j] sum_m E[j,m] phi(i(lam_k -
-    lam_m), t)); quadrature is available as an independent fallback.
+    lam_m), t)).
     """
     if t < 0 or t > signal.T + 1e-12:
         raise ConfigurationError("time must lie in [0, T]")
     lam = eigenvalues(u0.n, alpha, mu)
-    forced = mm.operator @ signal.exp_coeffs
-    if method == "closed":
-        inner = phi_osc(lam[:, None] - signal.lambdas[None, :], t)
-        duh = (forced * inner).sum(axis=1)
-    elif method == "quadrature":
-        if t == 0.0:
-            duh = np.zeros(2 * u0.n + 1, dtype=complex)
-        else:
-            nodes, wts = gauss_legendre_nodes(t, total_nodes)
-            b = forced @ np.exp(-1j * np.outer(signal.lambdas, nodes))
-            duh = (b * np.exp(1j * np.outer(lam, nodes))) @ wts
-    else:
-        raise ValueError("method must be 'closed' or 'quadrature'")
+    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], t)
+    duh = ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
     v = np.exp(-1j * lam * t) * (u0.psi_coeffs + duh)
     return TorusFunction.from_psi_coeffs(v, u0.n)
 
 
-def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> np.ndarray:
-    """W_T = int_0^T U(T-s) GG* U(T-s)^* ds on psi coefficients (closed form).
+def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> Gramian:
+    """W_T = int_0^T U(T-s) GG* U(T-s)^* ds on psi coefficients, certified.
 
     Substituting tau = T-s shows this is the forward-flow Gramian
-    int_0^T U(tau) GG* U(tau)^* dtau, which also governs observability."""
-    gop = mm.operator
-    gg = gop @ gop.conj().T
-    return weighted_gramian(gg, spec.lambdas, T, rate=0.0, flow="forward")
+    int_0^T U(tau) GG* U(tau)^* dtau, which also governs observability;
+    ObservabilityError is raised if it is singular on mean-zero modes."""
+    return Gramian.certified(mm, spec, T)
 
 
 def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
@@ -364,13 +337,7 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     c = reduce_to_zero_start(problem)
     W = controllability_gramian(mm, spec, problem.T)
     nz = spec.wavenumbers != 0
-    Wr = W[np.ix_(nz, nz)]
-    vals = np.linalg.eigvalsh(Wr)
-    if vals.min() <= 0.0:
-        raise ObservabilityError(
-            f"controllability Gramian singular on mean-zero modes "
-            f"(min eigenvalue {vals.min():.3e}) at T={problem.T}, n={n}")
-    cond = float(vals.max() / vals.min())
+    Wr = W.matrix[np.ix_(nz, nz)]
     eta_r = np.linalg.solve(Wr, c[nz])
     eta_r += np.linalg.solve(Wr, c[nz] - Wr @ eta_r)   # one refinement step
     eta = np.zeros(2 * n + 1, dtype=complex)
@@ -384,7 +351,7 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
         pos = [k + n for k in grp]
         E[:, ci] = (gstar[:, pos] @ eta[pos]) * np.exp(1j * lam_dist[ci] * problem.T)
     signal = ControlSignal(n, problem.T, lam_dist, E)
-    return signal, {"cond_W": cond, "min_eig_W": float(vals.min())}
+    return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
 
 @dataclass(frozen=True)
@@ -410,8 +377,7 @@ def terminal_residual(problem: ControlProblem, signal: ControlSignal,
     uT = evolve_controlled(problem.u0, signal, problem.T, problem.alpha,
                            problem.mu, mm)
     err = uT.coeffs - problem.u1.coeffs
-    k = np.arange(-problem.n, problem.n + 1, dtype=float)
-    w = (1.0 + k**2) ** problem.s
+    w = hs_weights(problem.n, problem.s)
     num = np.sqrt(np.sum(w * np.abs(err) ** 2))
     den = np.sqrt(np.sum(w * np.abs(problem.u1.coeffs) ** 2))
     return float(num / den) if den > 0 else float(num)

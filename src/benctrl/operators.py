@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as spect
-from .errors import ConfigurationError
+from ._closedform import phi
+from .errors import ConfigurationError, ObservabilityError
 from .spectral import TWO_PI, TorusFunction
 
 #: quadrature resolution used when profiling a bump into Fourier coefficients
@@ -199,22 +200,6 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     return MMatrix(n, entries, beta, delta_min, delta_k)
 
 
-def m_entry_quadrature(bump: BumpProfile, j: int, k: int,
-                       samples: int = BUMP_SAMPLES) -> complex:
-    """Direct quadrature of m[j,k] = int G(psi_j)(x) conj(psi_k)(x) dx.
-
-    Independent oracle for the closed form: samples the true profile,
-    applies G pointwise, and integrates on the uniform grid.
-    """
-    x = np.arange(samples) * (TWO_PI / samples)
-    g = bump.sample(x)
-    psi_j = np.exp(1j * j * x) / np.sqrt(TWO_PI)
-    avg = np.sum(g * psi_j) * (TWO_PI / samples)
-    gpsi = g * (psi_j - avg)
-    return complex(np.sum(gpsi * np.exp(-1j * k * x)) / np.sqrt(TWO_PI)
-                   * (TWO_PI / samples))
-
-
 def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
             return_spillover: bool = False):
     """G(h) = g*(h - int g h), truncated to out_n (default: h.n).
@@ -251,12 +236,61 @@ def gg_star_matrix(mm: MMatrix) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+# -- Gramians ----------------------------------------------------------------
+
+
+def gramian(mm: MMatrix, spec: spect.Spectrum, T: float, rate: float = 0.0,
+            flow: str = "forward") -> np.ndarray:
+    """Closed form of int_0^T e^{-2*rate*tau} U(s*tau) GG* U(s*tau)^* dtau.
+
+    ``flow="forward"`` (s = +1) at rate=0 is the controllability and
+    observability Gramian; ``flow="backward"`` (s = -1) with rate=lambda is
+    the weighted Gramian L_lambda of the prescribed-decay feedback.  Entry
+    (k,l) is (GG*)_{kl} * int_0^T e^{(-2*rate - i*s*(lam_k - lam_l)) tau} dtau.
+    (Both flows are Hermitian with identical spectra; the eigenvectors
+    conjugate.)
+    """
+    lam = spec.lambdas
+    diff = lam[:, None] - lam[None, :]
+    if flow == "forward":
+        diff = -diff
+    elif flow != "backward":
+        raise ConfigurationError("flow must be 'forward' or 'backward'")
+    w = gg_star_matrix(mm) * phi(-2.0 * rate + 1j * diff, T)
+    return 0.5 * (w + w.conj().T)
+
+
+@dataclass(frozen=True)
+class Gramian:
+    """A ``gramian`` certified positive definite on the mean-zero modes.
+
+    ``cond`` and ``min_eig_meanzero`` are read off the eigenvalues of the
+    mean-zero block; mode 0 is always in the kernel, since G annihilates
+    constants.
+    """
+
+    rate: float
+    T: float
+    matrix: np.ndarray
+    cond: float
+    min_eig_meanzero: float
+
+    @classmethod
+    def certified(cls, mm: MMatrix, spec: spect.Spectrum, T: float,
+                  rate: float = 0.0, flow: str = "forward") -> "Gramian":
+        """Assemble ``gramian(...)``; raise ObservabilityError unless definite."""
+        W = gramian(mm, spec, T, rate, flow)
+        nz = spec.wavenumbers != 0
+        vals = np.linalg.eigvalsh(W[np.ix_(nz, nz)])
+        if vals.min() <= 0.0:
+            raise ObservabilityError(
+                f"Gramian singular on mean-zero modes (min eigenvalue "
+                f"{vals.min():.3e}) at rate={rate}, T={T}, n={spec.n}")
+        return cls(rate, T, W, float(vals.max() / vals.min()),
+                   float(vals.min()))
+
+
 # -- free propagators --------------------------------------------------------
-
-
-def propagator_multiplier(k: int, t: float, alpha, mu=0) -> complex:
-    """e^{-i*lambda_k*t}; unit modulus for all real t."""
-    return complex(np.exp(-1j * float(spect.eigenvalue(k, alpha, mu)) * t))
 
 
 def evolve_free(u0: TorusFunction, t: float, alpha, mu=0) -> TorusFunction:

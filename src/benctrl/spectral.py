@@ -105,10 +105,15 @@ class TorusFunction:
 # -- core operations -----------------------------------------------------
 
 
+def hs_weights(n: int, s: float) -> np.ndarray:
+    """H^s weights (1+|k|^2)^s for k = -n..n."""
+    k = np.arange(-n, n + 1, dtype=float)
+    return (1.0 + k**2) ** s
+
+
 def sobolev_norm(f: TorusFunction, s: float) -> float:
     """H^s norm: sqrt(2pi * sum_k (1+|k|^2)^s |fhat(k)|^2) over stored modes."""
-    k = f.wavenumbers
-    return float(np.sqrt(TWO_PI * np.sum((1.0 + k.astype(float) ** 2) ** s
+    return float(np.sqrt(TWO_PI * np.sum(hs_weights(f.n, s)
                                          * np.abs(f.coeffs) ** 2)))
 
 
@@ -116,8 +121,8 @@ def inner_product(f: TorusFunction, g: TorusFunction, s: float = 0.0) -> complex
     """H^s inner product 2pi * sum_k (1+|k|^2)^s fhat(k) conj(ghat(k))."""
     if f.n != g.n:
         raise ValueError("truncation orders differ")
-    k = f.wavenumbers.astype(float)
-    return complex(TWO_PI * np.sum((1.0 + k**2) ** s * f.coeffs * np.conj(g.coeffs)))
+    return complex(TWO_PI * np.sum(hs_weights(f.n, s) * f.coeffs
+                                   * np.conj(g.coeffs)))
 
 
 def hilbert_transform(f: TorusFunction) -> TorusFunction:
@@ -190,16 +195,19 @@ def coeffs_from_json(text: str, real_flag: bool = False) -> TorusFunction:
     return TorusFunction(n, c, real_flag)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line and one line per row of floats (shortest repr)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def samples_to_csv(f: TorusFunction, m: int, path) -> None:
     """Write samples as CSV columns (x, value); complex values as re/im pair."""
     x = np.arange(m) * (TWO_PI / m)
     vals = synthesize(f, m)
-    with open(path, "w") as fh:
-        if f.real_flag:
-            fh.write("x,value\n")
-            for xi, vi in zip(x, vals):
-                fh.write(f"{float(xi)!r},{float(vi)!r}\n")
-        else:
-            fh.write("x,value_re,value_im\n")
-            for xi, vi in zip(x, vals):
-                fh.write(f"{float(xi)!r},{float(vi.real)!r},{float(vi.imag)!r}\n")
+    if f.real_flag:
+        write_csv(path, "x,value", zip(x, vals))
+    else:
+        write_csv(path, "x,value_re,value_im", zip(x, vals.real, vals.imag))

@@ -29,10 +29,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from ._closedform import weighted_gramian
-from .errors import ConfigurationError, ObservabilityError
-from .operators import MMatrix, gg_star_matrix
-from .spectral import TorusFunction
+from .errors import ConfigurationError, DecayFitError, ObservabilityError
+from .operators import Gramian, MMatrix, gg_star_matrix, gramian
+from .spectral import TorusFunction, hs_weights
 from .spectrum import Spectrum
 
 #: norms below this are treated as floating noise and excluded from fits
@@ -44,21 +43,6 @@ FIT_R2 = 0.999
 #: eigenvector condition number above which closed loops are propagated by
 #: one matrix exponential per sample instead of their eigendecomposition
 EIG_COND_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class GramianWeighted:
-    """L_lambda = int_0^T e^{-2*lambda*tau} U_mu(-tau) GG* U_mu(-tau)^* dtau.
-
-    Hermitian, positive definite on the mean-zero subspace; entry (k,l) is
-    (GG*)_{kl} * int_0^T e^{(-2*lambda + i(lam_k - lam_l)) tau} dtau.
-    """
-
-    lam: float
-    T: float
-    matrix: np.ndarray
-    cond: float
-    min_eig_meanzero: float
 
 
 class Eigensystem(NamedTuple):
@@ -111,31 +95,17 @@ def _generator(spec: Spectrum) -> np.ndarray:
 
 
 def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
-                   T: float) -> GramianWeighted:
-    """Assemble the weighted Gramian in closed form and certify positivity."""
+                   T: float) -> Gramian:
+    """L_lambda = int_0^T e^{-2*lambda*tau} U_mu(-tau) GG* U_mu(-tau)^* dtau.
+
+    Assembled in closed form (the backward-flow ``gramian`` at rate lambda)
+    and certified positive definite on the mean-zero subspace.
+    """
     if lam <= 0:
         raise ConfigurationError("decay rate lambda must be positive")
     if T <= 0:
         raise ConfigurationError("window T must be positive")
-    gg = gg_star_matrix(mm)
-    L = weighted_gramian(gg, spec.lambdas, T, rate=lam)
-    nz = spec.wavenumbers != 0
-    vals = np.linalg.eigvalsh(L[np.ix_(nz, nz)])
-    if vals.min() <= 0.0:
-        raise ObservabilityError(
-            f"L_lambda loses definiteness on mean-zero modes "
-            f"(min eigenvalue {vals.min():.3e}) at lambda={lam}, T={T}, "
-            f"n={spec.n}")
-    return GramianWeighted(lam=lam, T=T, matrix=L,
-                           cond=float(vals.max() / vals.min()),
-                           min_eig_meanzero=float(vals.min()))
-
-
-def feedback_none(spec: Spectrum) -> FeedbackLaw:
-    """Zero feedback: the closed loop is the free generator (for cross-checks)."""
-    nd = 2 * spec.n + 1
-    return FeedbackLaw("none", 0.0, np.zeros((nd, nd), dtype=complex),
-                       _generator(spec), spec)
+    return Gramian.certified(mm, spec, T, rate=lam, flow="backward")
 
 
 def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
@@ -144,7 +114,7 @@ def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     return FeedbackLaw("simple", 0.0, gg, _generator(spec) - gg, spec)
 
 
-def feedback_gramian(L: GramianWeighted, mm: MMatrix,
+def feedback_gramian(L: Gramian, mm: MMatrix,
                      spec: Spectrum) -> FeedbackLaw:
     """K_lambda = GG* L_lambda^{-1} restricted to mean-zero modes."""
     if L.cond > 1e12:
@@ -157,7 +127,7 @@ def feedback_gramian(L: GramianWeighted, mm: MMatrix,
     K = np.zeros((nd, nd), dtype=complex)
     Linv = np.linalg.solve(L.matrix[np.ix_(nz, nz)], np.eye(nz.sum()))
     K[np.ix_(nz, nz)] = gg[np.ix_(nz, nz)] @ Linv
-    return FeedbackLaw("gramian", L.lam, K, _generator(spec) - K, spec)
+    return FeedbackLaw("gramian", L.rate, K, _generator(spec) - K, spec)
 
 
 def spectral_abscissa(law: FeedbackLaw) -> float:
@@ -188,11 +158,10 @@ def simulate_closed_loop(u0: TorusFunction, law: FeedbackLaw | None,
     """Closed-loop trajectory at the requested times, exact in time.
 
     The mean [u0] rides along unchanged (mode 0 is invariant); law=None
-    is rejected, use ``feedback_none`` for the free equation.
+    is rejected.
     """
     if law is None:
-        raise ConfigurationError(
-            "pass a FeedbackLaw (use feedback_none(spec) for zero feedback)")
+        raise ConfigurationError("pass a FeedbackLaw")
     return [TorusFunction.from_psi_coeffs(v, u0.n)
             for v in _propagate(law, u0.psi_coeffs, times)]
 
@@ -208,10 +177,9 @@ def norm_history(u0: TorusFunction, law: FeedbackLaw, times,
     fluct = fluct.reshape(len(traj), len(u0.coeffs))
     fluct[:, u0.n] -= u0.coeff(0)
     power = np.abs(fluct) ** 2
-    ks = u0.wavenumbers.astype(float)
     out = {"times": np.asarray(times, float)}
     for s in s_values:
-        out[s] = np.sqrt(2 * np.pi * (power @ (1.0 + ks**2) ** s))
+        out[s] = np.sqrt(2 * np.pi * (power @ hs_weights(u0.n, s)))
     return out
 
 
@@ -262,15 +230,15 @@ def estimate_decay_rate(times, norms) -> DecayFit:
     Norms at or below the floating noise floor are excluded; among suffix
     windows with at least 10 samples the longest one reaching R^2 >= 0.999
     wins (falling back to the best-R^2 suffix with a warning).  Fewer than
-    10 usable samples raise.
+    10 usable samples raise DecayFitError.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     keep = norms > NORM_FLOOR
     t, y = times[keep], np.log(norms[keep])
     if len(t) < 10:
-        raise ValueError(f"only {len(t)} samples above the noise floor; "
-                         "need at least 10")
+        raise DecayFitError(f"only {len(t)} samples above the noise floor; "
+                            "need at least 10")
 
     def fit(i):
         p, res = np.polyfit(t[i:], y[i:], 1, full=True)[:2]
@@ -305,17 +273,13 @@ def observability_constant(mm: MMatrix, spec: Spectrum, T: float):
     """
     if T <= 0:
         raise ConfigurationError("T must be positive")
-    gg = gg_star_matrix(mm)
-    W = weighted_gramian(gg, spec.lambdas, T, rate=0.0, flow="forward")
+    W = gramian(mm, spec, T)
     nz = spec.wavenumbers != 0
     vals, vecs = np.linalg.eigh(W[np.ix_(nz, nz)])
     if vals[0] <= 0.0:
-        v = np.zeros(2 * spec.n + 1, dtype=complex)
-        v[nz] = vecs[:, 0]
         raise ObservabilityError(
             f"observability fails at T={T}, n={spec.n}: Gramian eigenvalue "
-            f"{vals[0]:.3e} with near-null vector attached",
-        )
+            f"{vals[0]:.3e}")
     phi = np.zeros(2 * spec.n + 1, dtype=complex)
     phi[nz] = vecs[:, 0]
     return float(np.sqrt(vals[0])), TorusFunction.from_psi_coeffs(phi, spec.n)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import benctrl.cli as cli
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
+from benctrl.moment_control import ControlSignal
 from benctrl.operators import evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
 from benctrl.spectral import mean, sobolev_norm
@@ -109,6 +111,23 @@ class TestControlCommand:
         raw = (tmp_path / "control_coeffs.json").read_text()
         assert raw == json.dumps(json.loads(raw), sort_keys=True)
 
+    def test_samples_csv_is_numeric_grid(self, tmp_path):
+        assert main(["control", "--alpha", "7/3", "--n", "8", "--T", "1.0",
+                     "--seed", "3", "--outdir", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "control_samples.csv", delimiter=",",
+                          skiprows=1)
+        assert rows.shape == (33 * 65, 4)
+        payload = json.loads((tmp_path / "control_coeffs.json").read_text())
+        coeffs = np.array([[complex(*z) for z in mode["coeffs"]]
+                           for mode in payload["modes"]])
+        signal = ControlSignal(8, 1.0, np.array(payload["lambdas"]), coeffs)
+        xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
+        ts = np.linspace(0.0, 1.0, 33)
+        assert np.array_equal(rows[:, 0], np.repeat(ts, 65))
+        assert np.array_equal(rows[:, 1], np.tile(xs, 33))
+        h = (rows[:, 2] + 1j * rows[:, 3]).reshape(33, 65)
+        assert np.array_equal(h, signal.sample_grid(xs, ts))
+
     def test_strict_mode_singular_gram_exits_3(self, tmp_path):
         scn = {"experiment": "control", "alpha": 0.1, "n": 16, "T": 0.05,
                "seed": 1, "strict": True, "outdir": str(tmp_path)}
@@ -142,6 +161,15 @@ class TestStabilizeCommand:
         path.write_text(json.dumps({"experiment": "stabilize", "n": 8,
                                     "n_times": 5, "outdir": str(tmp_path)}))
         assert main(["stabilize", "--scenario", str(path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
+
+    def test_decay_fit_failure_exits_3(self, tmp_path, capsys):
+        # a long horizon drives all but two norms below the noise floor
+        assert main(["stabilize", "--law", "gramian", "--lambda", "1",
+                     "--n", "8", "--t-final", "1000",
+                     "--outdir", str(tmp_path)]) == 3
+        assert "samples above the noise floor" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -190,6 +218,24 @@ class TestSweep:
             rep = json.loads(
                 (tmp_path / f"case_{i:03d}" / "report.json").read_text())
             assert rep["provenance"]["seed"] == 10 + i
+
+
+    def test_cases_draw_distinct_states(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording(seed, *args):
+            state = random_state(seed, *args)
+            drawn.append((seed, state.coeffs))
+            return state
+
+        monkeypatch.setattr(cli, "random_state", recording)
+        base = {"experiment": "control", "n": 6, "seed": 10,
+                "outdir": str(tmp_path)}
+        assert [cli._run_sweep_entry((base, {}, i)) for i in range(2)] == [0, 0]
+        assert len(drawn) == 4
+        for i, (seed_a, a) in enumerate(drawn):
+            for seed_b, b in drawn[i + 1:]:
+                assert not np.array_equal(a, b), (seed_a, seed_b)
 
 
 class TestOversampledDiagnostic:

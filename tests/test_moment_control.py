@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import benctrl.spectrum as spectrum_mod
-from benctrl._closedform import (gauss_legendre_nodes, weighted_gramian,
-                                 weighted_gramian_quadrature)
 from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError, SingularGramError
 from benctrl.moment_control import (ControlProblem, assemble_control,
@@ -14,8 +12,10 @@ from benctrl.moment_control import (ControlProblem, assemble_control,
                                     reduce_to_zero_start, solve_coefficients,
                                     synthesize_control, terminal_residual,
                                     verify_moments)
-from benctrl.operators import build_bump, evolve_free, m_matrix
+from benctrl.operators import build_bump, evolve_free, gg_star_matrix, m_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, mean
+from oracles import (evolve_controlled_quadrature, gauss_legendre_nodes,
+                     moments_quadrature, weighted_gramian_quadrature)
 
 
 def make_problem(n=16, alpha=1.0, mu=0.0, T=1.0, s=0.0, seed=0, bump=None):
@@ -150,8 +150,8 @@ class TestSolveCoefficients:
         h = solve_coefficients(c, mm, spec, T)
         fam = build_biorthogonal(spec, T)
         sig = assemble_control(h, fam, spec)
-        quad = verify_moments(sig, c, spec, mm, method="quadrature")
-        assert quad["max_residual"] <= 1e-8
+        quad = moments_quadrature(sig, spec, mm)
+        assert np.abs(quad - c).max() <= 1e-8
 
 
 class TestAssembleAndVerify:
@@ -193,11 +193,10 @@ class TestAssembleAndVerify:
         n = 16
         prob = make_problem(n=n, alpha=1.0, seed=9)
         res = synthesize_control(prob)
-        quad = verify_moments(res.signal, res.targets, res.spectrum,
-                              res.mmatrix, method="quadrature")
+        quad = moments_quadrature(res.signal, res.spectrum, res.mmatrix)
         closed = verify_moments(res.signal, res.targets, res.spectrum,
-                                res.mmatrix, method="closed")
-        assert np.abs(quad["moments"] - closed["moments"]).max() <= 1e-8
+                                res.mmatrix)
+        assert np.abs(quad - closed["moments"]).max() <= 1e-8
 
 
 class TestEvolveControlled:
@@ -231,8 +230,8 @@ class TestEvolveControlled:
         prob = make_problem(n=8, alpha=1.0, seed=2)
         res = synthesize_control(prob)
         a = evolve_controlled(prob.u0, res.signal, 0.6, 1.0, 0.0, res.mmatrix)
-        b = evolve_controlled(prob.u0, res.signal, 0.6, 1.0, 0.0, res.mmatrix,
-                              method="quadrature")
+        b = evolve_controlled_quadrature(prob.u0, res.signal, 0.6, 1.0, 0.0,
+                                         res.mmatrix)
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9
 
 
@@ -259,11 +258,10 @@ class TestHUM:
         spec = spectrum_mod.analyze(n, 1.0)
         mm = m_matrix(build_bump(kmax=2 * n), n)
         W = controllability_gramian(mm, spec, 1.0)
-        gop = mm.operator
-        gg = gop @ gop.conj().T
-        Wq = weighted_gramian_quadrature(gg, spec.lambdas, 1.0, rate=0.0,
-                                         flow="forward", total_nodes=2048)
-        assert np.abs(W - Wq).max() <= 1e-9
+        Wq = weighted_gramian_quadrature(gg_star_matrix(mm), spec.lambdas,
+                                         1.0, rate=0.0, flow="forward",
+                                         total_nodes=2048)
+        assert np.abs(W.matrix - Wq).max() <= 1e-9
 
 
 class TestProperties:
