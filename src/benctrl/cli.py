@@ -318,9 +318,9 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
         min(12.0 / max(abs(absc), 1e-6), 1e6)
     times = np.linspace(0.0, t_final, scn.n_times)
     hist = stab.norm_history(u0, law, times, s_values=(0.0, scn.s))
+    fitobj = stab.estimate_decay_rate(hist["times"], hist[0.0])
     write_csv(outdir / "decay.csv", "t,L2_norm,Hs_norm",
               zip(hist["times"], hist[0.0], hist[scn.s]))
-    fitobj = stab.estimate_decay_rate(hist["times"], hist[0.0])
     delta, _ = stab.observability_constant(mm, spec, scn.T)
     return {
         "experiment": "stabilize",

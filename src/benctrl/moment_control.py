@@ -80,8 +80,7 @@ class BiorthogonalFamily:
 
     ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
     with the Gram matrix Gamma of the exponentials the duals are exactly the
-    rows of Gamma^{-1}.  ``mode_family[k+n]`` maps each wavenumber to the
-    distinct-eigenvalue slot of its cluster.
+    rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
     """
 
     T: float
@@ -89,7 +88,6 @@ class BiorthogonalFamily:
     gram: np.ndarray             # Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt
     dual_coeffs: np.ndarray
     cond: float
-    mode_family: np.ndarray      # wavenumber k -> row index into dual_coeffs
     degenerate: bool = False     # rank-revealing fallback was used
 
     def biorthogonality_residual(self) -> float:
@@ -149,18 +147,17 @@ def build_biorthogonal(spec: Spectrum, T: float,
         x = np.linalg.solve(gram, np.eye(nfam, dtype=complex))
         x += np.linalg.solve(gram, np.eye(nfam) - gram @ x)
         dual = x.conj().T
-    mode_family = np.array([spec.cluster_of(int(k)) for k in spec.wavenumbers])
     return BiorthogonalFamily(T=T, lambdas=lam, gram=gram, dual_coeffs=dual,
-                              cond=cond, mode_family=mode_family,
-                              degenerate=degenerate)
+                              cond=cond, degenerate=degenerate)
 
 
 def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
                        T: float) -> np.ndarray:
     """Amplitudes h_j of the separated control; h_0 = 0.
 
-    Singleton modes: h_k = c_k e^{i lam_k T} / m[k,k].  Inside a cluster the
-    members couple through the block M_j of m-entries; the block system
+    Modes alone (off 0) in their cluster: h_k = c_k e^{i lam_k T} / m[k,k],
+    all at once.  Inside a cluster with two or more nonzero members these
+    couple through the block M_j of m-entries; the block system
     c~ = M_j^T h is solved with mode 0 removed (its moment is automatic and
     h_0 = 0, and keeping it would make the block singular since the zero
     column of m vanishes).
@@ -170,22 +167,20 @@ def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
     if abs(c[n]) > 1e-10 * max(1.0, float(np.abs(c).max())):
         raise ConfigurationError(
             f"target coefficient c_0 = {c[n]:.3e} != 0: mode 0 is unreachable")
-    lam = spec.lambdas
+    ctil = c * np.exp(1j * spec.lambdas * T)
+    nonzero = spec.wavenumbers != 0
+    members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
+    alone = nonzero & (members[spec.slot] == 1)
     h = np.zeros(2 * n + 1, dtype=complex)
-    for grp in spec.clusters:
-        nz = [k for k in grp if k != 0]
-        if not nz:
-            continue
-        pos = [k + n for k in nz]
-        ctil = c[pos] * np.exp(1j * lam[pos] * T)
-        if len(nz) == 1:
-            h[pos[0]] = ctil[0] / mm.entries[pos[0], pos[0]]
-        else:
-            block = mm.block(nz)
-            if np.linalg.cond(block) > 1e14:
-                raise SingularClusterBlockError(
-                    f"cluster block {nz} numerically singular for this localizer")
-            h[pos] = np.linalg.solve(block.T, ctil)
+    h[alone] = ctil[alone] / np.diagonal(mm.entries)[alone]
+    for ci in np.flatnonzero(members >= 2):
+        nz = [k for k in spec.clusters[ci] if k != 0]
+        block = mm.block(nz)
+        if np.linalg.cond(block) > 1e14:
+            raise SingularClusterBlockError(
+                f"cluster block {nz} numerically singular for this localizer")
+        pos = np.add(nz, n)
+        h[pos] = np.linalg.solve(block.T, ctil[pos])
     return h
 
 
@@ -270,10 +265,21 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
     conj(q_j) = sum_m conj(dual_coeffs[j, m]) e^{-i lam_m t}, so mode j's
     row is h_j * conj(dual row of its cluster).
     """
-    rows = np.conj(family.dual_coeffs)[family.mode_family, :]
+    rows = np.conj(family.dual_coeffs)[spec.slot, :]
     return ControlSignal(spec.n, family.T, family.lambdas,
                          np.asarray(h, complex)[:, None] * rows,
                          amplitudes=np.asarray(h, complex))
+
+
+def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
+             t: float) -> np.ndarray:
+    """int_0^t e^{i lam_k s} (G h(s))_k ds for every mode k, in closed form.
+
+    The integrand is a finite sum of exponentials, so the integral is
+    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t).
+    """
+    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], t)
+    return ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
 def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
@@ -281,14 +287,11 @@ def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
     """Evaluate the moment integrals and compare with the targets c_k.
 
     moment_k = e^{-i lam_k T} sum_j m[j,k] int_0^T a_j(t) e^{i lam_k t} dt
-    with a_j the mode-j time profile; the inner integral is resolved in
-    closed form.
+    with a_j the mode-j time profile: the controlled part of u(T), so
+    ``moments - c`` is the terminal miss u(T) - u1 in psi coefficients.
     """
     lam = spec.lambdas
-    T = signal.T
-    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], T)
-    moments = np.exp(-1j * lam * T) * \
-        ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
+    moments = np.exp(-1j * lam * signal.T) * _duhamel(signal, lam, mm, signal.T)
     resid = np.abs(moments - np.asarray(c, complex))
     return {"moments": moments, "max_residual": float(resid.max()),
             "residuals": resid}
@@ -298,16 +301,12 @@ def evolve_controlled(u0: TorusFunction, signal: ControlSignal, t: float,
                       alpha, mu, mm: MMatrix) -> TorusFunction:
     """Variation-of-constants solution u(t) = U(t)u0 + int_0^t U(t-s) Gh(s) ds.
 
-    Per mode the Duhamel integrand is a finite sum of exponentials, so
-    u(t)_k = e^{-i lam_k t}(v0_k + sum_j op[k,j] sum_m E[j,m] phi(i(lam_k -
-    lam_m), t)).
+    Per mode u(t)_k = e^{-i lam_k t}(v0_k + the Duhamel integral).
     """
     if t < 0 or t > signal.T + 1e-12:
         raise ConfigurationError("time must lie in [0, T]")
     lam = eigenvalues(u0.n, alpha, mu)
-    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], t)
-    duh = ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
-    v = np.exp(-1j * lam * t) * (u0.psi_coeffs + duh)
+    v = np.exp(-1j * lam * t) * (u0.psi_coeffs + _duhamel(signal, lam, mm, t))
     return TorusFunction.from_psi_coeffs(v, u0.n)
 
 
@@ -343,13 +342,12 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     eta = np.zeros(2 * n + 1, dtype=complex)
     eta[nz] = eta_r
 
-    # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; group eigenvalues
-    gstar = mm.operator.conj().T
+    # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; the terms of
+    # one cluster share a frequency and add into its slot
     lam_dist = spec.distinct_lambdas()
     E = np.zeros((2 * n + 1, len(lam_dist)), dtype=complex)
-    for ci, grp in enumerate(spec.clusters):
-        pos = [k + n for k in grp]
-        E[:, ci] = (gstar[:, pos] @ eta[pos]) * np.exp(1j * lam_dist[ci] * problem.T)
+    np.add.at(E, (slice(None), spec.slot), mm.operator.conj().T * eta)
+    E *= np.exp(1j * lam_dist * problem.T)
     signal = ControlSignal(n, problem.T, lam_dist, E)
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
@@ -371,16 +369,20 @@ class SynthesisResult:
     cond_gamma: float
 
 
+def _relative_miss(problem: ControlProblem, miss: np.ndarray) -> float:
+    """H^s size of the terminal miss (fhat coefficients) relative to u1."""
+    w = hs_weights(problem.n, problem.s)
+    num = np.sqrt(np.sum(w * np.abs(miss) ** 2))
+    den = np.sqrt(np.sum(w * np.abs(problem.u1.coeffs) ** 2))
+    return float(num / den) if den > 0 else float(num)
+
+
 def terminal_residual(problem: ControlProblem, signal: ControlSignal,
                       mm: MMatrix) -> float:
     """Relative H^s distance of the steered terminal state from u1."""
     uT = evolve_controlled(problem.u0, signal, problem.T, problem.alpha,
                            problem.mu, mm)
-    err = uT.coeffs - problem.u1.coeffs
-    w = hs_weights(problem.n, problem.s)
-    num = np.sqrt(np.sum(w * np.abs(err) ** 2))
-    den = np.sqrt(np.sum(w * np.abs(problem.u1.coeffs) ** 2))
-    return float(num / den) if den > 0 else float(num)
+    return _relative_miss(problem, uT.coeffs - problem.u1.coeffs)
 
 
 def synthesize_control(problem: ControlProblem, spec: Spectrum | None = None,
@@ -397,8 +399,10 @@ def synthesize_control(problem: ControlProblem, spec: Spectrum | None = None,
     c = reduce_to_zero_start(problem)
     h = solve_coefficients(c, mm, spec, problem.T)
     signal = assemble_control(h, family, spec)
-    t_res = terminal_residual(problem, signal, mm)
-    m_res = verify_moments(signal, c, spec, mm)["max_residual"]
+    check = verify_moments(signal, c, spec, mm)
+    miss = TorusFunction.from_psi_coeffs(check["moments"] - c, problem.n)
+    t_res = _relative_miss(problem, miss.coeffs)
+    m_res = check["max_residual"]
     norm = signal.l2_hs_norm(problem.s)
     denom = sobolev_norm(problem.u0, problem.s) + sobolev_norm(problem.u1, problem.s)
     nu = norm / denom if denom > 0 else 0.0

@@ -56,12 +56,6 @@ class BumpProfile:
         g.flags.writeable = False
         object.__setattr__(self, "ghat", g)
 
-    @property
-    def support(self):
-        a = self.center - self.width / 2.0
-        b = self.center + self.width / 2.0
-        return (a, b)
-
     def ghat_at(self, k):
         """ghat(k) for scalar or array k, zero outside the stored band."""
         karr = np.atleast_1d(np.asarray(k))

@@ -13,6 +13,7 @@ eigenvalues controls the conditioning of the moment problem.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,8 +61,10 @@ class Spectrum:
     ``clusters`` partitions the wavenumbers -n..n into groups of equal
     eigenvalue; each group is sorted and carries a representative index
     (the member of smallest |k|, which is 0 whenever 0 belongs to the
-    group).  ``gap_gamma`` is the minimum spacing between distinct
-    eigenvalues at this truncation.
+    group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
+    holds wavenumber k: the one map from modes to clusters that every
+    cluster-aware computation reads.  ``gap_gamma`` is the minimum spacing
+    between distinct eigenvalues at this truncation.
     """
 
     alpha: float
@@ -70,40 +73,29 @@ class Spectrum:
     lambdas: np.ndarray            # float lambda_k, index k+n
     clusters: tuple                # tuple of tuples of wavenumbers
     representatives: tuple         # one wavenumber per cluster, same order
+    slot: np.ndarray               # cluster index of wavenumber k, index k+n
     gap_gamma: float
     window_bound: int
-    exact: bool                    # clusters decided by rational arithmetic
+    exact: bool                    # clusters decided by integer arithmetic
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
-        lam.flags.writeable = False
+        slot = np.array(self.slot, dtype=np.intp)
+        lam.flags.writeable = slot.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "slot", slot)
 
     @property
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1)
 
-    def lam(self, k: int) -> float:
-        return float(self.lambdas[k + self.n])
-
     def distinct_lambdas(self) -> np.ndarray:
-        """One eigenvalue per cluster, in cluster order."""
-        return np.array([self.lam(r) for r in self.representatives])
+        """One eigenvalue per cluster (its representative's), in cluster order."""
+        return self.lambdas[np.add(self.representatives, self.n)]
 
     def cluster_of(self, k: int) -> int:
         """Index (into ``clusters``) of the cluster containing wavenumber k."""
-        return self._membership[k + self.n]
-
-    @property
-    def _membership(self):
-        memb = getattr(self, "_memb_cache", None)
-        if memb is None:
-            memb = np.empty(2 * self.n + 1, dtype=int)
-            for ci, grp in enumerate(self.clusters):
-                for k in grp:
-                    memb[k + self.n] = ci
-            object.__setattr__(self, "_memb_cache", memb)
-        return memb
+        return int(self.slot[k + self.n])
 
 
 def _representative(group):
@@ -116,34 +108,31 @@ def _representative(group):
 def clusters(n: int, alpha, mu=0, tol=None):
     """Partition {-n..n} into groups of equal eigenvalue.
 
-    When alpha and mu are supplied as exact rationals the grouping is decided
-    by exact arithmetic; otherwise indices with |lambda_j - lambda_k| <=
-    tol*max(1, |lambda|) are grouped (default tol = 1e-9 relative).  A group
-    of size > 3 contradicts the cubic dispersion shape and raises
-    ClusterSizeError.
+    One sweep over the sorted eigenvalues starts a new group wherever
+    neighbours differ by more than tol*max(1, |lambda|).  When alpha and mu
+    are exact rationals the sweep runs on the integer keys d*lambda_k, with
+    d the common denominator of alpha and mu, at tolerance 0 (Python
+    integers, so large denominators cannot overflow); otherwise on the float
+    eigenvalues at tol (default 1e-9 relative).  A group of size > 3
+    contradicts the cubic dispersion shape and raises ClusterSizeError.
     """
     exact = isinstance(alpha, Rational) and isinstance(mu, Rational)
     if exact:
-        by_value = {}
-        for k in range(-n, n + 1):
-            by_value.setdefault(eigenvalue(k, alpha, mu), []).append(k)
-        groups = [tuple(sorted(v)) for v in by_value.values()]
+        d = math.lcm(alpha.denominator, mu.denominator)
+        a = alpha.numerator * (d // alpha.denominator)
+        m2 = 2 * mu.numerator * (d // mu.denominator)
+        values = np.array([d * k**3 + m2 * k - a * k * abs(k)
+                           for k in range(-n, n + 1)], dtype=object)
+        tol = 0
     else:
-        if tol is None:
-            tol = CLUSTER_RTOL
-        lam = eigenvalues(n, alpha, mu)
-        ks = np.arange(-n, n + 1)
-        order = np.argsort(lam, kind="stable")
-        groups, cur = [], [order[0]]
-        for p in order[1:]:
-            if abs(lam[p] - lam[cur[-1]]) <= tol * max(1.0, abs(lam[p])):
-                cur.append(p)
-            else:
-                groups.append(cur)
-                cur = [p]
-        groups.append(cur)
-        groups = [tuple(sorted(int(ks[p]) for p in g)) for g in groups]
-    groups.sort()
+        values = eigenvalues(n, alpha, mu)
+        tol = CLUSTER_RTOL if tol is None else tol
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    breaks = np.abs(np.diff(v)) > tol * np.maximum(1.0, np.abs(v[1:]))
+    ks = (order - n).tolist()
+    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(ks)]
+    groups = sorted(tuple(sorted(ks[a:b])) for a, b in zip(cuts, cuts[1:]))
     for g in groups:
         if len(g) > 3:
             raise ClusterSizeError(
@@ -160,6 +149,10 @@ def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
     groups, exact = clusters(n, alpha, mu, tol)
     lam = eigenvalues(n, alpha, mu)
     reps = tuple(_representative(g) for g in groups)
+    slot = np.empty(2 * n + 1, dtype=np.intp)
+    for ci, grp in enumerate(groups):
+        for k in grp:
+            slot[k + n] = ci
     spec = Spectrum(
         alpha=float(alpha),
         mu=float(mu),
@@ -167,6 +160,7 @@ def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
         lambdas=lam,
         clusters=tuple(groups),
         representatives=reps,
+        slot=slot,
         gap_gamma=float("nan"),
         window_bound=window_bound(alpha),
         exact=exact,

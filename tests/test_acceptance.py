@@ -160,7 +160,7 @@ def test_criterion_05_energy_identity():
     monotone = bool(np.all(norms[1:] <= norms[:-1] * (1 + 1e-12)))
     ok = defects.max() <= 1e-10 and monotone
     _report(5, "energy identity", ok,
-            f"max centered-difference defect {defects.max():.3e} <= 1e-10 "
+            f"max defect {defects.max():.3e} <= 1e-10 "
             f"at 20 interior times; L2 norm monotone: {monotone}")
 
 

@@ -171,6 +171,7 @@ class TestStabilizeCommand:
                      "--outdir", str(tmp_path)]) == 3
         assert "samples above the noise floor" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "decay.csv").exists()
 
 
 class TestObservabilityCommand:

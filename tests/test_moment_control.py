@@ -189,6 +189,25 @@ class TestAssembleAndVerify:
         res = synthesize_control(make_problem(n=16, alpha=1.0, seed=4))
         assert res.moment_residual <= 1e-9
 
+    @pytest.mark.parametrize("kw", [
+        dict(alpha=0.1, mu=0.3, T=5.0, s=1.0, seed=3),   # cond(Gamma) 1.5
+        dict(alpha=1.0, T=1.0, seed=7),                  # cluster {-1, 0, 1}
+    ])
+    def test_residuals_read_off_one_duhamel_sum(self, kw):
+        # synthesize_control takes both residuals from moments - c; the
+        # standalone checks evolve u(T) and re-evaluate the moments.  Both
+        # residuals sit on the scale of the target (the terminal one is
+        # relative to ||u1||_{H^s}), where rounding is about 1e-16.
+        prob = make_problem(n=16, **kw)
+        res = synthesize_control(prob)
+        again = terminal_residual(prob, res.signal, res.mmatrix)
+        assert abs(res.terminal_residual - again) <= 1e-12
+        moments = verify_moments(res.signal, res.targets, res.spectrum,
+                                 res.mmatrix)
+        assert abs(res.moment_residual - moments["max_residual"]) \
+            <= 1e-12 * np.abs(res.targets).max()
+        assert res.terminal_residual <= 1e-12
+
     def test_closed_form_vs_quadrature(self):
         n = 16
         prob = make_problem(n=n, alpha=1.0, seed=9)

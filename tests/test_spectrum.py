@@ -82,6 +82,51 @@ class TestClusters:
             a += Fraction(1, 4)
 
 
+def brute_force_clusters(n, alpha, mu):
+    """Independent oracle: group wavenumbers by their Fraction eigenvalue."""
+    by_value = {}
+    for k in range(-n, n + 1):
+        by_value.setdefault(sp.eigenvalue(k, alpha, mu), []).append(k)
+    return sorted(tuple(g) for g in by_value.values())
+
+
+#: 10^13+37 times 3 * n^3 exceeds 2^63 at n=256: keys need unbounded integers
+TINY_MU = Fraction(1, 10**13 + 37)
+
+
+class TestExactSweep:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("mu", [Fraction(0), Fraction(3, 10)])
+    @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(7, 3),
+                                       Fraction(1, 10),
+                                       Fraction(123457, 98765)])
+    def test_matches_fraction_grouping(self, alpha, mu, n):
+        groups, exact = sp.clusters(n, alpha, mu)
+        assert exact
+        assert groups == brute_force_clusters(n, alpha, mu)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(7, 3)])
+    def test_keys_beyond_int64(self, alpha):
+        n = 256
+        assert TINY_MU.denominator * alpha.denominator * n**3 > 2**63
+        groups, _ = sp.clusters(n, alpha, TINY_MU)
+        assert groups == brute_force_clusters(n, alpha, TINY_MU)
+        # mu breaks the alpha=1 triple only by 2*mu, which floats would merge
+        if alpha == 1:
+            assert (-1,) in groups and (0,) in groups and (1,) in groups
+
+    @pytest.mark.parametrize("alpha, mu", [(Fraction(1), Fraction(0)),
+                                           (Fraction(7, 3), Fraction(3, 10)),
+                                           (1.0, 0.0), (0.1, 0.3)])
+    def test_slot_maps_each_wavenumber_to_its_cluster(self, alpha, mu):
+        spec = sp.analyze(64, alpha, mu)
+        assert not spec.slot.flags.writeable
+        for k in spec.wavenumbers:
+            assert k in spec.clusters[spec.slot[k + 64]]
+            assert spec.cluster_of(k) == spec.slot[k + 64]
+        assert set(spec.slot) == set(range(len(spec.clusters)))
+
+
 class TestSpectrumAnalysis:
     def test_representatives_mirror(self):
         spec = sp.analyze(8, Fraction(7, 3))

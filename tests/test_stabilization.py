@@ -14,7 +14,8 @@ from benctrl.stabilization import (EIG_COND_LIMIT, FeedbackLaw,
                                    feedback_simple, norm_history,
                                    observability_constant,
                                    simulate_closed_loop, spectral_abscissa)
-from oracles import feedback_none, weighted_gramian_quadrature
+from oracles import (energy_identity_defect_centred, feedback_none,
+                     weighted_gramian_quadrature)
 
 
 def setup(n=8, alpha=1.0, mu=0.0, kind="raised_cosine"):
@@ -95,6 +96,34 @@ class TestSimpleFeedback:
         times = np.linspace(1.0, 400.0, 20)
         defects = energy_identity_defect(u0, law, times)
         assert defects.max() <= 1e-10  # u0 has unit H^1 norm, L2 norm < 1
+
+    def test_energy_identity_matches_centred_difference(self):
+        spec, mm = setup(n=16)
+        law = feedback_simple(mm, spec)
+        u0 = random_state(3, 16, 1.0)
+        times = np.linspace(1.0, 400.0, 20)
+        exact = energy_identity_defect(u0, law, times)
+        centred = energy_identity_defect_centred(u0, law, times)
+        assert np.abs(exact - centred).max() <= 1e-10
+
+    def test_energy_identity_sees_a_perturbed_loop(self):
+        # C + 0.1*I on the mean-zero modes adds 0.1*||u - [u]||^2 to
+        # d/dt(1/2||u||^2) and leaves <Ku, u> alone; the loop now grows, so
+        # the horizon is short and each time is checked on its own scale
+        spec, mm = setup(n=16)
+        simple = feedback_simple(mm, spec)
+        shift = 0.1 * np.diag((spec.wavenumbers != 0).astype(float))
+        law = FeedbackLaw("simple", 0.0, simple.matrix,
+                          simple.closed_loop + shift, spec)
+        u0 = random_state(3, 16, 1.0)
+        times = np.linspace(1.0, 40.0, 20)
+        traj = simulate_closed_loop(u0, law, times)
+        fluct = np.array([np.delete(u.psi_coeffs, 16) for u in traj])
+        expect = 0.1 * np.sum(np.abs(fluct) ** 2, axis=1)
+        defects = energy_identity_defect(u0, law, times)
+        assert np.all(np.abs(defects - expect) <= 1e-10 * expect)
+        centred = energy_identity_defect_centred(u0, law, times)
+        assert np.all(np.abs(centred - expect) <= 1e-8 * expect)
 
     def test_monotone_decay(self):
         spec, mm = setup(n=12)
