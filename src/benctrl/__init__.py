@@ -26,7 +26,8 @@ from .spectral import (TorusFunction, analyze, coeffs_from_json,
                        coeffs_to_json, hilbert_transform, hs_weights,
                        inner_product, mean, project_mean_zero, samples_to_csv,
                        sobolev_norm, synthesize, write_csv)
-from .spectrum import Spectrum, clusters, eigenvalue, eigenvalues, gap_gamma
+from .spectrum import (HorizonKernel, Spectrum, clusters, eigenvalue,
+                       eigenvalues, gap_gamma)
 from .spectrum import analyze as analyze_spectrum
 from .spectrum import spectrum_report, window_bound
 from .stabilization import (DecayFit, FeedbackLaw, build_L_lambda,
@@ -35,4 +36,35 @@ from .stabilization import (DecayFit, FeedbackLaw, build_L_lambda,
                             observability_constant, simulate_closed_loop,
                             spectral_abscissa)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules
+    "errors", "moment_control", "operators", "spectral", "spectrum",
+    "stabilization",
+    # errors
+    "AliasingError", "BenctrlError", "ClusterSizeError", "ConfigurationError",
+    "DecayFitError", "ObservabilityError", "SingularClusterBlockError",
+    "SingularGramError",
+    # moment_control
+    "BiorthogonalFamily", "ControlProblem", "ControlSignal", "SynthesisResult",
+    "assemble_control", "build_biorthogonal", "controllability_gramian",
+    "evolve_controlled", "hum_control", "reduce_to_zero_start",
+    "solve_coefficients", "synthesize_control", "terminal_residual",
+    "verify_moments",
+    # operators
+    "BumpProfile", "Gramian", "MMatrix", "apply_G", "build_bump",
+    "bump_from_coefficients", "evolve_free", "gg_star_matrix", "gramian",
+    "m_matrix",
+    # spectral
+    "TorusFunction", "analyze", "coeffs_from_json", "coeffs_to_json",
+    "hilbert_transform", "hs_weights", "inner_product", "mean",
+    "project_mean_zero", "samples_to_csv", "sobolev_norm", "synthesize",
+    "write_csv",
+    # spectrum
+    "HorizonKernel", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
+    "eigenvalues", "gap_gamma", "spectrum_report", "window_bound",
+    # stabilization
+    "DecayFit", "FeedbackLaw", "build_L_lambda", "energy_identity_defect",
+    "estimate_decay_rate", "feedback_gramian", "feedback_simple",
+    "norm_history", "observability_constant", "simulate_closed_loop",
+    "spectral_abscissa",
+]

@@ -36,7 +36,11 @@ def phi_osc(a, T: float) -> np.ndarray:
     return phi(1j * np.asarray(a, dtype=float), T)
 
 
-def exp_gram(freqs, T: float) -> np.ndarray:
-    """Gram matrix of {e^{i f t}} in L2([0, T]): entry (k,m) = phi_osc(f_k - f_m, T)."""
-    f = np.asarray(freqs, dtype=float)
-    return phi_osc(f[:, None] - f[None, :], T)
+def exp_kernel(rows, cols, T: float) -> np.ndarray:
+    """int_0^T e^{i (rows_k - cols_m) t} dt for every pair (k, m).
+
+    With rows = cols = f this is the Gram matrix of {e^{i f t}} in L2(0, T).
+    """
+    a = np.asarray(rows, dtype=float)
+    b = np.asarray(cols, dtype=float)
+    return phi_osc(a[:, None] - b[None, :], T)

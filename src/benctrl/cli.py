@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,14 +38,27 @@ SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("spectrum", "simulate", "control", "stabilize", "observability")
 
+#: relative H^s distance from u1 within which a control route reaches it
+TERMINAL_TOL = 1e-8
+
 
 def _parse_number(value):
-    """Accept floats or exact-rational strings like '7/3'."""
-    if isinstance(value, str) and "/" in value:
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value) if value.isdigit() else float(value)
-    return value
+    """Accept floats or exact-rational strings like '7/3'.
+
+    Text that is not a finite number raises ConfigurationError.
+    """
+    if not isinstance(value, str):
+        return value
+    try:
+        if "/" in value or value.isdigit():
+            number = Fraction(value)
+        else:
+            number = float(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"not a finite number: {value!r}")
+    return number
 
 
 @dataclass
@@ -290,6 +304,7 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     return {
         "experiment": "control",
         "terminal_residual": result.terminal_residual,
+        "reached": result.terminal_residual <= TERMINAL_TOL,
         "moment_residual": result.moment_residual,
         "nu_empirical": result.nu_empirical,
         "cond_gamma": result.cond_gamma,
@@ -298,6 +313,7 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
         "spillover_beyond_n": spillover,
         "mean_carried": [mu0.real, mu0.imag],
         "hum": {"terminal_residual": hum_res,
+                "reached": hum_res <= TERMINAL_TOL,
                 "control_norm": hum_signal.l2_hs_norm(0.0),
                 "cond_W": hum_info["cond_W"]},
     }
@@ -356,8 +372,22 @@ _RUNNERS = {
 }
 
 
+def _missed_target(scn: Scenario, payload: dict) -> str | None:
+    """Why a written report is still a numerical failure, if it is one."""
+    if scn.experiment == "control" and not (
+            payload["reached"] or payload["hum"]["reached"]):
+        return (f"neither route reached u1 within {TERMINAL_TOL:.0e} "
+                f"relative H^s (moment {payload['terminal_residual']:.3e}, "
+                f"Gramian {payload['hum']['terminal_residual']:.3e})")
+    return None
+
+
 def run(scn: Scenario) -> int:
-    """Dispatch a validated scenario; returns the process exit code."""
+    """Dispatch a validated scenario; returns the process exit code.
+
+    A control run that reaches u1 by neither route still writes its report
+    and exits 3.
+    """
     outdir = Path(scn.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -370,6 +400,10 @@ def run(scn: Scenario) -> int:
         return 3
     path = _write_report(outdir, payload, scn)
     print(path)
+    missed = _missed_target(scn, payload)
+    if missed:
+        print(f"numerical failure: {missed}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -380,7 +414,11 @@ def _run_sweep_entry(args):
     if "seed" not in item:
         merged["seed"] = int(base.get("seed", 0)) + index
     merged["outdir"] = str(Path(base.get("outdir", "out")) / f"case_{index:03d}")
-    scn = load_scenario(None, merged)
+    try:
+        scn = load_scenario(None, merged)
+    except (ConfigurationError, TypeError) as exc:
+        print(f"validation error in case {index}: {exc}", file=sys.stderr)
+        return 2
     return run(scn)
 
 
@@ -388,7 +426,9 @@ def run_sweep(path, workers: int | None = None) -> int:
     """Fan independent scenarios out across processes.
 
     The sweep file holds a base scenario plus a ``sweep`` list of overrides;
-    case i runs with seed base_seed + i unless the override pins one.
+    case i runs with seed base_seed + i unless the override pins one.  An
+    invalid case exits 2 without stopping the others; the sweep returns the
+    largest exit code.
     """
     with open(path) as fh:
         data = json.load(fh)

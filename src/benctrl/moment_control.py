@@ -22,16 +22,16 @@ minimal-L2-norm control and serves as the oracle for the moment route.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from ._closedform import exp_gram, phi_osc
+from ._closedform import exp_kernel
 from .errors import ConfigurationError, SingularClusterBlockError, SingularGramError
 from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
 from .spectral import TorusFunction, hs_weights, sobolev_norm
-from .spectrum import Spectrum, eigenvalues
+from .spectrum import HorizonKernel, Spectrum, eigenvalues
 
 #: Gram matrices with condition number beyond this are declared singular.
 GRAM_COND_LIMIT = 1e14
@@ -81,14 +81,20 @@ class BiorthogonalFamily:
     ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
     with the Gram matrix Gamma of the exponentials the duals are exactly the
     rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
+    ``kernel`` is the spectrum's HorizonKernel they were built on.
     """
 
     T: float
     lambdas: np.ndarray          # distinct eigenvalues, one per cluster
-    gram: np.ndarray             # Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt
+    kernel: HorizonKernel
     dual_coeffs: np.ndarray
     cond: float
     degenerate: bool = False     # rank-revealing fallback was used
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt."""
+        return self.kernel.gram
 
     def biorthogonality_residual(self) -> float:
         """max |int e^{i lam_k t} conj(q_j) dt - delta_kj| in closed form."""
@@ -105,21 +111,22 @@ def build_biorthogonal(spec: Spectrum, T: float,
                        on_singular: str = "error") -> BiorthogonalFamily:
     """Solve for the biorthogonal duals of the distinct exponentials.
 
-    The Gram matrix Gamma has diagonal T and off-diagonal
-    (e^{i(lam_k-lam_m)T} - 1)/(i(lam_k-lam_m)).  When cond(Gamma) exceeds
-    1e14 the family is numerically dependent on [0, T]; the near-resonant
-    pair is named in the error.  ``on_singular="lstsq"`` instead builds
-    least-squares duals by a rank-revealing pseudo-inverse and flags the
-    family as degenerate (biorthogonality then holds only on the resolvable
-    subspace).
+    The Gram matrix Gamma (the spectrum's ``kernel(T).gram``) has diagonal
+    T and off-diagonal (e^{i(lam_k-lam_m)T} - 1)/(i(lam_k-lam_m)).  It is
+    Hermitian, so its 2-norm condition number is the ratio of its extreme
+    eigenvalue magnitudes.  When cond(Gamma) exceeds 1e14 the family is
+    numerically dependent on [0, T]; the near-resonant pair is named in the
+    error.  ``on_singular="lstsq"`` instead builds least-squares duals by a
+    rank-revealing pseudo-inverse and flags the family as degenerate
+    (biorthogonality then holds only on the resolvable subspace).
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
     lam = spec.distinct_lambdas()
-    gram = exp_gram(lam, T)
-    nfam = len(lam)
-    sing = np.linalg.svd(gram, compute_uv=False)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+    kernel = spec.kernel(T)
+    gram = kernel.gram
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
     degenerate = False
     if cond > GRAM_COND_LIMIT:
         if on_singular == "error":
@@ -143,12 +150,15 @@ def build_biorthogonal(spec: Spectrum, T: float,
             f"Gram matrix has cond {cond:.2e}; duals built by rank-revealing "
             "least squares, biorthogonality only approximate", RuntimeWarning)
     else:
-        # Gamma * conj(D)^T = I  =>  D = (Gamma^{-1})^H; one refinement step
-        x = np.linalg.solve(gram, np.eye(nfam, dtype=complex))
-        x += np.linalg.solve(gram, np.eye(nfam) - gram @ x)
+        # Gamma * conj(D)^T = I  =>  D = (Gamma^{-1})^H; one refinement step,
+        # with the computed inverse applied to the residual
+        eye = np.eye(len(lam), dtype=complex)
+        x = np.linalg.solve(gram, eye)
+        x += x @ (eye - gram @ x)
         dual = x.conj().T
-    return BiorthogonalFamily(T=T, lambdas=lam, gram=gram, dual_coeffs=dual,
-                              cond=cond, degenerate=degenerate)
+    return BiorthogonalFamily(T=T, lambdas=lam, kernel=kernel,
+                              dual_coeffs=dual, cond=cond,
+                              degenerate=degenerate)
 
 
 def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
@@ -191,7 +201,9 @@ class ControlSignal:
     The psi-coefficient of mode j at time t is
     sum_m exp_coeffs[j, m] * e^{-i lambdas[m] t}; this exact representation
     drives all closed-form integrals.  Sampled (x, t) grids are generated
-    only for export.
+    only for export.  ``kernel`` is the HorizonKernel of the spectrum the
+    signal was built on (its columns are ``lambdas``, its horizon ``T``);
+    a signal without one evaluates the same integrals on demand.
     """
 
     n: int
@@ -199,6 +211,8 @@ class ControlSignal:
     lambdas: np.ndarray          # distinct eigenvalues (frequency slots)
     exp_coeffs: np.ndarray       # (2n+1) x len(lambdas)
     amplitudes: np.ndarray | None = None   # moment-method h_j when applicable
+    kernel: HorizonKernel | None = field(default=None, repr=False,
+                                         compare=False)
 
     def mode_values(self, times) -> np.ndarray:
         """psi-coefficients of h(., t) for each t; shape (2n+1, len(times))."""
@@ -217,13 +231,15 @@ class ControlSignal:
         return self.mode_values(times).T @ basis
 
     def l2_hs_norm(self, s: float = 0.0) -> float:
-        """||h||_{L2([0,T]; H^s)} as the quadratic form sum_j w_j Re(E_j Gamma E_j^H).
+        """||h||_{L2([0,T]; H^s)} as the quadratic form sum_j w_j Re(E_j Gamma^T E_j^H).
 
-        Gamma is the Gram matrix of the conjugate frequencies e^{-i lam t}.
+        Gamma^T[k, m] = int_0^T e^{-i(lam_k-lam_m)t} dt is the Gram matrix of
+        the conjugate frequencies e^{-i lam t}.
         """
-        gram = exp_gram(-self.lambdas, self.T)
+        gram = self.kernel.gram if self.kernel is not None else \
+            exp_kernel(self.lambdas, self.lambdas, self.T)
         E = self.exp_coeffs
-        quad = ((E @ gram) * E.conj()).sum(axis=1).real
+        quad = ((E @ gram.T) * E.conj()).sum(axis=1).real
         total = float(hs_weights(self.n, s) @ quad)
         return float(np.sqrt(max(total, 0.0)))
 
@@ -255,7 +271,7 @@ class ControlSignal:
         mirrored = np.conj(self.exp_coeffs[::-1, :][:, perm])
         return ControlSignal(self.n, self.T, lam,
                              0.5 * (self.exp_coeffs + mirrored),
-                             amplitudes=self.amplitudes)
+                             amplitudes=self.amplitudes, kernel=self.kernel)
 
 
 def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
@@ -268,7 +284,8 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
     rows = np.conj(family.dual_coeffs)[spec.slot, :]
     return ControlSignal(spec.n, family.T, family.lambdas,
                          np.asarray(h, complex)[:, None] * rows,
-                         amplitudes=np.asarray(h, complex))
+                         amplitudes=np.asarray(h, complex),
+                         kernel=family.kernel)
 
 
 def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
@@ -276,9 +293,14 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     """int_0^t e^{i lam_k s} (G h(s))_k ds for every mode k, in closed form.
 
     The integrand is a finite sum of exponentials, so the integral is
-    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t).
+    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t).  The phi factors
+    are the signal's kernel when t is its horizon and lam its kernel's rows.
     """
-    inner = phi_osc(lam[:, None] - signal.lambdas[None, :], t)
+    kern = signal.kernel
+    if kern is not None and t == kern.T and np.array_equal(lam, kern.lambdas):
+        inner = kern.matrix
+    else:
+        inner = exp_kernel(lam, signal.lambdas, t)
     return ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
@@ -348,7 +370,8 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     E = np.zeros((2 * n + 1, len(lam_dist)), dtype=complex)
     np.add.at(E, (slice(None), spec.slot), mm.operator.conj().T * eta)
     E *= np.exp(1j * lam_dist * problem.T)
-    signal = ControlSignal(n, problem.T, lam_dist, E)
+    signal = ControlSignal(n, problem.T, lam_dist, E,
+                           kernel=spec.kernel(problem.T))
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
+from ._closedform import exp_kernel
 from .errors import ClusterSizeError
 
 #: Default relative tolerance for float clustering decisions.
@@ -55,6 +56,22 @@ def window_bound(alpha) -> int:
 
 
 @dataclass(frozen=True)
+class HorizonKernel:
+    """Time integrals over [0, T] pairing every mode with every frequency slot.
+
+    ``matrix[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt``, with nu the
+    distinct eigenvalues in cluster order.  Its rows at the cluster
+    representatives are ``gram``, the Gram matrix Gamma of the exponentials
+    e^{i nu t} in L2(0, T).  Both arrays are read-only.
+    """
+
+    T: float
+    lambdas: np.ndarray            # lambda_k of the rows, index k+n
+    matrix: np.ndarray
+    gram: np.ndarray
+
+
+@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of the truncated generator with their cluster structure.
 
@@ -63,8 +80,10 @@ class Spectrum:
     (the member of smallest |k|, which is 0 whenever 0 belongs to the
     group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
     holds wavenumber k: the one map from modes to clusters that every
-    cluster-aware computation reads.  ``gap_gamma`` is the minimum spacing
-    between distinct eigenvalues at this truncation.
+    cluster-aware computation reads.  ``kernel(T)`` holds the time integrals
+    over one horizon that every closed-form integral of a control reads.
+    ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
+    this truncation.
     """
 
     alpha: float
@@ -77,6 +96,8 @@ class Spectrum:
     gap_gamma: float
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
+    _kernel: HorizonKernel | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
@@ -92,6 +113,24 @@ class Spectrum:
     def distinct_lambdas(self) -> np.ndarray:
         """One eigenvalue per cluster (its representative's), in cluster order."""
         return self.lambdas[np.add(self.representatives, self.n)]
+
+    def kernel(self, T: float) -> HorizonKernel:
+        """The HorizonKernel at horizon T.
+
+        The spectrum keeps the kernel of the latest horizon asked for (another
+        horizon replaces it), so the duals, the moments, the controlled
+        evolution and the control norms of one synthesis share a single
+        evaluation.
+        """
+        T = float(T)
+        kern = self._kernel
+        if kern is None or kern.T != T:
+            matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T)
+            gram = matrix[np.add(self.representatives, self.n)]
+            matrix.flags.writeable = gram.flags.writeable = False
+            kern = HorizonKernel(T, self.lambdas, matrix, gram)
+            object.__setattr__(self, "_kernel", kern)
+        return kern
 
     def cluster_of(self, k: int) -> int:
         """Index (into ``clusters``) of the cluster containing wavenumber k."""

@@ -3,15 +3,18 @@
 Each oracle evaluates by brute force a quantity that ``benctrl`` computes in
 closed form: time integrals by composite Gauss-Legendre rules, m-matrix
 entries by applying G pointwise on a uniform grid, the energy derivative by
-a centred difference.
+a centred difference.  ``exp_gram`` and ``l2_hs_norm_conjugate_gram``
+assemble, each on its own, the Gram matrices the library reads off one
+shared horizon kernel.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
+from benctrl._closedform import phi_osc
 from benctrl.operators import BUMP_SAMPLES, BumpProfile
-from benctrl.spectral import TWO_PI, TorusFunction
+from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
 from benctrl.spectrum import eigenvalues
 from benctrl.stabilization import FeedbackLaw, simulate_closed_loop
 
@@ -117,3 +120,19 @@ def energy_identity_defect_centred(u0, law, times, delta=3e-8) -> np.ndarray:
         dissip = np.real(np.sum((law.matrix @ v) * np.conj(v)))
         defects.append(abs(fdiff / (2.0 * delta) + dissip))
     return np.asarray(defects)
+
+
+def exp_gram(freqs, T: float) -> np.ndarray:
+    """Gram matrix of {e^{i f t}} in L2([0, T]), assembled on its own:
+    entry (k, m) = phi_osc(f_k - f_m, T)."""
+    f = np.asarray(freqs, dtype=float)
+    return phi_osc(f[:, None] - f[None, :], T)
+
+
+def l2_hs_norm_conjugate_gram(signal, s: float = 0.0) -> float:
+    """``ControlSignal.l2_hs_norm`` from its own Gram matrix of the conjugate
+    frequencies e^{-i lam t}, sum_j w_j Re(E_j Gamma(-lam) E_j^H)."""
+    gram = exp_gram(-signal.lambdas, signal.T)
+    E = signal.exp_coeffs
+    quad = ((E @ gram) * E.conj()).sum(axis=1).real
+    return float(np.sqrt(max(float(hs_weights(signal.n, s) @ quad), 0.0)))

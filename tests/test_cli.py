@@ -70,6 +70,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--alpha", "-1", "--n", "4",
                      "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("alpha", ["abc", "1/0", "nan", "7/x"])
+    def test_unparsable_alpha_exits_2(self, tmp_path, capsys, alpha):
+        assert main(["spectrum", "--alpha", alpha, "--n", "8",
+                     "--outdir", str(tmp_path)]) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestControlCommand:
     def test_free_flow_target_needs_tiny_control(self, tmp_path):
@@ -127,6 +134,27 @@ class TestControlCommand:
         assert np.array_equal(rows[:, 1], np.tile(xs, 33))
         h = (rows[:, 2] + 1j * rows[:, 3]).reshape(33, 65)
         assert np.array_equal(h, signal.sample_grid(xs, ts))
+
+    def test_reached_flags_reported(self, tmp_path):
+        assert main(["control", "--alpha", "1.0", "--n", "8", "--T", "1.0",
+                     "--seed", "3", "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["reached"] is True
+        assert report["hum"]["reached"] is True
+
+    def test_missed_target_exits_3(self, tmp_path, capsys):
+        # T=0.01: cond(Gamma) ~1e17, the moment route misses u1 by ~0.9 and
+        # the Gramian route by ~1e-5
+        with pytest.warns(RuntimeWarning, match="rank-revealing"):
+            code = main(["control", "--n", "8", "--T", "0.01",
+                         "--outdir", str(tmp_path)])
+        assert code == 3
+        assert "neither route reached" in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["reached"] is False
+        assert report["hum"]["reached"] is False
+        assert report["terminal_residual"] > 1e-8
+        assert report["hum"]["terminal_residual"] > 1e-8
 
     def test_strict_mode_singular_gram_exits_3(self, tmp_path):
         scn = {"experiment": "control", "alpha": 0.1, "n": 16, "T": 0.05,
@@ -220,6 +248,17 @@ class TestSweep:
                 (tmp_path / f"case_{i:03d}" / "report.json").read_text())
             assert rep["provenance"]["seed"] == 10 + i
 
+
+    def test_invalid_case_exits_2_and_the_rest_run(self, tmp_path, capfd):
+        scn = {"experiment": "spectrum", "n": 6, "outdir": str(tmp_path),
+               "sweep": [{"alpha": 1.0}, {"alpha": "abc"}, {"alpha": "7/3"}]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(scn))
+        assert main(["sweep", str(path), "--workers", "2"]) == 2
+        assert "not a number: 'abc'" in capfd.readouterr().err
+        assert (tmp_path / "case_000" / "report.json").exists()
+        assert not (tmp_path / "case_001" / "report.json").exists()
+        assert (tmp_path / "case_002" / "report.json").exists()
 
     def test_cases_draw_distinct_states(self, tmp_path, monkeypatch):
         drawn = []

@@ -1,12 +1,16 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import benctrl._closedform as closedform
+import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError, SingularGramError
-from benctrl.moment_control import (ControlProblem, assemble_control,
+from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
+                                    ControlSignal, assemble_control,
                                     build_biorthogonal, controllability_gramian,
                                     evolve_controlled, hum_control,
                                     reduce_to_zero_start, solve_coefficients,
@@ -14,7 +18,8 @@ from benctrl.moment_control import (ControlProblem, assemble_control,
                                     verify_moments)
 from benctrl.operators import build_bump, evolve_free, gg_star_matrix, m_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, mean
-from oracles import (evolve_controlled_quadrature, gauss_legendre_nodes,
+from oracles import (evolve_controlled_quadrature, exp_gram,
+                     gauss_legendre_nodes, l2_hs_norm_conjugate_gram,
                      moments_quadrature, weighted_gramian_quadrature)
 
 
@@ -105,6 +110,127 @@ class TestBiorthogonal:
         with pytest.warns(RuntimeWarning, match="rank-revealing"):
             fam = build_biorthogonal(spec, 0.05, on_singular="lstsq")
         assert fam.degenerate
+
+
+class TestHorizonKernel:
+    @pytest.mark.parametrize("n,alpha,mu,T", [
+        (16, 1.0, 0.0, 1.0), (16, 7 / 3, 0.3, 5.0), (12, 0.1, 0.3, 0.5),
+        (96, 7 / 3, 0.3, 1.0)])
+    def test_gram_rows_are_the_exponential_gram(self, n, alpha, mu, T):
+        spec = spectrum_mod.analyze(n, alpha, mu)
+        kern = spec.kernel(T)
+        reps = np.add(spec.representatives, n)
+        old = exp_gram(spec.distinct_lambdas(), T)
+        assert np.array_equal(kern.gram, old)
+        assert np.array_equal(kern.matrix[reps], old)
+        assert np.array_equal(build_biorthogonal(spec, T).gram, old)
+
+    def test_one_read_only_kernel_per_horizon(self):
+        spec = spectrum_mod.analyze(8, 7 / 3, 0.3)
+        kern = spec.kernel(1.0)
+        assert spec.kernel(1.0) is kern
+        assert kern.matrix.shape == (17, len(spec.clusters))
+        assert not kern.matrix.flags.writeable
+        assert not kern.gram.flags.writeable
+        other = spec.kernel(0.5)
+        assert other.T == 0.5 and other is not kern
+        assert np.array_equal(kern.matrix,
+                              spectrum_mod.analyze(8, 7 / 3, 0.3).kernel(1.0).matrix)
+
+    @pytest.mark.parametrize("kw", [
+        dict(alpha=7 / 3, mu=0.3, T=5.0, s=1.0, seed=2),
+        dict(alpha=1.0, T=1.0, s=0.0, seed=7),
+        dict(alpha=0.1, mu=0.3, T=0.5, s=1.0, seed=4),
+    ])
+    def test_l2_norm_matches_the_conjugate_gram_form(self, kw):
+        prob = make_problem(n=16, **kw)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        sig = res.signal
+        bare = ControlSignal(sig.n, sig.T, sig.lambdas, sig.exp_coeffs)
+        for signal in (sig, hum, bare):
+            for s in (0.0, 1.0):
+                want = l2_hs_norm_conjugate_gram(signal, s)
+                assert abs(signal.l2_hs_norm(s) - want) <= 1e-13 * want
+
+    def test_cond_is_the_two_norm_condition_number(self):
+        # cond comes from eigvalsh, the reference from the SVD; both carry
+        # errors of order N*eps*cond, which passes 1e-6 above cond ~1e8
+        eps = np.finfo(float).eps
+        checked = 0
+        for alpha in (0.1, 1.0, 7 / 3):
+            for mu in (0.0, 0.3):
+                for T in (0.5, 1.0, 5.0):
+                    spec = spectrum_mod.analyze(16, alpha, mu)
+                    sing = np.linalg.svd(exp_gram(spec.distinct_lambdas(), T),
+                                         compute_uv=False)
+                    want = sing[0] / sing[-1]
+                    if want > 1e12:
+                        continue
+                    got = build_biorthogonal(spec, T).cond
+                    size = len(spec.clusters)
+                    assert abs(got / want - 1) <= max(1e-6, size * eps * want)
+                    checked += 1
+        assert checked >= 15
+        spec = spectrum_mod.analyze(96, 7 / 3, 0.3)
+        fam = build_biorthogonal(spec, 1.0)
+        assert not fam.degenerate
+        assert 5e13 < fam.cond <= GRAM_COND_LIMIT
+
+    def test_cond_against_forty_digits(self):
+        # alpha=1, mu=0.3, T=0.5: cond 6.8e9, where eigvalsh and the SVD
+        # differ by 2e-6 relative
+        spec = spectrum_mod.analyze(16, 1.0, 0.3)
+        T = 0.5
+        nu = spec.distinct_lambdas()
+        with mpmath.workdps(40):
+            gram = mpmath.matrix(len(nu))
+            for i, a in enumerate(nu):
+                for j, b in enumerate(nu):
+                    d = mpmath.mpf(a) - mpmath.mpf(b)
+                    gram[i, j] = mpmath.mpf(T) if d == 0 else \
+                        (mpmath.exp(1j * d * T) - 1) / (1j * d)
+            ev = [abs(v) for v in mpmath.eighe(gram, eigvals_only=True)]
+            exact = float(max(ev) / min(ev))
+        got = build_biorthogonal(spec, T).cond
+        assert abs(got / exact - 1) <= len(nu) * np.finfo(float).eps * exact
+
+    @pytest.mark.parametrize("alpha,mu", [(0.7, 0.3), (1.0, 0.0)])
+    def test_evolve_controlled_on_another_spectrum(self, alpha, mu):
+        # the signal's kernel holds the eigenvalues of alpha=1, mu=0; at any
+        # other alpha or mu the Duhamel integral must not reuse it
+        prob = make_problem(n=8, alpha=1.0, seed=2)
+        res = synthesize_control(prob)
+        for t in (0.6, prob.T):
+            a = evolve_controlled(prob.u0, res.signal, t, alpha, mu,
+                                  res.mmatrix)
+            b = evolve_controlled_quadrature(prob.u0, res.signal, t, alpha,
+                                             mu, res.mmatrix)
+            assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9
+
+    def test_one_kernel_evaluation_per_case(self, monkeypatch):
+        # the moment route, the Gramian route and both control norms share
+        # one (2n+1) x N kernel; the Gramian's own (2n+1)^2 integrals are
+        # the only other evaluation
+        shapes = []
+        phi = closedform.phi
+
+        def counting(z, T):
+            shapes.append(np.shape(z))
+            return phi(z, T)
+
+        monkeypatch.setattr(closedform, "phi", counting)
+        monkeypatch.setattr(operators, "phi", counting)
+        n = 16
+        prob = make_problem(n=n, alpha=1.0, seed=5)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        terminal_residual(prob, hum, res.mmatrix)
+        res.signal.l2_hs_norm(0.0)
+        hum.l2_hs_norm(0.0)
+        nfam = len(res.spectrum.clusters)
+        assert nfam < 2 * n + 1
+        assert sorted(shapes) == [(2 * n + 1, nfam), (2 * n + 1, 2 * n + 1)]
 
 
 class TestSolveCoefficients:
