@@ -110,7 +110,9 @@ class Scenario:
         return self
 
     def canonical(self) -> dict:
-        d = dataclasses.asdict(self)
+        # a shallow dict: json.dumps writes the same text as for asdict's
+        # deep copy of every coefficient list
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         d["alpha"] = str(self.alpha) if isinstance(self.alpha, Fraction) \
             else float(self.alpha)
         d["mu"] = str(self.mu) if isinstance(self.mu, Fraction) else float(self.mu)

@@ -81,7 +81,8 @@ class BiorthogonalFamily:
     ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
     with the Gram matrix Gamma of the exponentials the duals are exactly the
     rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
-    ``kernel`` is the spectrum's HorizonKernel they were built on.
+    ``kernel`` is the spectrum's HorizonKernel they were built on.  The
+    arrays are read-only.
     """
 
     T: float
@@ -90,6 +91,10 @@ class BiorthogonalFamily:
     dual_coeffs: np.ndarray
     cond: float
     degenerate: bool = False     # rank-revealing fallback was used
+
+    def __post_init__(self):
+        for name in ("lambdas", "dual_coeffs"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def gram(self) -> np.ndarray:
@@ -118,10 +123,27 @@ def build_biorthogonal(spec: Spectrum, T: float,
     numerically dependent on [0, T]; the near-resonant pair is named in the
     error.  ``on_singular="lstsq"`` instead builds least-squares duals by a
     rank-revealing pseudo-inverse and flags the family as degenerate
-    (biorthogonality then holds only on the resolvable subspace).
+    (biorthogonality then holds only on the resolvable subspace), with a
+    warning on every call.
+
+    The spectrum keeps the family of the latest (T, on_singular), so a
+    second call returns the same read-only family.
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
+    T = float(T)
+    family = spec._family.get((T, on_singular),
+                              lambda: _biorthogonal(spec, T, on_singular))
+    if family.degenerate:
+        warnings.warn(
+            f"Gram matrix has cond {family.cond:.2e}; duals built by "
+            "rank-revealing least squares, biorthogonality only approximate",
+            RuntimeWarning)
+    return family
+
+
+def _biorthogonal(spec: Spectrum, T: float,
+                  on_singular: str) -> BiorthogonalFamily:
     lam = spec.distinct_lambdas()
     kernel = spec.kernel(T)
     gram = kernel.gram
@@ -146,9 +168,6 @@ def build_biorthogonal(spec: Spectrum, T: float,
             raise ValueError("on_singular must be 'error' or 'lstsq'")
     if degenerate:
         dual = np.linalg.pinv(gram, rcond=LSTSQ_RCOND).conj().T
-        warnings.warn(
-            f"Gram matrix has cond {cond:.2e}; duals built by rank-revealing "
-            "least squares, biorthogonality only approximate", RuntimeWarning)
     else:
         # Gamma * conj(D)^T = I  =>  D = (Gamma^{-1})^H; one refinement step,
         # with the computed inverse applied to the residual
@@ -346,7 +365,8 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     """Minimal-norm control through the controllability Gramian.
 
     h(t) = G* U(T-t)^* eta with W_T eta = u1 - U(T)u0 (restricted to
-    mean-zero modes).  Independent of the moment construction; by the
+    mean-zero modes, solved through the eigenpairs of the certified W_T).
+    Independent of the moment construction; by the
     minimizer property its L2([0,T]; L2) norm is a lower bound for any
     steering control's.
     """
@@ -357,12 +377,7 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     n = problem.n
     c = reduce_to_zero_start(problem)
     W = controllability_gramian(mm, spec, problem.T)
-    nz = spec.wavenumbers != 0
-    Wr = W.matrix[np.ix_(nz, nz)]
-    eta_r = np.linalg.solve(Wr, c[nz])
-    eta_r += np.linalg.solve(Wr, c[nz] - Wr @ eta_r)   # one refinement step
-    eta = np.zeros(2 * n + 1, dtype=complex)
-    eta[nz] = eta_r
+    eta = W.solve(c)
 
     # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; the terms of
     # one cluster share a frequency and add into its slot

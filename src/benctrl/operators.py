@@ -20,6 +20,7 @@ import numpy as np
 
 from . import spectrum as spect
 from ._closedform import phi
+from ._memo import latest
 from .errors import ConfigurationError, ObservabilityError
 from .spectral import TWO_PI, TorusFunction
 
@@ -85,6 +86,7 @@ class BumpProfile:
         return raw * self.scale
 
 
+@latest()
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                width: float = np.pi / 2, kmax: int = 64,
                samples: int = BUMP_SAMPLES) -> BumpProfile:
@@ -93,6 +95,8 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     Coefficients are taken by uniform-grid quadrature at ``samples`` points
     and rescaled so ghat(0) = 1/(2pi) holds to rounding (unit integral).
     The uniform kind is the constant 1/(2pi), whose coefficients are exact.
+    The latest profile is memoized on the arguments and their types
+    (``cache_clear()`` forgets it).
     """
     if kind not in BUMP_KINDS:
         raise ConfigurationError(f"bump kind must be one of {BUMP_KINDS}")
@@ -142,13 +146,14 @@ def bump_from_coefficients(ghat, kind: str = "custom", center: float = np.pi,
 # -- the m-matrix ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MMatrix:
     """Matrix of G in the orthonormal psi basis, m[j,k] = <G psi_j, psi_k>.
 
     ``entries[j+n, k+n]`` holds m[j,k]; ``beta`` is the minimum diagonal
     entry off mode 0 and ``delta_min`` the minimum of
-    delta_k = ||G psi_k||^2 = sum_j |m[k,j]|^2 over k != 0.
+    delta_k = ||G psi_k||^2 = sum_j |m[k,j]|^2 over k != 0.  Matrices
+    compare by identity, as keys of the memoized Gramian.
     """
 
     n: int
@@ -173,8 +178,13 @@ class MMatrix:
         return self.entries[np.ix_(idx, idx)]
 
 
+@latest(lambda bump, n: (bump.ghat.tobytes(), n))
 def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
-    """Assemble m[j,k] = ghat(k-j) - 2*pi*ghat(-j)*ghat(k) for |j|,|k| <= n."""
+    """Assemble m[j,k] = ghat(k-j) - 2*pi*ghat(-j)*ghat(k) for |j|,|k| <= n.
+
+    The latest matrix is memoized on the coefficients of the bump and n, so
+    equal bumps built apart share it (``cache_clear()`` forgets it).
+    """
     if bump.kmax < 2 * n:
         raise ConfigurationError(
             f"bump profiled to kmax={bump.kmax} < 2n={2 * n}; rebuild with a "
@@ -258,9 +268,10 @@ def gramian(mm: MMatrix, spec: spect.Spectrum, T: float, rate: float = 0.0,
 class Gramian:
     """A ``gramian`` certified positive definite on the mean-zero modes.
 
-    ``cond`` and ``min_eig_meanzero`` are read off the eigenvalues of the
-    mean-zero block; mode 0 is always in the kernel, since G annihilates
-    constants.
+    ``eigvals`` (ascending) and the columns of ``eigvecs`` are the
+    eigenpairs of the mean-zero block, from one ``eigh``; ``cond`` and
+    ``min_eig_meanzero`` are read off them.  Mode 0 is always in the
+    kernel, since G annihilates constants.  All arrays are read-only.
     """
 
     rate: float
@@ -268,20 +279,47 @@ class Gramian:
     matrix: np.ndarray
     cond: float
     min_eig_meanzero: float
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("matrix", "eigvals", "eigvecs"):
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def certified(cls, mm: MMatrix, spec: spect.Spectrum, T: float,
                   rate: float = 0.0, flow: str = "forward") -> "Gramian":
-        """Assemble ``gramian(...)``; raise ObservabilityError unless definite."""
-        W = gramian(mm, spec, T, rate, flow)
-        nz = spec.wavenumbers != 0
-        vals = np.linalg.eigvalsh(W[np.ix_(nz, nz)])
-        if vals.min() <= 0.0:
-            raise ObservabilityError(
-                f"Gramian singular on mean-zero modes (min eigenvalue "
-                f"{vals.min():.3e}) at rate={rate}, T={T}, n={spec.n}")
-        return cls(rate, T, W, float(vals.max() / vals.min()),
-                   float(vals.min()))
+        """Assemble ``gramian(...)``; raise ObservabilityError unless definite.
+
+        ``spec`` keeps the latest certified Gramian, keyed on (mm, T, rate,
+        flow), so it goes with the spectrum.
+        """
+        def certify():
+            W = gramian(mm, spec, T, rate, flow)
+            nz = spec.wavenumbers != 0
+            vals, vecs = np.linalg.eigh(W[np.ix_(nz, nz)])
+            if vals[0] <= 0.0:
+                raise ObservabilityError(
+                    f"Gramian singular on mean-zero modes (min eigenvalue "
+                    f"{vals[0]:.3e}) at rate={rate}, T={T}, n={spec.n}")
+            return cls(rate, T, W, float(vals[-1] / vals[0]), float(vals[0]),
+                       vals, vecs)
+        return spec._gramian.get((mm, float(T), float(rate), flow), certify)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (W x)_k = b_k for k != 0 and x_0 = 0.
+
+        Applied through the eigenpairs, then one refinement step against
+        the matrix itself.
+        """
+        b = np.asarray(b, dtype=complex)
+        nz = np.arange(len(b)) != len(b) // 2
+        V = self.eigvecs
+        x = np.zeros(len(b), dtype=complex)
+        x[nz] = V @ ((V.conj().T @ b[nz]) / self.eigvals)
+        r = (b - self.matrix @ x)[nz]
+        x[nz] += V @ ((V.conj().T @ r) / self.eigvals)
+        return x
 
 
 # -- free propagators --------------------------------------------------------

@@ -22,6 +22,7 @@ from numbers import Rational
 import numpy as np
 
 from ._closedform import exp_kernel
+from ._memo import Latest, latest
 from .errors import ClusterSizeError
 
 #: Default relative tolerance for float clustering decisions.
@@ -83,7 +84,9 @@ class Spectrum:
     cluster-aware computation reads.  ``kernel(T)`` holds the time integrals
     over one horizon that every closed-form integral of a control reads.
     ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
-    this truncation.
+    this truncation.  The spectrum also keeps the latest biorthogonal
+    family (``moment_control.build_biorthogonal``) and the latest certified
+    Gramian (``operators.Gramian.certified``) built on it.
     """
 
     alpha: float
@@ -96,8 +99,12 @@ class Spectrum:
     gap_gamma: float
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
-    _kernel: HorizonKernel | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    _kernel: Latest = field(default_factory=Latest, init=False, repr=False,
+                            compare=False)
+    _family: Latest = field(default_factory=Latest, init=False, repr=False,
+                            compare=False)
+    _gramian: Latest = field(default_factory=Latest, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
@@ -123,14 +130,13 @@ class Spectrum:
         evaluation.
         """
         T = float(T)
-        kern = self._kernel
-        if kern is None or kern.T != T:
+
+        def evaluate():
             matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T)
             gram = matrix[np.add(self.representatives, self.n)]
             matrix.flags.writeable = gram.flags.writeable = False
-            kern = HorizonKernel(T, self.lambdas, matrix, gram)
-            object.__setattr__(self, "_kernel", kern)
-        return kern
+            return HorizonKernel(T, self.lambdas, matrix, gram)
+        return self._kernel.get(T, evaluate)
 
     def cluster_of(self, k: int) -> int:
         """Index (into ``clusters``) of the cluster containing wavenumber k."""
@@ -182,7 +188,33 @@ def clusters(n: int, alpha, mu=0, tol=None):
 
 
 def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
-    """Build the Spectrum: eigenvalues, clusters, gap, and scan window."""
+    """Build the Spectrum: eigenvalues, clusters, gap, and scan window.
+
+    Spectra are memoized by value, one at a time: a call with the same
+    arguments, of the same types, returns the same read-only Spectrum (and
+    with it the kernel, family and Gramian it keeps), and ``cache_clear()``
+    forgets it.  The near-cluster warning is raised on every call.
+    """
+    spec = _spectrum(n, alpha, mu, tol)
+    # flag nearly-degenerate pairs that were *not* clustered: the smallest
+    # gap is compared against the next gap scale (the gap the spectrum would
+    # have without the offending pair)
+    dist = np.sort(spec.distinct_lambdas())
+    if len(dist) > 2:
+        gaps = np.diff(dist)
+        dmin = gaps.min()
+        larger = gaps[gaps > 2.0 * dmin]
+        ref = larger.min() if len(larger) else dmin
+        if 0 < dmin < NEAR_CLUSTER_FRACTION * ref:
+            warnings.warn(
+                f"eigenvalue pair at distance {dmin:.3e} << neighbouring gap "
+                f"{ref:.3e}: ill-conditioned Gram matrix expected",
+                RuntimeWarning)
+    return spec
+
+
+@latest(lambda n, alpha, mu, tol: (n, type(alpha), alpha, type(mu), mu, tol))
+def _spectrum(n: int, alpha, mu, tol) -> Spectrum:
     if float(alpha) <= 0:
         raise ValueError("alpha must be positive")
     groups, exact = clusters(n, alpha, mu, tol)
@@ -209,50 +241,23 @@ def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
     else:
         gamma = float("inf")
     object.__setattr__(spec, "gap_gamma", gamma)
-    # flag nearly-degenerate pairs that were *not* clustered: the smallest
-    # gap is compared against the next gap scale (the gap the spectrum would
-    # have without the offending pair)
-    dist = np.sort(spec.distinct_lambdas())
-    if len(dist) > 2:
-        gaps = np.diff(dist)
-        dmin = gaps.min()
-        larger = gaps[gaps > 2.0 * dmin]
-        ref = larger.min() if len(larger) else dmin
-        if 0 < dmin < NEAR_CLUSTER_FRACTION * ref:
-            warnings.warn(
-                f"eigenvalue pair at distance {dmin:.3e} << neighbouring gap "
-                f"{ref:.3e}: ill-conditioned Gram matrix expected",
-                RuntimeWarning)
     return spec
+
+
+analyze.cache_clear = _spectrum.cache_clear
 
 
 def gap_gamma(spec: Spectrum) -> float:
     """Minimum |lambda_k - lambda_m| over distinct eigenvalues.
 
-    Computed by brute force over all distinct eigenvalues at the truncation;
-    the scan-window claim (the minimum is already attained by clusters
-    meeting indices in [-1-W, W+1] with W = window_bound) is verified
-    against the brute-force value rather than trusted.
+    Computed by brute force over all distinct eigenvalues at the truncation.
+    (That the minimum is already attained by clusters meeting indices in
+    [-1-W, W+1], W = window_bound, is checked by the tests.)
     """
     dist = spec.distinct_lambdas()
     if len(dist) < 2:
         raise ValueError("need at least two distinct eigenvalues")
-    dist_sorted = np.sort(dist)
-    gamma = float(np.diff(dist_sorted).min())
-
-    w = spec.window_bound
-    in_window = [
-        i for i, grp in enumerate(spec.clusters)
-        if any(-1 - w <= k <= w + 1 for k in grp)
-    ]
-    if spec.n >= w + 1 and len(in_window) >= 2:
-        win_sorted = np.sort(dist[in_window])
-        gamma_win = float(np.diff(win_sorted).min())
-        if not np.isclose(gamma_win, gamma, rtol=1e-12, atol=0.0):
-            warnings.warn(
-                f"window gap {gamma_win:.6e} differs from brute-force gap "
-                f"{gamma:.6e}; using brute force", RuntimeWarning)
-    return gamma
+    return float(np.diff(np.sort(dist)).min())
 
 
 def spectrum_report(spec: Spectrum) -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, DecayFitError, ObservabilityError
-from .operators import Gramian, MMatrix, gg_star_matrix, gramian
+from .operators import Gramian, MMatrix, gg_star_matrix
 from .spectral import TorusFunction, hs_weights
 from .spectrum import Spectrum
 
@@ -254,18 +254,18 @@ def observability_constant(mm: MMatrix, spec: Spectrum, T: float):
     """delta with int_0^T ||G U(-tau) phi||^2 dtau >= delta^2 ||phi||^2.
 
     delta^2 is the smallest eigenvalue of the observability Gramian
-    int_0^T U(-tau)^* GG* U(-tau) dtau on the mean-zero subspace; the
-    minimizing phi is returned alongside.
+    int_0^T U(-tau)^* GG* U(-tau) dtau on the mean-zero subspace, read with
+    its eigenvector off the certified forward Gramian; the minimizing phi
+    is returned alongside.
     """
     if T <= 0:
         raise ConfigurationError("T must be positive")
-    W = gramian(mm, spec, T)
-    nz = spec.wavenumbers != 0
-    vals, vecs = np.linalg.eigh(W[np.ix_(nz, nz)])
-    if vals[0] <= 0.0:
+    try:
+        W = Gramian.certified(mm, spec, T)
+    except ObservabilityError as exc:
         raise ObservabilityError(
-            f"observability fails at T={T}, n={spec.n}: Gramian eigenvalue "
-            f"{vals[0]:.3e}")
+            f"observability fails at T={T}, n={spec.n}: {exc}") from None
     phi = np.zeros(2 * spec.n + 1, dtype=complex)
-    phi[nz] = vecs[:, 0]
-    return float(np.sqrt(vals[0])), TorusFunction.from_psi_coeffs(phi, spec.n)
+    phi[spec.wavenumbers != 0] = W.eigvecs[:, 0]
+    delta = float(np.sqrt(W.eigvals[0]))
+    return delta, TorusFunction.from_psi_coeffs(phi, spec.n)

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +50,22 @@ class TestScenario:
         path.write_text(json.dumps({"experiment": "spectrum", "bogus": 1}))
         with pytest.raises(Exception):
             load_scenario(path)
+
+    def test_digest_is_the_asdict_digest(self):
+        n = 4
+        coeffs = {"type": "coeffs", "real": True,
+                  "data": [[k, 0.1 * k, -0.3 / (1 + abs(k))]
+                           for k in range(-n, n + 1)]}
+        bump = {"coefficients": [[k, 1.0 / (2 * np.pi) if k == 0 else 0.0,
+                                  0.0] for k in range(-2 * n, 2 * n + 1)]}
+        scn = Scenario(experiment="control", alpha=Fraction(7, 3), mu=0.3,
+                       n=n, bump=bump, u0=coeffs, u1=coeffs,
+                       T_list=(0.5, 1.0)).validate()
+        d = dataclasses.asdict(scn)
+        d.update(alpha="7/3", mu=0.3, T_list=[0.5, 1.0])
+        del d["outdir"]
+        text = json.dumps(d, sort_keys=True)
+        assert scn.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "scn.json"

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -16,11 +18,20 @@ from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
                                     reduce_to_zero_start, solve_coefficients,
                                     synthesize_control, terminal_residual,
                                     verify_moments)
-from benctrl.operators import build_bump, evolve_free, gg_star_matrix, m_matrix
+from benctrl.operators import (Gramian, build_bump, bump_from_coefficients,
+                               evolve_free, gg_star_matrix, m_matrix)
 from benctrl.spectral import TWO_PI, TorusFunction, mean
 from oracles import (evolve_controlled_quadrature, exp_gram,
                      gauss_legendre_nodes, l2_hs_norm_conjugate_gram,
                      moments_quadrature, weighted_gramian_quadrature)
+
+
+def clear_memos():
+    """Forget the memoized bump, m-matrix and spectrum, and so everything
+    that hangs off them (horizon kernel, family, certified Gramian)."""
+    build_bump.cache_clear()
+    m_matrix.cache_clear()
+    spectrum_mod.analyze.cache_clear()
 
 
 def make_problem(n=16, alpha=1.0, mu=0.0, T=1.0, s=0.0, seed=0, bump=None):
@@ -100,16 +111,20 @@ class TestBiorthogonal:
 
     def test_singular_horizon_raises_with_pair(self):
         spec = spectrum_mod.analyze(16, 0.1)
-        with pytest.raises(SingularGramError) as exc:
-            build_biorthogonal(spec, 0.05)
-        assert exc.value.cond > 1e14
-        assert exc.value.pair is not None
+        for _ in range(2):                # an error is never memoized
+            with pytest.raises(SingularGramError) as exc:
+                build_biorthogonal(spec, 0.05)
+            assert exc.value.cond > 1e14
+            assert exc.value.pair is not None
 
     def test_lstsq_fallback_flags_degenerate(self):
         spec = spectrum_mod.analyze(16, 0.1)
         with pytest.warns(RuntimeWarning, match="rank-revealing"):
             fam = build_biorthogonal(spec, 0.05, on_singular="lstsq")
         assert fam.degenerate
+        # the second call is a memo hit and warns again
+        with pytest.warns(RuntimeWarning, match="rank-revealing"):
+            assert build_biorthogonal(spec, 0.05, on_singular="lstsq") is fam
 
 
 class TestHorizonKernel:
@@ -208,10 +223,9 @@ class TestHorizonKernel:
                                              mu, res.mmatrix)
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9
 
-    def test_one_kernel_evaluation_per_case(self, monkeypatch):
-        # the moment route, the Gramian route and both control norms share
-        # one (2n+1) x N kernel; the Gramian's own (2n+1)^2 integrals are
-        # the only other evaluation
+    @staticmethod
+    def _count_kernels(monkeypatch) -> list:
+        """Shapes of the phi evaluations made from now on."""
         shapes = []
         phi = closedform.phi
 
@@ -221,16 +235,110 @@ class TestHorizonKernel:
 
         monkeypatch.setattr(closedform, "phi", counting)
         monkeypatch.setattr(operators, "phi", counting)
-        n = 16
-        prob = make_problem(n=n, alpha=1.0, seed=5)
+        return shapes
+
+    @staticmethod
+    def _case(prob):
         res = synthesize_control(prob)
         hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
         terminal_residual(prob, hum, res.mmatrix)
         res.signal.l2_hs_norm(0.0)
         hum.l2_hs_norm(0.0)
+        return res
+
+    def test_one_kernel_evaluation_per_case(self, monkeypatch):
+        # the moment route, the Gramian route and both control norms share
+        # one (2n+1) x N kernel; the Gramian's own (2n+1)^2 integrals are
+        # the only other evaluation
+        shapes = self._count_kernels(monkeypatch)
+        clear_memos()
+        n = 16
+        res = self._case(make_problem(n=n, alpha=1.0, seed=5))
         nfam = len(res.spectrum.clusters)
         assert nfam < 2 * n + 1
         assert sorted(shapes) == [(2 * n + 1, nfam), (2 * n + 1, 2 * n + 1)]
+
+    def test_no_kernel_evaluation_for_new_states(self, monkeypatch):
+        # a second case on the same plant and horizon, with new states,
+        # evaluates no kernel at all: both are memoized with the parameters
+        clear_memos()
+        self._case(make_problem(n=16, alpha=1.0, seed=5))
+        shapes = self._count_kernels(monkeypatch)
+        self._case(make_problem(n=16, alpha=1.0, seed=6))
+        assert shapes == []
+
+
+def _pipeline(prob):
+    res = synthesize_control(prob)
+    hum, info = hum_control(prob, res.spectrum, res.mmatrix)
+    return res, hum, info, terminal_residual(prob, hum, res.mmatrix)
+
+
+class TestMemo:
+    def test_a_hit_returns_the_objects_of_the_miss(self):
+        clear_memos()
+        n = 16
+        first = _pipeline(make_problem(n=n, alpha=7 / 3, mu=0.3, seed=3))
+        second = _pipeline(make_problem(n=n, alpha=7 / 3, mu=0.3, seed=4))
+        assert second[0].problem.bump is first[0].problem.bump
+        assert second[0].spectrum is first[0].spectrum
+        assert second[0].mmatrix is first[0].mmatrix
+        assert second[0].family is first[0].family
+        spec, mm = first[0].spectrum, first[0].mmatrix
+        assert controllability_gramian(mm, spec, 1.0) is \
+            controllability_gramian(mm, spec, 1.0)
+        assert Gramian.certified(mm, spec, 1.0, rate=0, flow="forward") is \
+            controllability_gramian(mm, spec, 1.0)
+        # equal coefficients hit as well
+        ghat = np.array(first[0].problem.bump.ghat)
+        assert m_matrix(bump_from_coefficients(ghat), n) is mm
+
+    @pytest.mark.parametrize("kw", [dict(alpha=7 / 3, mu=0.3, T=1.0, s=1.0),
+                                    dict(alpha=1.0, T=0.5, s=0.0)])
+    def test_a_hit_is_bitwise_a_fresh_miss(self, kw):
+        clear_memos()
+        miss = _pipeline(make_problem(n=16, seed=8, **kw))
+        hit = _pipeline(make_problem(n=16, seed=8, **kw))
+        assert hit[0].family is miss[0].family
+        a, b = miss[0], hit[0]
+        assert np.array_equal(a.signal.exp_coeffs, b.signal.exp_coeffs)
+        assert (a.terminal_residual, a.moment_residual, a.control_norm,
+                a.cond_gamma) == (b.terminal_residual, b.moment_residual,
+                                  b.control_norm, b.cond_gamma)
+        assert np.array_equal(miss[1].exp_coeffs, hit[1].exp_coeffs)
+        assert miss[2] == hit[2] and miss[3] == hit[3]
+
+    def test_memoized_arrays_are_read_only(self):
+        prob = make_problem(n=8, alpha=1.0, seed=2)
+        res = synthesize_control(prob)
+        W = controllability_gramian(res.mmatrix, res.spectrum, prob.T)
+        for arr in (res.family.dual_coeffs, res.family.lambdas, W.matrix,
+                    W.eigvecs, W.eigvals):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_a_new_key_evicts_the_old_plant(self):
+        clear_memos()
+        res = synthesize_control(make_problem(n=8, alpha=1.0, seed=3))
+        hum_control(res.problem, res.spectrum, res.mmatrix)
+        old = weakref.ref(res.spectrum)
+        del res
+        synthesize_control(make_problem(n=8, alpha=0.7, seed=3))
+        gc.collect()
+        assert old() is None
+
+    def test_gramian_solve_matches_the_dense_solve(self):
+        n = 16
+        prob = make_problem(n=n, alpha=7 / 3, mu=0.3, seed=9)
+        res = synthesize_control(prob)
+        W = controllability_gramian(res.mmatrix, res.spectrum, prob.T)
+        c = reduce_to_zero_start(prob)
+        nz = res.spectrum.wavenumbers != 0
+        eta = W.solve(c)
+        want = np.linalg.solve(W.matrix[np.ix_(nz, nz)], c[nz])
+        assert eta[n] == 0.0
+        assert np.abs(eta[nz] - want).max() <= 1e-12 * W.cond * \
+            np.abs(want).max()
 
 
 class TestSolveCoefficients:

@@ -75,6 +75,17 @@ class TestBumpProfile:
         with pytest.raises(ConfigurationError):
             bump_from_coefficients(np.ones(9))
 
+    def test_memoized_on_arguments_and_types(self):
+        build_bump.cache_clear()
+        bump = build_bump("raised_cosine", kmax=16)
+        assert build_bump(kind="raised_cosine", center=np.pi,
+                          width=np.pi / 2, kmax=16) is bump
+        with pytest.raises(TypeError):    # 16.0 == 16, but is no band
+            build_bump("raised_cosine", kmax=16.0)
+        build_bump.cache_clear()
+        fresh = build_bump("raised_cosine", kmax=16)
+        assert fresh is not bump and np.array_equal(fresh.ghat, bump.ghat)
+
 
 class TestApplyG:
     def test_uniform_scales_basis(self):
@@ -174,8 +185,17 @@ class TestMMatrix:
             assert abs(mm.entries[j + 16, k + 16] - quad) <= 1e-10
 
     def test_band_requirement(self):
-        with pytest.raises(ConfigurationError):
-            m_matrix(build_bump(kmax=8), 8)
+        for _ in range(2):                # an error is never memoized
+            with pytest.raises(ConfigurationError):
+                m_matrix(build_bump(kmax=8), 8)
+
+    def test_memoized_on_the_coefficients(self):
+        m_matrix.cache_clear()
+        bump = build_bump(kmax=16)
+        mm = m_matrix(bump, 8)
+        assert m_matrix(bump_from_coefficients(np.array(bump.ghat)), 8) is mm
+        assert m_matrix(bump, 7) is not mm
+        assert not mm.entries.flags.writeable
 
 
 def multiplier(k, t, alpha, mu=0):

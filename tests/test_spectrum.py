@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -169,9 +171,28 @@ class TestSpectrumAnalysis:
             assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     def test_near_cluster_warning(self):
-        # alpha just off the 7/3 resonance: pair separated by ~1e-5 << gamma
+        # alpha just off the 7/3 resonance: pair separated by ~1e-5 << gamma;
+        # the second call is a memo hit and warns again
+        sp.analyze.cache_clear()
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            sp.analyze(8, 7 / 3 + 1e-5 / 3)
+            first = sp.analyze(8, 7 / 3 + 1e-5 / 3)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            assert sp.analyze(8, 7 / 3 + 1e-5 / 3) is first
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, Fraction(1), 7 / 3,
+                                       Fraction(7, 3), 4.9, 6.4])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_scan_window_attains_the_gap(self, alpha, mu, n):
+        # the minimum gap is attained by clusters meeting [-1-W, W+1]
+        spec = sp.analyze(n, alpha, mu)
+        w = spec.window_bound
+        assert n >= w + 1
+        inside = [i for i, grp in enumerate(spec.clusters)
+                  if any(-1 - w <= k <= w + 1 for k in grp)]
+        window = np.sort(spec.distinct_lambdas()[inside])
+        assert np.diff(window).min() == pytest.approx(spec.gap_gamma,
+                                                      rel=1e-12, abs=0.0)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -182,6 +203,43 @@ class TestSpectrumAnalysis:
         assert set(rep) == {"alpha", "mu", "n", "lambdas", "clusters", "gamma",
                             "window_bound"}
         assert [-1, 0, 1] in rep["clusters"]
+
+
+class TestMemo:
+    def test_a_hit_is_the_same_spectrum(self):
+        sp.analyze.cache_clear()
+        spec = sp.analyze(16, 7 / 3, 0.3)
+        assert sp.analyze(16, 7 / 3, 0.3) is spec
+        assert sp.analyze(n=16, alpha=7 / 3, mu=0.3, tol=None) is spec
+        sp.analyze.cache_clear()
+        fresh = sp.analyze(16, 7 / 3, 0.3)
+        assert fresh is not spec
+        assert np.array_equal(fresh.lambdas, spec.lambdas)
+        assert fresh.clusters == spec.clusters
+
+    def test_types_are_part_of_the_key(self):
+        # Fraction(1) == 1.0, but only the rational decides clusters exactly
+        assert sp.analyze(8, Fraction(1)).exact
+        assert not sp.analyze(8, 1.0).exact
+        assert sp.analyze(8, Fraction(1), 0).exact
+        assert not sp.analyze(8, Fraction(1), 0.0).exact
+
+    def test_errors_are_not_stored(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sp.analyze(8, -1.0)
+
+    def test_a_new_key_evicts_the_old_spectrum(self):
+        sp.analyze.cache_clear()
+        spec = sp.analyze(8, 1.0)
+        spec.kernel(1.0)
+        old = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert old() is not None          # still the memo's entry
+        sp.analyze(8, 0.7)
+        gc.collect()
+        assert old() is None
 
 
 class TestGridInvariant:
