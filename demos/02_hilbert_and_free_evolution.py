@@ -11,10 +11,18 @@ import numpy as np
 
 from benctrl.cli import random_state
 from benctrl.operators import evolve_free
-from benctrl.spectral import (TorusFunction, hilbert_transform,
-                              project_mean_zero, sobolev_norm, synthesize)
+from benctrl.spectral import TorusFunction, sobolev_norm
 
 print(__doc__)
+
+
+def hilbert_transform(f):
+    return f.with_coeffs(-1j * np.sign(f.wavenumbers) * f.coeffs)
+
+
+def project_mean_zero(f):
+    return f.with_coeffs(np.where(f.wavenumbers == 0, 0, f.coeffs))
+
 
 n = 16
 
@@ -25,7 +33,8 @@ cos_x = TorusFunction(n, c, real_flag=True)
 sin_x = hilbert_transform(cos_x)
 x = np.arange(8) * (np.pi / 4)
 print("H[cos] sampled at multiples of pi/4 (should be sin):")
-print("  ", np.round(synthesize(sin_x, 8), 12))
+print("  ", np.round((np.exp(1j * np.outer(x, sin_x.wavenumbers))
+                      @ sin_x.coeffs).real, 12))
 
 f = random_state(3, n, 1.0)
 hf = hilbert_transform(f)

@@ -9,8 +9,8 @@ decay statements can be verified to near machine precision.
 
 __version__ = "0.1.0"
 
-from .errors import (AliasingError, BenctrlError, ClusterSizeError,
-                     ConfigurationError, DecayFitError, ObservabilityError,
+from .errors import (BenctrlError, ClusterSizeError, ConfigurationError,
+                     DecayFitError, ObservabilityError,
                      SingularClusterBlockError, SingularGramError)
 from .moment_control import (BiorthogonalFamily, ControlProblem, ControlSignal,
                              SynthesisResult, assemble_control,
@@ -22,10 +22,7 @@ from .moment_control import (BiorthogonalFamily, ControlProblem, ControlSignal,
 from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
                         gramian, m_matrix)
-from .spectral import (TorusFunction, analyze, coeffs_from_json,
-                       coeffs_to_json, hilbert_transform, hs_weights,
-                       inner_product, mean, project_mean_zero, samples_to_csv,
-                       sobolev_norm, synthesize, write_csv)
+from .spectral import TorusFunction, hs_weights, mean, sobolev_norm, write_csv
 from .spectrum import (HorizonKernel, Spectrum, clusters, eigenvalue,
                        eigenvalues, gap_gamma)
 from .spectrum import analyze as analyze_spectrum
@@ -41,9 +38,8 @@ __all__ = [
     "errors", "moment_control", "operators", "spectral", "spectrum",
     "stabilization",
     # errors
-    "AliasingError", "BenctrlError", "ClusterSizeError", "ConfigurationError",
-    "DecayFitError", "ObservabilityError", "SingularClusterBlockError",
-    "SingularGramError",
+    "BenctrlError", "ClusterSizeError", "ConfigurationError", "DecayFitError",
+    "ObservabilityError", "SingularClusterBlockError", "SingularGramError",
     # moment_control
     "BiorthogonalFamily", "ControlProblem", "ControlSignal", "SynthesisResult",
     "assemble_control", "build_biorthogonal", "controllability_gramian",
@@ -55,10 +51,7 @@ __all__ = [
     "bump_from_coefficients", "evolve_free", "gg_star_matrix", "gramian",
     "m_matrix",
     # spectral
-    "TorusFunction", "analyze", "coeffs_from_json", "coeffs_to_json",
-    "hilbert_transform", "hs_weights", "inner_product", "mean",
-    "project_mean_zero", "samples_to_csv", "sobolev_norm", "synthesize",
-    "write_csv",
+    "TorusFunction", "hs_weights", "mean", "sobolev_norm", "write_csv",
     # spectrum
     "HorizonKernel", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
     "eigenvalues", "gap_gamma", "spectrum_report", "window_bound",

@@ -5,7 +5,9 @@ Every time integral in the toolkit reduces to
     phi(z, T) = int_0^T e^{z t} dt  =  (e^{zT} - 1)/z     (z != 0),
 
 evaluated by a Taylor series when |z|T is tiny so that the subtraction
-e^{zT}-1 never loses precision.
+e^{zT}-1 never loses precision.  ``exp_kernel`` evaluates it on every pair
+of an oscillating row frequency and column frequency, under an optional
+exponential decay weight.
 """
 
 from __future__ import annotations
@@ -31,16 +33,12 @@ def phi(z, T: float) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def phi_osc(a, T: float) -> np.ndarray:
-    """int_0^T e^{i a t} dt for real frequency a (vectorized)."""
-    return phi(1j * np.asarray(a, dtype=float), T)
+def exp_kernel(rows, cols, T: float, rate: float = 0.0) -> np.ndarray:
+    """int_0^T e^{(-2 rate + i (rows_k - cols_m)) t} dt for every pair (k, m).
 
-
-def exp_kernel(rows, cols, T: float) -> np.ndarray:
-    """int_0^T e^{i (rows_k - cols_m) t} dt for every pair (k, m).
-
-    With rows = cols = f this is the Gram matrix of {e^{i f t}} in L2(0, T).
+    With rows = cols = f and rate = 0 this is the Gram matrix of
+    {e^{i f t}} in L2(0, T).
     """
     a = np.asarray(rows, dtype=float)
     b = np.asarray(cols, dtype=float)
-    return phi_osc(a[:, None] - b[None, :], T)
+    return phi(1j * (a[:, None] - b[None, :]) - 2.0 * rate, T)

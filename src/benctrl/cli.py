@@ -262,8 +262,8 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     # the shared mean rides along in mode 0 (feedback/control never touch it);
     # recorded so downstream tools can re-add it after mean-zero analysis
     mu0 = complex(mean(u0))
-    problem = mc.ControlProblem(float(scn.alpha), float(scn.mu), scn.T, scn.s,
-                                scn.n, bump, u0, u1)
+    problem = mc.ControlProblem(scn.alpha, scn.mu, scn.T, scn.s, scn.n, bump,
+                                u0, u1)
     result = mc.synthesize_control(
         problem, on_singular="error" if scn.strict else "lstsq")
     hum_signal, hum_info = mc.hum_control(problem, result.spectrum,

@@ -9,10 +9,6 @@ class ConfigurationError(BenctrlError, ValueError):
     """Invalid parameters: bad bump profile, non-positive horizon, etc."""
 
 
-class AliasingError(BenctrlError, ValueError):
-    """Sample grid too coarse for the requested band (m < 2n+1)."""
-
-
 class ClusterSizeError(BenctrlError, RuntimeError):
     """An eigenvalue cluster of size > 3 was detected (model violation)."""
 

@@ -101,16 +101,6 @@ class BiorthogonalFamily:
         """Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt."""
         return self.kernel.gram
 
-    def biorthogonality_residual(self) -> float:
-        """max |int e^{i lam_k t} conj(q_j) dt - delta_kj| in closed form."""
-        prod = self.gram @ self.dual_coeffs.conj().T
-        return float(np.abs(prod - np.eye(len(self.lambdas))).max())
-
-    def dual_at_times(self, times) -> np.ndarray:
-        """q_j(t) sampled on a grid; rows index j, columns t."""
-        e = np.exp(1j * np.outer(self.lambdas, np.asarray(times, float)))
-        return self.dual_coeffs @ e
-
 
 def build_biorthogonal(spec: Spectrum, T: float,
                        on_singular: str = "error") -> BiorthogonalFamily:
@@ -274,23 +264,6 @@ class ControlSignal:
         defect = np.abs(v - np.conj(v[::-1, :])).max()
         scale = max(np.abs(v).max(), 1e-300)
         return float(defect / scale)
-
-    def symmetrized(self) -> "ControlSignal":
-        """Hermitian-symmetrized (real-part) signal, same exponential slots.
-
-        conj(v_{-j}(t)) contributes conj(E[-j, m']) on the slot with
-        -lambda_{m'}; the eigenvalue set is symmetric so the slot exists.
-        """
-        lam = self.lambdas
-        # slot permutation sending lambda_m -> -lambda_m
-        order = np.argsort(lam)
-        rev = np.argsort(-lam)
-        perm = np.empty(len(lam), dtype=int)
-        perm[order] = rev
-        mirrored = np.conj(self.exp_coeffs[::-1, :][:, perm])
-        return ControlSignal(self.n, self.T, lam,
-                             0.5 * (self.exp_coeffs + mirrored),
-                             amplitudes=self.amplitudes, kernel=self.kernel)
 
 
 def assemble_control(h: np.ndarray, family: BiorthogonalFamily,

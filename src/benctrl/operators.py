@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as spect
-from ._closedform import phi
 from ._memo import latest
 from .errors import ConfigurationError, ObservabilityError
 from .spectral import TWO_PI, TorusFunction
@@ -250,17 +249,17 @@ def gramian(mm: MMatrix, spec: spect.Spectrum, T: float, rate: float = 0.0,
     ``flow="forward"`` (s = +1) at rate=0 is the controllability and
     observability Gramian; ``flow="backward"`` (s = -1) with rate=lambda is
     the weighted Gramian L_lambda of the prescribed-decay feedback.  Entry
-    (k,l) is (GG*)_{kl} * int_0^T e^{(-2*rate - i*s*(lam_k - lam_l)) tau} dtau.
-    (Both flows are Hermitian with identical spectra; the eigenvectors
-    conjugate.)
+    (k,l) is (GG*)_{kl} * int_0^T e^{(-2*rate - i*s*(lam_k - lam_l)) tau} dtau,
+    read off the spectrum's kernel ``spec.kernel(T, rate)`` at the column of
+    l's cluster and conjugated for the forward flow.  (Both flows are
+    Hermitian with identical spectra; the eigenvectors conjugate.)
     """
-    lam = spec.lambdas
-    diff = lam[:, None] - lam[None, :]
+    K = spec.kernel(T, rate).matrix[:, spec.slot]
     if flow == "forward":
-        diff = -diff
+        K = K.conj()
     elif flow != "backward":
         raise ConfigurationError("flow must be 'forward' or 'backward'")
-    w = gg_star_matrix(mm) * phi(-2.0 * rate + 1j * diff, T)
+    w = gg_star_matrix(mm) * K
     return 0.5 * (w + w.conj().T)
 
 
@@ -309,16 +308,18 @@ class Gramian:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (W x)_k = b_k for k != 0 and x_0 = 0.
 
+        ``b`` is one right-hand side or a block of them, one per column.
         Applied through the eigenpairs, then one refinement step against
         the matrix itself.
         """
         b = np.asarray(b, dtype=complex)
         nz = np.arange(len(b)) != len(b) // 2
         V = self.eigvecs
-        x = np.zeros(len(b), dtype=complex)
-        x[nz] = V @ ((V.conj().T @ b[nz]) / self.eigvals)
+        w = self.eigvals.reshape((-1,) + (1,) * (b.ndim - 1))
+        x = np.zeros(b.shape, dtype=complex)
+        x[nz] = V @ ((V.conj().T @ b[nz]) / w)
         r = (b - self.matrix @ x)[nz]
-        x[nz] += V @ ((V.conj().T @ r) / self.eigvals)
+        x[nz] += V @ ((V.conj().T @ r) / w)
         return x
 
 

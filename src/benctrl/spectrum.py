@@ -60,13 +60,16 @@ def window_bound(alpha) -> int:
 class HorizonKernel:
     """Time integrals over [0, T] pairing every mode with every frequency slot.
 
-    ``matrix[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt``, with nu the
-    distinct eigenvalues in cluster order.  Its rows at the cluster
-    representatives are ``gram``, the Gram matrix Gamma of the exponentials
-    e^{i nu t} in L2(0, T).  Both arrays are read-only.
+    ``matrix[k+n, m] = int_0^T e^{(-2*rate + i(lambda_k - nu_m))t} dt``,
+    with nu the distinct eigenvalues in cluster order.  At rate 0 its rows at
+    the cluster representatives are ``gram``, the Gram matrix Gamma of the
+    exponentials e^{i nu t} in L2(0, T); its columns at ``Spectrum.slot``
+    are the integrals of every Gramian (``operators.gramian``).  Both arrays
+    are read-only.
     """
 
     T: float
+    rate: float
     lambdas: np.ndarray            # lambda_k of the rows, index k+n
     matrix: np.ndarray
     gram: np.ndarray
@@ -81,8 +84,9 @@ class Spectrum:
     (the member of smallest |k|, which is 0 whenever 0 belongs to the
     group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
     holds wavenumber k: the one map from modes to clusters that every
-    cluster-aware computation reads.  ``kernel(T)`` holds the time integrals
-    over one horizon that every closed-form integral of a control reads.
+    cluster-aware computation reads.  ``kernel(T, rate)`` holds the time
+    integrals over one horizon that every closed-form integral of a control
+    and every Gramian reads.
     ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
     this truncation.  The spectrum also keeps the latest biorthogonal
     family (``moment_control.build_biorthogonal``) and the latest certified
@@ -121,26 +125,22 @@ class Spectrum:
         """One eigenvalue per cluster (its representative's), in cluster order."""
         return self.lambdas[np.add(self.representatives, self.n)]
 
-    def kernel(self, T: float) -> HorizonKernel:
-        """The HorizonKernel at horizon T.
+    def kernel(self, T: float, rate: float = 0.0) -> HorizonKernel:
+        """The HorizonKernel at horizon T under the weight e^{-2*rate*t}.
 
-        The spectrum keeps the kernel of the latest horizon asked for (another
-        horizon replaces it), so the duals, the moments, the controlled
-        evolution and the control norms of one synthesis share a single
-        evaluation.
+        The spectrum keeps the kernel of the latest (T, rate) asked for
+        (another key replaces it), so the duals, the moments, the controlled
+        evolution, the control norms and the controllability Gramian of one
+        synthesis share a single evaluation.
         """
-        T = float(T)
+        T, rate = float(T), float(rate)
 
         def evaluate():
-            matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T)
+            matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T, rate)
             gram = matrix[np.add(self.representatives, self.n)]
             matrix.flags.writeable = gram.flags.writeable = False
-            return HorizonKernel(T, self.lambdas, matrix, gram)
-        return self._kernel.get(T, evaluate)
-
-    def cluster_of(self, k: int) -> int:
-        """Index (into ``clusters``) of the cluster containing wavenumber k."""
-        return int(self.slot[k + self.n])
+            return HorizonKernel(T, rate, self.lambdas, matrix, gram)
+        return self._kernel.get((T, rate), evaluate)
 
 
 def _representative(group):

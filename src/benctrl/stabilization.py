@@ -116,17 +116,21 @@ def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
 
 def feedback_gramian(L: Gramian, mm: MMatrix,
                      spec: Spectrum) -> FeedbackLaw:
-    """K_lambda = GG* L_lambda^{-1} restricted to mean-zero modes."""
+    """K_lambda = GG* L_lambda^{-1} restricted to mean-zero modes.
+
+    Both factors are Hermitian, so K_lambda is the conjugate transpose of
+    L_lambda^{-1} GG*, solved through the eigenpairs of the certified
+    L_lambda.  Only the mean-zero block is written: row and column 0 of GG*
+    vanish only to rounding, those of K_lambda exactly.
+    """
     if L.cond > 1e12:
         warnings.warn(
             f"L_lambda condition number {L.cond:.3e} > 1e12; feedback gain "
             "accuracy degraded", RuntimeWarning)
     gg = gg_star_matrix(mm)
     nz = spec.wavenumbers != 0
-    nd = 2 * spec.n + 1
-    K = np.zeros((nd, nd), dtype=complex)
-    Linv = np.linalg.solve(L.matrix[np.ix_(nz, nz)], np.eye(nz.sum()))
-    K[np.ix_(nz, nz)] = gg[np.ix_(nz, nz)] @ Linv
+    K = np.zeros_like(gg)
+    K[np.ix_(nz, nz)] = L.solve(gg)[np.ix_(nz, nz)].conj().T
     return FeedbackLaw("gramian", L.rate, K, _generator(spec) - K, spec)
 
 

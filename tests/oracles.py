@@ -3,17 +3,17 @@
 Each oracle evaluates by brute force a quantity that ``benctrl`` computes in
 closed form: time integrals by composite Gauss-Legendre rules, m-matrix
 entries by applying G pointwise on a uniform grid, the energy derivative by
-a centred difference.  ``exp_gram`` and ``l2_hs_norm_conjugate_gram``
-assemble, each on its own, the Gram matrices the library reads off one
-shared horizon kernel.
+a centred difference.  ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
+``gramian_direct`` assemble, each on its own, the Gram matrices and
+Gramians the library reads off one shared horizon kernel.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from benctrl._closedform import phi_osc
-from benctrl.operators import BUMP_SAMPLES, BumpProfile
+from benctrl._closedform import phi
+from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
 from benctrl.spectrum import eigenvalues
 from benctrl.stabilization import FeedbackLaw, simulate_closed_loop
@@ -124,9 +124,9 @@ def energy_identity_defect_centred(u0, law, times, delta=3e-8) -> np.ndarray:
 
 def exp_gram(freqs, T: float) -> np.ndarray:
     """Gram matrix of {e^{i f t}} in L2([0, T]), assembled on its own:
-    entry (k, m) = phi_osc(f_k - f_m, T)."""
+    entry (k, m) = phi(i(f_k - f_m), T)."""
     f = np.asarray(freqs, dtype=float)
-    return phi_osc(f[:, None] - f[None, :], T)
+    return phi(1j * (f[:, None] - f[None, :]), T)
 
 
 def l2_hs_norm_conjugate_gram(signal, s: float = 0.0) -> float:
@@ -136,3 +136,14 @@ def l2_hs_norm_conjugate_gram(signal, s: float = 0.0) -> float:
     E = signal.exp_coeffs
     quad = ((E @ gram) * E.conj()).sum(axis=1).real
     return float(np.sqrt(max(float(hs_weights(signal.n, s) @ quad), 0.0)))
+
+
+def gramian_direct(mm, spec, T, rate=0.0, flow="forward") -> np.ndarray:
+    """``operators.gramian`` assembled entry by entry on the (2n+1)^2 grid,
+    GG* o phi(-2*rate -+ i(lam_k - lam_l), T) (minus for the forward flow),
+    without the spectrum's kernel or its clusters."""
+    lam = spec.lambdas
+    sign = -1.0 if flow == "forward" else 1.0
+    w = gg_star_matrix(mm) * phi(-2.0 * rate + 1j * sign
+                                 * (lam[:, None] - lam[None, :]), T)
+    return 0.5 * (w + w.conj().T)

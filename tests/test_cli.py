@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import benctrl.cli as cli
+import benctrl.spectrum as spectrum_mod
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
 from benctrl.moment_control import ControlSignal
@@ -181,6 +182,24 @@ class TestControlCommand:
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(scn))
         assert main(["control", "--scenario", str(path)]) == 3
+
+    def test_one_spectrum_for_control_and_stabilize(self, tmp_path,
+                                                    monkeypatch):
+        # control keeps the parsed Fraction, so stabilize at the same
+        # parameters reuses the spectrum control analyzed
+        calls = []
+        clusters = spectrum_mod.clusters
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return clusters(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "clusters", counting)
+        spectrum_mod.analyze.cache_clear()
+        args = ["--alpha", "7/3", "--n", "8", "--T", "1.0", "--seed", "3"]
+        assert main(["control", *args, "--outdir", str(tmp_path / "c")]) == 0
+        assert main(["stabilize", *args, "--outdir", str(tmp_path / "s")]) == 0
+        assert len(calls) == 1
 
 
 class TestStabilizeCommand:

@@ -175,6 +175,22 @@ class TestGramianFeedback:
             law = feedback_gramian(L, mm, spec)
             assert spectral_abscissa(law) <= -lam * (1 - 1e-6)
 
+    @pytest.mark.parametrize("alpha,mu,lam", [(1.0, 0.3, 1.0), (7 / 3, 0.0, 1.0),
+                                              (0.1, 0.3, 0.5)])
+    def test_gain_to_thirty_digits(self, alpha, mu, lam):
+        mp = pytest.importorskip("mpmath")
+        spec, mm = setup(alpha=alpha, mu=mu)
+        L = build_L_lambda(mm, spec, lam, 1.0)
+        law = feedback_gramian(L, mm, spec)
+        nz = spec.wavenumbers != 0
+        gg = gg_star_matrix(mm)[np.ix_(nz, nz)]
+        with mp.workdps(30):
+            exact = mp.matrix(gg.tolist()) \
+                * mp.matrix(L.matrix[np.ix_(nz, nz)].tolist()) ** -1
+            exact = np.array(exact.tolist(), dtype=complex)
+        got = law.matrix[np.ix_(nz, nz)]
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
     def test_mode_zero_annihilated(self):
         spec, mm = setup()
         L = build_L_lambda(mm, spec, 1.0, 1.0)
