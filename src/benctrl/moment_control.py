@@ -21,6 +21,7 @@ minimal-L2-norm control and serves as the oracle for the moment route.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,8 +82,8 @@ class BiorthogonalFamily:
     ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
     with the Gram matrix Gamma of the exponentials the duals are exactly the
     rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
-    ``kernel`` is the spectrum's HorizonKernel they were built on.  The
-    arrays are read-only.
+    ``kernel`` is the spectrum's HorizonKernel they were built on, and
+    ``dual_moments`` pairs it with the duals.  The arrays are read-only.
     """
 
     T: float
@@ -100,6 +101,21 @@ class BiorthogonalFamily:
     def gram(self) -> np.ndarray:
         """Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt."""
         return self.kernel.gram
+
+    @functools.cached_property
+    def dual_moments(self) -> np.ndarray:
+        """(K D^H)[k, slot j] = int_0^T e^{i lam_k t} conj(q_{slot j})(t) dt.
+
+        K is the kernel's matrix and q_{slot j} the dual of wavenumber j's
+        cluster.  One (2n+1) x N x (2n+1) product, formed on first use and
+        kept with the family, read-only.  Its rows at the cluster
+        representatives are Gamma Gamma^{-1} = I, and it turns the Duhamel
+        sum of every control the family assembles into (2n+1)^2 work (see
+        ``_duhamel``).
+        """
+        out = self.kernel.matrix @ self.dual_coeffs.conj().T[:, self.kernel.slot]
+        out.flags.writeable = False
+        return out
 
 
 def build_biorthogonal(spec: Spectrum, T: float,
@@ -213,15 +229,25 @@ class ControlSignal:
     only for export.  ``kernel`` is the HorizonKernel of the spectrum the
     signal was built on (its columns are ``lambdas``, its horizon ``T``);
     a signal without one evaluates the same integrals on demand.
+
+    A signal built by a route also carries what the route knows, so its
+    terminal state (``_duhamel``) and, on the Gramian route, its L2 norm
+    cost (2n+1)^2 work: the moment route's amplitudes h_j with their
+    ``family``, the Gramian route's eta with its certified forward
+    Gramian W.
     """
 
     n: int
     T: float
     lambdas: np.ndarray          # distinct eigenvalues (frequency slots)
     exp_coeffs: np.ndarray       # (2n+1) x len(lambdas)
-    amplitudes: np.ndarray | None = None   # moment-method h_j when applicable
+    amplitudes: np.ndarray | None = None   # moment route: h_j
     kernel: HorizonKernel | None = field(default=None, repr=False,
                                          compare=False)
+    family: BiorthogonalFamily | None = field(default=None, repr=False,
+                                              compare=False)
+    eta: np.ndarray | None = None          # Gramian route: W eta = c
+    gramian: Gramian | None = field(default=None, repr=False, compare=False)
 
     def mode_values(self, times) -> np.ndarray:
         """psi-coefficients of h(., t) for each t; shape (2n+1, len(times))."""
@@ -243,8 +269,13 @@ class ControlSignal:
         """||h||_{L2([0,T]; H^s)} as the quadratic form sum_j w_j Re(E_j Gamma^T E_j^H).
 
         Gamma^T[k, m] = int_0^T e^{-i(lam_k-lam_m)t} dt is the Gram matrix of
-        the conjugate frequencies e^{-i lam t}.
+        the conjugate frequencies e^{-i lam t}.  At s = 0 a Gramian-route
+        signal reads sqrt(Re eta^H W eta) instead.
         """
+        if self.gramian is not None and s == 0:
+            eta = self.eta
+            return float(np.sqrt(max(
+                np.vdot(eta, self.gramian.matrix @ eta).real, 0.0)))
         gram = self.kernel.gram if self.kernel is not None else \
             exp_kernel(self.lambdas, self.lambdas, self.T)
         E = self.exp_coeffs
@@ -273,27 +304,38 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
     conj(q_j) = sum_m conj(dual_coeffs[j, m]) e^{-i lam_m t}, so mode j's
     row is h_j * conj(dual row of its cluster).
     """
+    h = np.asarray(h, complex)
     rows = np.conj(family.dual_coeffs)[spec.slot, :]
-    return ControlSignal(spec.n, family.T, family.lambdas,
-                         np.asarray(h, complex)[:, None] * rows,
-                         amplitudes=np.asarray(h, complex),
-                         kernel=family.kernel)
+    return ControlSignal(spec.n, family.T, family.lambdas, h[:, None] * rows,
+                         amplitudes=h, kernel=family.kernel, family=family)
 
 
 def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
              t: float) -> np.ndarray:
-    """int_0^t e^{i lam_k s} (G h(s))_k ds for every mode k, in closed form.
+    """The controlled part int_0^t U(t-s) G h(s) ds of u(t), mode by mode.
 
-    The integrand is a finite sum of exponentials, so the integral is
-    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t).  The phi factors
-    are the signal's kernel when t is its horizon and lam its kernel's rows.
+    Mode k of it is e^{-i lam_k t} int_0^t e^{i lam_k s} (G h(s))_k ds, and
+    the integrand is a finite sum of exponentials, so the integral is
+    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t), (2n+1) x N^2 work
+    and the only path at other times and spectra and for a signal built
+    from coefficients.  At the horizon of the signal's kernel (t = T, lam
+    its rows) a route-built signal needs (2n+1)^2 work: the moment route's
+    E = diag(h) conj(D)[slot] sums to sum_j op[k,j] h_j (K D^H)[k, slot j]
+    (the family's ``dual_moments``), and the Gramian route's part is W eta
+    when W integrates this ``mm``.
     """
     kern = signal.kernel
-    if kern is not None and t == kern.T and np.array_equal(lam, kern.lambdas):
-        inner = kern.matrix
-    else:
-        inner = exp_kernel(lam, signal.lambdas, t)
-    return ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
+    at_horizon = kern is not None and t == kern.T \
+        and np.array_equal(lam, kern.lambdas)
+    if at_horizon and signal.gramian is not None \
+            and signal.gramian.mmatrix is mm:
+        return signal.gramian.matrix @ signal.eta
+    if at_horizon and signal.family is not None:
+        kdh = signal.family.dual_moments
+        return np.exp(-1j * lam * t) * ((mm.operator * kdh) @ signal.amplitudes)
+    inner = kern.matrix if at_horizon else exp_kernel(lam, signal.lambdas, t)
+    return np.exp(-1j * lam * t) * \
+        ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
 def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
@@ -304,8 +346,7 @@ def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
     with a_j the mode-j time profile: the controlled part of u(T), so
     ``moments - c`` is the terminal miss u(T) - u1 in psi coefficients.
     """
-    lam = spec.lambdas
-    moments = np.exp(-1j * lam * signal.T) * _duhamel(signal, lam, mm, signal.T)
+    moments = _duhamel(signal, spec.lambdas, mm, signal.T)
     resid = np.abs(moments - np.asarray(c, complex))
     return {"moments": moments, "max_residual": float(resid.max()),
             "residuals": resid}
@@ -315,12 +356,12 @@ def evolve_controlled(u0: TorusFunction, signal: ControlSignal, t: float,
                       alpha, mu, mm: MMatrix) -> TorusFunction:
     """Variation-of-constants solution u(t) = U(t)u0 + int_0^t U(t-s) Gh(s) ds.
 
-    Per mode u(t)_k = e^{-i lam_k t}(v0_k + the Duhamel integral).
+    Per mode u(t)_k = e^{-i lam_k t} v0_k plus the controlled part.
     """
     if t < 0 or t > signal.T + 1e-12:
         raise ConfigurationError("time must lie in [0, T]")
     lam = eigenvalues(u0.n, alpha, mu)
-    v = np.exp(-1j * lam * t) * (u0.psi_coeffs + _duhamel(signal, lam, mm, t))
+    v = np.exp(-1j * lam * t) * u0.psi_coeffs + _duhamel(signal, lam, mm, t)
     return TorusFunction.from_psi_coeffs(v, u0.n)
 
 
@@ -341,7 +382,9 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     mean-zero modes, solved through the eigenpairs of the certified W_T).
     Independent of the moment construction; by the
     minimizer property its L2([0,T]; L2) norm is a lower bound for any
-    steering control's.
+    steering control's.  The signal carries eta and W_T: its controlled
+    terminal state is W_T eta and its squared L2([0,T]; L2) norm
+    Re eta^H W_T eta.
     """
     if spec is None:
         spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
@@ -353,13 +396,16 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     eta = W.solve(c)
 
     # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; the terms of
-    # one cluster share a frequency and add into its slot
+    # one cluster share a frequency and add into its slot, and sorting the
+    # columns by slot makes each cluster one run of the reduction
     lam_dist = spec.distinct_lambdas()
-    E = np.zeros((2 * n + 1, len(lam_dist)), dtype=complex)
-    np.add.at(E, (slice(None), spec.slot), mm.operator.conj().T * eta)
+    order = np.argsort(spec.slot, kind="stable")
+    starts = np.searchsorted(spec.slot[order], np.arange(len(lam_dist)))
+    gstar = mm.operator.conj().T
+    E = np.add.reduceat(gstar[:, order] * eta[order], starts, axis=1)
     E *= np.exp(1j * lam_dist * problem.T)
     signal = ControlSignal(n, problem.T, lam_dist, E,
-                           kernel=spec.kernel(problem.T))
+                           kernel=spec.kernel(problem.T), eta=eta, gramian=W)
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
 

@@ -14,7 +14,8 @@ diagonal off mode 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,6 +173,16 @@ class MMatrix:
         """Matrix acting on psi coefficient vectors: (Gv)_k = sum_j op[k,j] v_j."""
         return self.entries.T
 
+    @functools.cached_property
+    def gg_star(self) -> np.ndarray:
+        """Matrix of G G* on psi coefficients (read-only): PSD, Hermitian,
+        kernel contains mode 0."""
+        gop = self.operator
+        out = gop @ gop.conj().T
+        out = 0.5 * (out + out.conj().T)
+        out.flags.writeable = False
+        return out
+
     def block(self, wavenumbers) -> np.ndarray:
         idx = [k + self.n for k in wavenumbers]
         return self.entries[np.ix_(idx, idx)]
@@ -233,10 +244,9 @@ def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
 
 
 def gg_star_matrix(mm: MMatrix) -> np.ndarray:
-    """Matrix of G G* on psi coefficients: PSD, Hermitian, kernel contains mode 0."""
-    gop = mm.operator
-    out = gop @ gop.conj().T
-    return 0.5 * (out + out.conj().T)
+    """Matrix of G G* on psi coefficients, ``mm.gg_star``: formed once per
+    m-matrix, read-only."""
+    return mm.gg_star
 
 
 # -- Gramians ----------------------------------------------------------------
@@ -270,7 +280,8 @@ class Gramian:
     ``eigvals`` (ascending) and the columns of ``eigvecs`` are the
     eigenpairs of the mean-zero block, from one ``eigh``; ``cond`` and
     ``min_eig_meanzero`` are read off them.  Mode 0 is always in the
-    kernel, since G annihilates constants.  All arrays are read-only.
+    kernel, since G annihilates constants.  ``mmatrix`` is the m-matrix of
+    the G it integrates.  All arrays are read-only.
     """
 
     rate: float
@@ -280,6 +291,7 @@ class Gramian:
     min_eig_meanzero: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    mmatrix: MMatrix = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("matrix", "eigvals", "eigvecs"):
@@ -290,9 +302,15 @@ class Gramian:
                   rate: float = 0.0, flow: str = "forward") -> "Gramian":
         """Assemble ``gramian(...)``; raise ObservabilityError unless definite.
 
-        ``spec`` keeps the latest certified Gramian, keyed on (mm, T, rate,
-        flow), so it goes with the spectrum.
+        ``spec`` keeps the latest certified Gramian of each flow, keyed on
+        (mm, T, rate), so it goes with the spectrum, and a feedback's
+        backward L_lambda and the forward Gramian of delta(T) do not evict
+        each other.
         """
+        memo = spec._gramians.get(flow)
+        if memo is None:
+            raise ConfigurationError("flow must be 'forward' or 'backward'")
+
         def certify():
             W = gramian(mm, spec, T, rate, flow)
             nz = spec.wavenumbers != 0
@@ -302,8 +320,8 @@ class Gramian:
                     f"Gramian singular on mean-zero modes (min eigenvalue "
                     f"{vals[0]:.3e}) at rate={rate}, T={T}, n={spec.n}")
             return cls(rate, T, W, float(vals[-1] / vals[0]), float(vals[0]),
-                       vals, vecs)
-        return spec._gramian.get((mm, float(T), float(rate), flow), certify)
+                       vals, vecs, mm)
+        return memo.get((mm, float(T), float(rate)), certify)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (W x)_k = b_k for k != 0 and x_0 = 0.

@@ -64,13 +64,15 @@ class HorizonKernel:
     with nu the distinct eigenvalues in cluster order.  At rate 0 its rows at
     the cluster representatives are ``gram``, the Gram matrix Gamma of the
     exponentials e^{i nu t} in L2(0, T); its columns at ``Spectrum.slot``
-    are the integrals of every Gramian (``operators.gramian``).  Both arrays
+    are the integrals of every Gramian (``operators.gramian``).  ``slot`` is
+    the spectrum's map from each row to its cluster's column.  The arrays
     are read-only.
     """
 
     T: float
     rate: float
     lambdas: np.ndarray            # lambda_k of the rows, index k+n
+    slot: np.ndarray               # column of row k's cluster, index k+n
     matrix: np.ndarray
     gram: np.ndarray
 
@@ -90,7 +92,7 @@ class Spectrum:
     ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
     this truncation.  The spectrum also keeps the latest biorthogonal
     family (``moment_control.build_biorthogonal``) and the latest certified
-    Gramian (``operators.Gramian.certified``) built on it.
+    Gramian of each flow (``operators.Gramian.certified``) built on it.
     """
 
     alpha: float
@@ -107,8 +109,9 @@ class Spectrum:
                             compare=False)
     _family: Latest = field(default_factory=Latest, init=False, repr=False,
                             compare=False)
-    _gramian: Latest = field(default_factory=Latest, init=False, repr=False,
-                             compare=False)
+    _gramians: dict = field(
+        default_factory=lambda: {"forward": Latest(), "backward": Latest()},
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
@@ -139,7 +142,8 @@ class Spectrum:
             matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T, rate)
             gram = matrix[np.add(self.representatives, self.n)]
             matrix.flags.writeable = gram.flags.writeable = False
-            return HorizonKernel(T, rate, self.lambdas, matrix, gram)
+            return HorizonKernel(T, rate, self.lambdas, self.slot, matrix,
+                                 gram)
         return self._kernel.get((T, rate), evaluate)
 
 

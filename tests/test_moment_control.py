@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -21,7 +22,7 @@ from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
 from benctrl.operators import (Gramian, build_bump, bump_from_coefficients,
                                evolve_free, gg_star_matrix, gramian, m_matrix)
 from benctrl.spectral import TWO_PI, TorusFunction, mean
-from oracles import (evolve_controlled_quadrature, exp_gram,
+from oracles import (duhamel_mpmath, evolve_controlled_quadrature, exp_gram,
                      gauss_legendre_nodes, gramian_direct,
                      l2_hs_norm_conjugate_gram, moments_quadrature,
                      weighted_gramian_quadrature)
@@ -282,6 +283,92 @@ class TestHorizonKernel:
         shapes = self._count_kernels(monkeypatch)
         self._case(make_problem(n=16, alpha=1.0, seed=6))
         assert shapes == []
+
+
+class TestPerCaseEvaluation:
+    """A route-built signal's terminal state and Gramian-route norm come
+    from its route's per-horizon products, in (2n+1)^2 work; the Duhamel
+    sum over its coefficients stays the reference."""
+
+    @staticmethod
+    def _coefficients_only(signal):
+        return dataclasses.replace(signal, amplitudes=None, family=None,
+                                   eta=None, gramian=None)
+
+    @pytest.mark.parametrize("alpha,mu,T,bound", [
+        (1.0, 0.0, 1.0, 1e-13), (7 / 3, 0.3, 5.0, 2e-10),
+        (0.1, 0.0, 0.5, 5e-9)])
+    def test_moment_route_against_fifty_digits(self, alpha, mu, T, bound):
+        prob = make_problem(n=16, alpha=alpha, mu=mu, T=T)
+        res = synthesize_control(prob)
+        lam = res.spectrum.lambdas
+        want = np.exp(-1j * lam * T) * duhamel_mpmath(res.signal,
+                                                       res.mmatrix, lam)
+        scale = np.abs(res.targets).max()
+        for signal in (res.signal, self._coefficients_only(res.signal)):
+            got = verify_moments(signal, res.targets, res.spectrum,
+                                 res.mmatrix)["moments"]
+            assert np.abs(got - want).max() <= bound * scale
+
+    @pytest.mark.parametrize("alpha,mu,T,bound", [
+        (7 / 3, 0.0, 0.5, 1e-11), (7 / 3, 0.0, 1.0, 1e-12),
+        (1.0, 0.3, 0.5, 1e-12), (0.1, 0.3, 5.0, 1e-12)])
+    def test_gramian_route_against_fifty_digits(self, alpha, mu, T, bound):
+        prob = make_problem(n=16, alpha=alpha, mu=mu, T=T)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        lam = res.spectrum.lambdas
+        want = np.exp(-1j * lam * T) * duhamel_mpmath(hum, res.mmatrix, lam)
+        free = evolve_free(prob.u0, T, alpha, mu).psi_coeffs
+        scale = np.abs(want).max()
+        for signal in (hum, self._coefficients_only(hum)):
+            uT = evolve_controlled(prob.u0, signal, T, alpha, mu, res.mmatrix)
+            assert np.abs(uT.psi_coeffs - free - want).max() <= bound * scale
+
+    @pytest.mark.parametrize("kw", [dict(alpha=7 / 3, mu=0.3, T=5.0, s=1.0),
+                                    dict(alpha=1.0, T=1.0)])
+    def test_coefficients_are_not_read_at_the_horizon(self, kw):
+        prob = make_problem(n=16, seed=3, **kw)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        blind = [dataclasses.replace(
+            signal, exp_coeffs=np.full_like(signal.exp_coeffs, np.nan))
+            for signal in (res.signal, hum)]
+        moments = [verify_moments(signal, res.targets, res.spectrum,
+                                  res.mmatrix)["moments"]
+                   for signal in (res.signal, blind[0])]
+        assert np.all(np.isfinite(moments[1]))
+        assert np.array_equal(moments[0], moments[1])
+        residuals = [terminal_residual(prob, signal, res.mmatrix)
+                     for signal in (hum, blind[1])]
+        norms = [signal.l2_hs_norm(0.0) for signal in (hum, blind[1])]
+        assert np.isfinite(residuals[1]) and residuals[0] == residuals[1]
+        assert np.isfinite(norms[1]) and norms[0] == norms[1]
+
+    def test_another_m_matrix_at_the_horizon(self):
+        # W eta holds the G the Gramian was built with; under another
+        # localizer the terminal state comes from the coefficients
+        prob = make_problem(n=8, alpha=1.0, seed=2)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        other = m_matrix(build_bump("smooth_exp_bump", kmax=16), 8)
+        for signal in (res.signal, hum):
+            a, b = (evolve_controlled(prob.u0, sig, prob.T, 1.0, 0.0, other)
+                    for sig in (signal, self._coefficients_only(signal)))
+            assert np.abs(a.coeffs - b.coeffs).max() <= \
+                1e-13 * np.abs(b.coeffs).max()
+
+    def test_a_second_case_reuses_the_dual_moments(self):
+        clear_memos()
+        first = synthesize_control(make_problem(n=16, alpha=1.0, seed=5))
+        kdh = first.family.dual_moments
+        assert not kdh.flags.writeable
+        second = synthesize_control(make_problem(n=16, alpha=1.0, seed=6))
+        assert second.family.dual_moments is kdh
+        # its rows at the cluster representatives are Gamma Gamma^{-1}
+        spec = second.spectrum
+        reps = np.add(spec.representatives, spec.n)
+        assert np.abs(kdh[reps][:, reps] - np.eye(len(reps))).max() <= 1e-12
 
 
 def _pipeline(prob):

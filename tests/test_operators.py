@@ -266,6 +266,14 @@ class TestGGStar:
             rhs = sobolev_norm(gu, 0.0) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    def test_formed_once_per_m_matrix(self):
+        mm = m_matrix(build_bump(kmax=16), 8)
+        gg = gg_star_matrix(mm)
+        assert gg_star_matrix(mm) is gg
+        assert not gg.flags.writeable
+        P = mm.operator @ mm.operator.conj().T
+        assert np.array_equal(gg, 0.5 * (P + P.conj().T))
+
     def test_kernel_contains_mode_zero(self):
         mm = m_matrix(build_bump(kmax=16), 8)
         gg = gg_star_matrix(mm)

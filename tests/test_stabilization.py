@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import benctrl._closedform as closedform
+import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError
@@ -343,3 +345,43 @@ class TestObservability:
             delta, minimizer = observability_constant(mm, spec, T)
             assert delta > 0
             assert abs(mean(minimizer)) == 0.0
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """The calls made from now on to ``module.name``, one entry each."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestGramianMemo:
+    def test_one_certified_gramian_per_flow(self, monkeypatch):
+        # the four laws of one plant in the order the stabilize benchmark
+        # runs them: each law's backward L_lambda and every law's forward
+        # Gramian of delta(T) are kept side by side, so the forward one is
+        # assembled once and each L_lambda once: 4 Gramians and 4 kernels,
+        # where one memo for both flows would assemble 7
+        n, T = 32, 1.0
+        build_bump.cache_clear()
+        m_matrix.cache_clear()
+        spectrum_mod.analyze.cache_clear()
+        assembled = _count_calls(monkeypatch, operators, "gramian")
+        kernels = _count_calls(monkeypatch, closedform, "phi")
+        deltas = []
+        for law in ("simple", 0.25, 0.5, 1.0):
+            spec = spectrum_mod.analyze(n, 7 / 3, 0.3)
+            mm = m_matrix(build_bump(kmax=2 * n), n)
+            if law == "simple":
+                feedback_simple(mm, spec)
+            else:
+                feedback_gramian(build_L_lambda(mm, spec, law, T), mm, spec)
+            deltas.append(observability_constant(mm, spec, T)[0])
+        assert len(assembled) == 4
+        assert len(kernels) == 4
+        assert deltas == [deltas[0]] * 4
