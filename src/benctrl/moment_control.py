@@ -442,17 +442,14 @@ def terminal_residual(problem: ControlProblem, signal: ControlSignal,
     return _relative_miss(problem, uT.coeffs - problem.u1.coeffs)
 
 
-def synthesize_control(problem: ControlProblem, spec: Spectrum | None = None,
-                       mm: MMatrix | None = None,
-                       family: BiorthogonalFamily | None = None,
+def synthesize_control(problem: ControlProblem,
                        on_singular: str = "error") -> SynthesisResult:
-    """Full moment-method pipeline: targets, duals, amplitudes, diagnostics."""
-    if spec is None:
-        spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
-    if mm is None:
-        mm = m_matrix(problem.bump, problem.n)
-    if family is None:
-        family = build_biorthogonal(spec, problem.T, on_singular=on_singular)
+    """Full moment-method pipeline: targets, duals, amplitudes, diagnostics.
+
+    The spectrum, m-matrix and family are those the memos hold."""
+    spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
+    mm = m_matrix(problem.bump, problem.n)
+    family = build_biorthogonal(spec, problem.T, on_singular=on_singular)
     c = reduce_to_zero_start(problem)
     h = solve_coefficients(c, mm, spec, problem.T)
     signal = assemble_control(h, family, spec)

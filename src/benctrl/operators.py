@@ -88,12 +88,11 @@ class BumpProfile:
 
 @latest()
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
-               width: float = np.pi / 2, kmax: int = 64,
-               samples: int = BUMP_SAMPLES) -> BumpProfile:
+               width: float = np.pi / 2, kmax: int = 64) -> BumpProfile:
     """Construct a localizer and profile its Fourier coefficients.
 
-    Coefficients are taken by uniform-grid quadrature at ``samples`` points
-    and rescaled so ghat(0) = 1/(2pi) holds to rounding (unit integral).
+    Coefficients are taken by uniform-grid quadrature at ``BUMP_SAMPLES``
+    points and rescaled so ghat(0) = 1/(2pi) holds to rounding (unit integral).
     The uniform kind is the constant 1/(2pi), whose coefficients are exact.
     The latest profile is memoized on the arguments and their types
     (``cache_clear()`` forgets it).
@@ -111,22 +110,23 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     if not (0.0 < a and b < TWO_PI):
         raise ConfigurationError(
             f"bump support ({a:.4f}, {b:.4f}) must be contained in (0, 2pi)")
-    if samples < 2 * kmax + 1:
+    if BUMP_SAMPLES < 2 * kmax + 1:
         raise ConfigurationError("too few samples for the requested band")
 
     proto = BumpProfile(kind, center, width, kmax,
                         np.zeros(2 * kmax + 1, complex), 0.0, 1.0)
-    x = np.arange(samples) * (TWO_PI / samples)
+    x = np.arange(BUMP_SAMPLES) * (TWO_PI / BUMP_SAMPLES)
     vals = proto.sample(x)
     if vals.min() < -1e-12:
         raise ConfigurationError("bump profile must be non-negative")
-    full = np.fft.fft(vals) / samples        # full[k % samples] ~ ghat(k)
+    full = np.fft.fft(vals) / BUMP_SAMPLES   # full[k % BUMP_SAMPLES] ~ ghat(k)
     scale = 1.0 / (TWO_PI * full[0].real)    # enforce unit integral
     full = full * scale
-    idx = np.arange(-kmax, kmax + 1) % samples
+    idx = np.arange(-kmax, kmax + 1) % BUMP_SAMPLES
     ghat = full[idx]
-    half = samples // 2
-    tail = np.concatenate([full[kmax + 1: half], full[half: samples - kmax]])
+    half = BUMP_SAMPLES // 2
+    tail = np.concatenate([full[kmax + 1: half],
+                           full[half: BUMP_SAMPLES - kmax]])
     return BumpProfile(kind, center, width, kmax, ghat,
                        float(np.abs(tail).sum()), scale)
 

@@ -25,7 +25,7 @@ from ._closedform import exp_kernel
 from ._memo import Latest, latest
 from .errors import ClusterSizeError
 
-#: Default relative tolerance for float clustering decisions.
+#: Relative tolerance for float clustering decisions.
 CLUSTER_RTOL = 1e-9
 
 #: Pairs closer than NEAR_CLUSTER_FRACTION * gamma trigger a conditioning warning.
@@ -154,7 +154,7 @@ def _representative(group):
     return min(group, key=lambda k: (abs(k), k))
 
 
-def clusters(n: int, alpha, mu=0, tol=None):
+def clusters(n: int, alpha, mu=0):
     """Partition {-n..n} into groups of equal eigenvalue.
 
     One sweep over the sorted eigenvalues starts a new group wherever
@@ -162,7 +162,7 @@ def clusters(n: int, alpha, mu=0, tol=None):
     are exact rationals the sweep runs on the integer keys d*lambda_k, with
     d the common denominator of alpha and mu, at tolerance 0 (Python
     integers, so large denominators cannot overflow); otherwise on the float
-    eigenvalues at tol (default 1e-9 relative).  A group of size > 3
+    eigenvalues at tol = CLUSTER_RTOL.  A group of size > 3
     contradicts the cubic dispersion shape and raises ClusterSizeError.
     """
     exact = isinstance(alpha, Rational) and isinstance(mu, Rational)
@@ -175,7 +175,7 @@ def clusters(n: int, alpha, mu=0, tol=None):
         tol = 0
     else:
         values = eigenvalues(n, alpha, mu)
-        tol = CLUSTER_RTOL if tol is None else tol
+        tol = CLUSTER_RTOL
     order = np.argsort(values, kind="stable")
     v = values[order]
     breaks = np.abs(np.diff(v)) > tol * np.maximum(1.0, np.abs(v[1:]))
@@ -191,7 +191,7 @@ def clusters(n: int, alpha, mu=0, tol=None):
     return groups, exact
 
 
-def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
+def analyze(n: int, alpha, mu=0) -> Spectrum:
     """Build the Spectrum: eigenvalues, clusters, gap, and scan window.
 
     Spectra are memoized by value, one at a time: a call with the same
@@ -199,7 +199,7 @@ def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
     with it the kernel, family and Gramian it keeps), and ``cache_clear()``
     forgets it.  The near-cluster warning is raised on every call.
     """
-    spec = _spectrum(n, alpha, mu, tol)
+    spec = _spectrum(n, alpha, mu)
     # flag nearly-degenerate pairs that were *not* clustered: the smallest
     # gap is compared against the next gap scale (the gap the spectrum would
     # have without the offending pair)
@@ -217,11 +217,11 @@ def analyze(n: int, alpha, mu=0, tol=None) -> Spectrum:
     return spec
 
 
-@latest(lambda n, alpha, mu, tol: (n, type(alpha), alpha, type(mu), mu, tol))
-def _spectrum(n: int, alpha, mu, tol) -> Spectrum:
+@latest(lambda n, alpha, mu: (n, type(alpha), alpha, type(mu), mu))
+def _spectrum(n: int, alpha, mu) -> Spectrum:
     if float(alpha) <= 0:
         raise ValueError("alpha must be positive")
-    groups, exact = clusters(n, alpha, mu, tol)
+    groups, exact = clusters(n, alpha, mu)
     lam = eigenvalues(n, alpha, mu)
     reps = tuple(_representative(g) for g in groups)
     slot = np.empty(2 * n + 1, dtype=np.intp)

@@ -31,7 +31,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigurationError, DecayFitError, ObservabilityError
 from .operators import Gramian, MMatrix, gg_star_matrix
-from .spectral import TorusFunction, hs_weights
+from .spectral import TWO_PI, TorusFunction, hs_weights
 from .spectrum import Spectrum
 
 #: norms below this are treated as floating noise and excluded from fits
@@ -176,14 +176,13 @@ def norm_history(u0: TorusFunction, law: FeedbackLaw, times,
 
     Returns {"times": ..., s: array of ||u(t) - [u0]||_{H^s}} for each s.
     """
-    traj = simulate_closed_loop(u0, law, times)
-    fluct = np.array([u.coeffs for u in traj], dtype=complex)
-    fluct = fluct.reshape(len(traj), len(u0.coeffs))
-    fluct[:, u0.n] -= u0.coeff(0)
+    times = np.asarray(times, dtype=float)
+    fluct = _propagate(law, u0.psi_coeffs, times) / np.sqrt(TWO_PI)
+    fluct[:, u0.n] -= u0.coeffs[u0.n]
     power = np.abs(fluct) ** 2
-    out = {"times": np.asarray(times, float)}
+    out = {"times": times}
     for s in s_values:
-        out[s] = np.sqrt(2 * np.pi * (power @ hs_weights(u0.n, s)))
+        out[s] = np.sqrt(TWO_PI * (power @ hs_weights(u0.n, s)))
     return out
 
 
@@ -220,7 +219,8 @@ def estimate_decay_rate(times, norms) -> DecayFit:
     Norms at or below the floating noise floor are excluded; among suffix
     windows with at least 10 samples the longest one reaching R^2 >= 0.999
     wins (falling back to the best-R^2 suffix with a warning).  Fewer than
-    10 usable samples raise DecayFitError.
+    10 usable samples raise DecayFitError.  Every window's line and R^2
+    come at once from suffix sums of the globally centred samples.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -229,29 +229,27 @@ def estimate_decay_rate(times, norms) -> DecayFit:
     if len(t) < 10:
         raise DecayFitError(f"only {len(t)} samples above the noise floor; "
                             "need at least 10")
-
-    def fit(i):
-        p, res = np.polyfit(t[i:], y[i:], 1, full=True)[:2]
-        ybar = y[i:].mean()
-        tss = float(np.sum((y[i:] - ybar) ** 2))
-        rss = float(res[0]) if len(res) else 0.0
-        r2 = 1.0 - rss / tss if tss > 0 else 1.0
-        return p, r2
-
-    best = None
-    for i in range(0, len(t) - 9):
-        p, r2 = fit(i)
-        if best is None or r2 > best[2]:
-            best = (i, p, r2)
-        if r2 >= FIT_R2:
-            return DecayFit(rate=-p[0], M=float(np.exp(p[1])), r2=r2,
-                            n_used=len(t) - i,
-                            window=(float(t[i]), float(t[-1])))
-    i, p, r2 = best
-    warnings.warn(f"no suffix window reaches R^2 >= {FIT_R2}; best is "
-                  f"{r2:.6f}", RuntimeWarning)
-    return DecayFit(rate=-p[0], M=float(np.exp(p[1])), r2=r2,
-                    n_used=len(t) - i, window=(float(t[i]), float(t[-1])))
+    tc, yc = t - t.mean(), y - y.mean()
+    count = np.arange(len(t), 9, -1)
+    # sums over every suffix t[i:] with i <= len(t) - 10, longest first
+    st, sy, stt, sty, syy = np.cumsum(np.array(
+        [tc, yc, tc * tc, tc * yc, yc * yc])[:, ::-1], axis=1)[:, :8:-1]
+    stt -= st * st / count
+    sty -= st * sy / count
+    syy -= sy * sy / count
+    slope = sty / stt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(syy > 0, slope * sty / syy, 1.0)
+    hits = np.flatnonzero(r2 >= FIT_R2)
+    i = int(hits[0]) if len(hits) else int(np.argmax(r2))
+    if not len(hits):
+        warnings.warn(f"no suffix window reaches R^2 >= {FIT_R2}; best is "
+                      f"{r2[i]:.6f}", RuntimeWarning)
+    intercept = (y.mean() + sy[i] / count[i]) \
+        - slope[i] * (t.mean() + st[i] / count[i])
+    return DecayFit(rate=-float(slope[i]), M=float(np.exp(intercept)),
+                    r2=float(r2[i]), n_used=int(count[i]),
+                    window=(float(t[i]), float(t[-1])))
 
 
 def observability_constant(mm: MMatrix, spec: Spectrum, T: float):

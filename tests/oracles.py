@@ -4,21 +4,25 @@ Each oracle evaluates by brute force a quantity that ``benctrl`` computes in
 closed form: time integrals by composite Gauss-Legendre rules, m-matrix
 entries by applying G pointwise on a uniform grid, the energy derivative by
 a centred difference; the Duhamel integral of a control at 50 digits by
-mpmath.  ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
+mpmath; the decay-rate fit by one ``np.polyfit`` per suffix window.
+``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
 ``gramian_direct`` assemble, each on its own, the Gram matrices and
 Gramians the library reads off one shared horizon kernel.
 """
 
+import warnings
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
 from benctrl._closedform import phi
+from benctrl.errors import DecayFitError
 from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
 from benctrl.spectrum import eigenvalues
-from benctrl.stabilization import FeedbackLaw, simulate_closed_loop
+from benctrl.stabilization import (FIT_R2, NORM_FLOOR, DecayFit,
+                                   FeedbackLaw, simulate_closed_loop)
 
 
 @lru_cache(maxsize=8)
@@ -175,3 +179,38 @@ def duhamel_mpmath(signal, mm, lam, dps: int = 50) -> np.ndarray:
                 for j in range(len(E)) if op[k, j] != 0)
             out.append(complex(total))
     return np.array(out)
+
+
+def estimate_decay_rate_polyfit(times, norms) -> DecayFit:
+    """``estimate_decay_rate`` with one ``np.polyfit`` per suffix window,
+    scanned from the longest: the first window with R^2 >= FIT_R2 wins,
+    else the best R^2 with a warning."""
+    times = np.asarray(times, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    keep = norms > NORM_FLOOR
+    t, y = times[keep], np.log(norms[keep])
+    if len(t) < 10:
+        raise DecayFitError(f"only {len(t)} samples above the noise floor")
+
+    def fit(i):
+        p, res = np.polyfit(t[i:], y[i:], 1, full=True)[:2]
+        ybar = y[i:].mean()
+        tss = float(np.sum((y[i:] - ybar) ** 2))
+        rss = float(res[0]) if len(res) else 0.0
+        r2 = 1.0 - rss / tss if tss > 0 else 1.0
+        return p, r2
+
+    best = None
+    for i in range(0, len(t) - 9):
+        p, r2 = fit(i)
+        if best is None or r2 > best[2]:
+            best = (i, p, r2)
+        if r2 >= FIT_R2:
+            return DecayFit(rate=-p[0], M=float(np.exp(p[1])), r2=r2,
+                            n_used=len(t) - i,
+                            window=(float(t[i]), float(t[-1])))
+    i, p, r2 = best
+    warnings.warn(f"no suffix window reaches R^2 >= {FIT_R2}; best is "
+                  f"{r2:.6f}", RuntimeWarning)
+    return DecayFit(rate=-p[0], M=float(np.exp(p[1])), r2=r2,
+                    n_used=len(t) - i, window=(float(t[i]), float(t[-1])))

@@ -13,7 +13,7 @@ from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
 from benctrl.moment_control import ControlSignal
 from benctrl.operators import evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
-from benctrl.spectral import mean, sobolev_norm
+from benctrl.spectral import TorusFunction, mean, sobolev_norm
 
 
 class TestRandomState:
@@ -33,6 +33,47 @@ class TestRandomState:
     def test_real(self):
         f = random_state(11, 8, 1.0)
         assert f.real_flag
+
+    @pytest.mark.parametrize("seed,n,s", [(42, 12, 1.0), ([7, 1], 33, 0.5),
+                                          (0, 1, 0.0), (5, 64, 2.0)])
+    def test_one_draw_is_the_per_k_scalar_draws(self, seed, n, s):
+        # PCG64 hands out the (n, 2) block in the order of the scalar draws
+        # re_1, im_1, re_2, ..., so every state keeps its bits
+        rng = np.random.default_rng(seed)
+        c = np.zeros(2 * n + 1, dtype=complex)
+        for k in range(1, n + 1):
+            z = (rng.standard_normal() + 1j * rng.standard_normal()) \
+                * (1.0 + k) ** (-s - 1.0)
+            c[n + k] = z
+            c[n - k] = np.conj(z)
+        f = TorusFunction(n, c, real_flag=True)
+        f = f.with_coeffs(f.coeffs * (2.5 / sobolev_norm(f, s)))
+        assert np.array_equal(random_state(seed, n, s, 2.5).coeffs, f.coeffs)
+
+
+class TestStates:
+    def test_zero(self):
+        f = cli._state_from_config({"type": "zero"}, 4, 0.0, 0)
+        assert np.array_equal(f.coeffs, np.zeros(9))
+        assert f.real_flag
+
+    @pytest.mark.parametrize("name,plus,minus", [("cos", 0.5, 0.5),
+                                                 ("sin", -0.5j, 0.5j)])
+    def test_presets(self, name, plus, minus):
+        f = cli._state_from_config({"type": "preset", "name": name}, 3, 0.0, 0)
+        expect = np.zeros(7, dtype=complex)
+        expect[3 + 1], expect[3 - 1] = plus, minus
+        assert np.array_equal(f.coeffs, expect)
+        assert f.real_flag
+
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"experiment": "simulate", "n": 4,
+                                    "u0": {"type": "preset", "name": "tan"},
+                                    "outdir": str(tmp_path)}))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert "unknown preset 'tan'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestScenario:
@@ -96,6 +137,34 @@ class TestSpectrumCommand:
                      "--outdir", str(tmp_path)]) == 2
         assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+class TestSimulateCommand:
+    def test_norms_are_those_of_the_free_flow(self, tmp_path):
+        assert main(["simulate", "--alpha", "7/3", "--mu", "0.3", "--n", "8",
+                     "--T", "3.0", "--s", "1.5", "--seed", "4",
+                     "--outdir", str(tmp_path)]) == 0
+        u0 = random_state(4, 8, 1.5)
+        rows = np.loadtxt(tmp_path / "norms.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (120, 3)
+        for t, l2, hs in rows:
+            u = evolve_free(u0, t, Fraction(7, 3), Fraction(3, 10))
+            assert l2 == pytest.approx(sobolev_norm(u, 0.0), rel=1e-14)
+            assert hs == pytest.approx(sobolev_norm(u, 1.5), rel=1e-14)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["t_final"] == 3.0
+        assert report["norm_drift"] <= 1e-14
+        assert report["mean_drift"] == 0.0
+
+    @pytest.mark.parametrize("n_times", [0, -3])
+    def test_no_samples_exits_2(self, tmp_path, capsys, n_times):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"experiment": "simulate", "n": 4,
+                                    "n_times": n_times,
+                                    "outdir": str(tmp_path / "out")}))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert "n_times must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestControlCommand:

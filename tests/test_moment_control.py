@@ -643,14 +643,10 @@ class TestProperties:
         # empirical nu over 100 seeded trials at fixed (n, T, alpha, g)
         n = 8
         bump = build_bump(kmax=2 * n)
-        spec = spectrum_mod.analyze(n, 1.0)
-        mm = m_matrix(bump, n)
-        fam = build_biorthogonal(spec, 1.0)
         ratios = []
         for seed in range(100):
             res = synthesize_control(make_problem(n=n, alpha=1.0, seed=seed,
-                                                  bump=bump),
-                                     spec=spec, mm=mm, family=fam)
+                                                  bump=bump))
             ratios.append(res.nu_empirical)
         nu_empirical = max(ratios)
         print(f"empirical nu over 100 trials (n=8, T=1, alpha=1): "

@@ -68,13 +68,12 @@ class TestClusters:
         flat = sorted(itertools.chain.from_iterable(groups))
         assert flat == list(range(-12, 13))
 
-    def test_size_cap_enforced(self):
-        class Fake:
-            pass
-        # no alpha in (0, 10] yields size > 3 up to n=64; verify the guard by
-        # calling with an artificial tolerance so wide it merges everything
+    def test_size_cap_enforced(self, monkeypatch):
+        # no alpha in (0, 10] yields size > 3 up to n=64; verify the guard
+        # with an artificial tolerance so wide it merges everything
+        monkeypatch.setattr(sp, "CLUSTER_RTOL", 1e9)
         with pytest.raises(ClusterSizeError):
-            sp.clusters(8, 0.5, tol=1e9)
+            sp.clusters(8, 0.5)
 
     def test_grid_scan_max_size_three(self):
         a = Fraction(2, 20)
@@ -209,7 +208,7 @@ class TestMemo:
         sp.analyze.cache_clear()
         spec = sp.analyze(16, 7 / 3, 0.3)
         assert sp.analyze(16, 7 / 3, 0.3) is spec
-        assert sp.analyze(n=16, alpha=7 / 3, mu=0.3, tol=None) is spec
+        assert sp.analyze(n=16, alpha=7 / 3, mu=0.3) is spec
         sp.analyze.cache_clear()
         fresh = sp.analyze(16, 7 / 3, 0.3)
         assert fresh is not spec

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,14 +11,15 @@ from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError
 from benctrl.operators import (build_bump, evolve_free, gg_star_matrix,
                                gramian, m_matrix)
-from benctrl.spectral import TWO_PI, TorusFunction, mean
+from benctrl.spectral import TWO_PI, TorusFunction, mean, sobolev_norm
 from benctrl.stabilization import (EIG_COND_LIMIT, FeedbackLaw,
                                    build_L_lambda, energy_identity_defect,
                                    estimate_decay_rate, feedback_gramian,
                                    feedback_simple, norm_history,
                                    observability_constant,
                                    simulate_closed_loop, spectral_abscissa)
-from oracles import (energy_identity_defect_centred, feedback_none,
+from oracles import (energy_identity_defect_centred,
+                     estimate_decay_rate_polyfit, feedback_none,
                      weighted_gramian_quadrature)
 
 
@@ -226,6 +229,26 @@ LAWS_N32 = [("simple", 1.0), ("simple", 7 / 3), ("gramian", 1.0),
             ("gramian", 7 / 3)]
 
 
+def sampled_norms(u0, law, times, s):
+    """||u(t) - [u0]||_{H^s} from one TorusFunction per sample."""
+    out = []
+    for u in simulate_closed_loop(u0, law, times):
+        c = u.coeffs.copy()
+        c[u0.n] -= u0.coeff(0)
+        out.append(sobolev_norm(TorusFunction(u0.n, c), s))
+    return np.array(out)
+
+
+def jordan_law():
+    """A closed loop whose mean-zero block is one Jordan block: its
+    eigenvectors are degenerate, so it is propagated by expm."""
+    spec = spectrum_mod.analyze(2, 1.0)
+    nz = spec.wavenumbers != 0
+    C = np.zeros((5, 5), dtype=complex)
+    C[np.ix_(nz, nz)] = -np.eye(4) + np.eye(4, k=1)
+    return FeedbackLaw("jordan", 0.0, -C, C, spec)
+
+
 class TestEigenPropagation:
     @pytest.mark.parametrize("kind,alpha", LAWS_N32)
     def test_norm_history_matches_expm_per_sample(self, kind, alpha):
@@ -267,13 +290,30 @@ class TestEigenPropagation:
         # by 7e-16
         assert spectral_abscissa(law) == pytest.approx(exact, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("kind,alpha", LAWS_N32)
+    def test_norm_history_matches_the_sampled_trajectory(self, kind, alpha):
+        law = law_at_n32(kind, alpha)
+        u0 = random_state(37, 32, 1.0)
+        u0 = u0.with_coeffs(u0.coeffs + 0.4 * (u0.wavenumbers == 0))
+        times = np.linspace(0.0, 12.0 / abs(spectral_abscissa(law)), 30)
+        hist = norm_history(u0, law, times, s_values=(0.0, 1.0))
+        for s in (0.0, 1.0):
+            ref = sampled_norms(u0, law, times, s)
+            assert np.all(np.abs(hist[s] - ref) <= 1e-14 * ref)
+
+    def test_norm_history_on_the_expm_fallback(self):
+        law = jordan_law()
+        u0 = TorusFunction(2, np.array([0.3, -0.2j, 0.5, 1.0, 0.4]))
+        times = [0.0, 0.5, 2.0, 7.0]
+        hist = norm_history(u0, law, times, s_values=(0.0, 2.0))
+        for s in (0.0, 2.0):
+            ref = sampled_norms(u0, law, times, s)
+            assert np.all(np.abs(hist[s] - ref) <= 1e-14 * ref)
+
     def test_jordan_block_falls_back_to_expm(self):
-        spec = spectrum_mod.analyze(2, 1.0)
-        nz = spec.wavenumbers != 0
+        law = jordan_law()
+        nz = law.spectrum.wavenumbers != 0
         N = np.eye(4, k=1)
-        C = np.zeros((5, 5), dtype=complex)
-        C[np.ix_(nz, nz)] = -np.eye(4) + N
-        law = FeedbackLaw("jordan", 0.0, -C, C, spec)
         assert law.eigensystem.cond > EIG_COND_LIMIT
         assert law.eigensystem.Vinv is None
         u0 = TorusFunction(2, np.array([0.3, -0.2j, 0.5, 1.0, 0.4]))
@@ -324,6 +364,37 @@ class TestDecayFit:
         hist = norm_history(u0, law, times)
         fit = estimate_decay_rate(hist["times"], hist[0.0])
         assert fit.rate >= 0.99 * lam
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 7 / 3])
+    def test_matches_the_polyfit_scan(self, alpha):
+        # both laws and rates up to 2 sampled as the stabilize command does;
+        # the large rates exercise the best-R^2 fallback
+        fallbacks = 0
+        for mu in (0.0, 0.3):
+            spec, mm = setup(n=32, alpha=alpha, mu=mu)
+            laws = [feedback_simple(mm, spec)] + [
+                feedback_gramian(build_L_lambda(mm, spec, lam, 1.0), mm, spec)
+                for lam in (0.25, 0.5, 1.0, 1.5, 2.0)]
+            for law in laws:
+                horizon = min(12.0 / abs(spectral_abscissa(law)), 1e6)
+                times = np.linspace(0.0, horizon, 120)
+                for seed in range(4):
+                    u0 = random_state([seed, 7], 32, float(seed % 2))
+                    norms = norm_history(u0, law, times)[0.0]
+                    with warnings.catch_warnings(record=True) as got:
+                        warnings.simplefilter("always")
+                        fit = estimate_decay_rate(times, norms)
+                    with warnings.catch_warnings(record=True) as want:
+                        warnings.simplefilter("always")
+                        ref = estimate_decay_rate_polyfit(times, norms)
+                    assert [str(w.message) for w in got] == \
+                        [str(w.message) for w in want]
+                    assert (fit.n_used, fit.window) == (ref.n_used, ref.window)
+                    assert fit.rate == pytest.approx(ref.rate, rel=1e-10)
+                    assert fit.M == pytest.approx(ref.M, rel=1e-10)
+                    assert fit.r2 == pytest.approx(ref.r2, abs=1e-10)
+                    fallbacks += bool(got)
+        assert fallbacks > 0
 
 
 class TestObservability:
