@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -286,14 +286,12 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
                 spillover = max(spillover, dropped / base)
 
     # per-mode coefficient JSON + sampled control CSV
+    E = result.signal.exp_coeffs
     coeff_payload = {
         "lambdas": [float(v) for v in result.signal.lambdas],
-        "modes": [
-            {"k": int(k), "coeffs": [[float(z.real), float(z.imag)]
-                                     for z in row]}
-            for k, row in zip(range(-scn.n, scn.n + 1),
-                              result.signal.exp_coeffs)
-        ],
+        "modes": [{"k": k, "coeffs": c} for k, c in zip(
+            range(-scn.n, scn.n + 1),
+            np.stack([E.real, E.imag], axis=-1).tolist())],
     }
     with open(outdir / "control_coeffs.json", "w") as fh:
         # json.dump never uses the C encoder; json.dumps writes the same bytes
@@ -302,8 +300,8 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
     write_csv(outdir / "control_samples.csv", "t,x,h_re,h_im",
-              ((t, x, vals[i, j].real, vals[i, j].imag)
-               for i, t in enumerate(ts) for j, x in enumerate(xs)))
+              np.stack([*np.meshgrid(ts, xs, indexing="ij"), vals.real,
+                        vals.imag], axis=-1).reshape(-1, 4))
     return {
         "experiment": "control",
         "terminal_residual": result.terminal_residual,
@@ -439,12 +437,14 @@ def run_sweep(path, workers: int | None = None) -> int:
     if not cases:
         raise ConfigurationError("sweep file needs a non-empty 'sweep' list")
     jobs = [(data, item, i) for i, item in enumerate(cases)]
+    from concurrent.futures import ProcessPoolExecutor  # only sweeps fork
     with ProcessPoolExecutor(max_workers=workers) as ex:
         codes = list(ex.map(_run_sweep_entry, jobs))
     return max(codes)
 
 
-def main(argv=None) -> int:
+@functools.cache  # the command-line grammar, built once per process
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benctrl",
         description="spectral control toolkit for the linearized Benjamin "
@@ -474,8 +474,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep")
     p.add_argument("scenario", help="JSON sweep file")
     p.add_argument("--workers", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "sweep":
         try:
             return run_sweep(args.scenario, args.workers)

@@ -214,6 +214,16 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     return MMatrix(n, entries, beta, delta_min, delta_k)
 
 
+@latest(lambda bump, n: (bump.ghat.tobytes(), n))
+def _widening(bump: BumpProfile, n: int) -> np.ndarray:
+    """Matrix of G from modes |j| <= n to |k| <= bump.kmax - n, read-only;
+    the latest is kept, so apply_G over samples of one h.n builds it once."""
+    K, J = np.ogrid[n - bump.kmax: bump.kmax - n + 1, -n: n + 1]
+    mat = bump.ghat_at(K - J) - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J)
+    mat.flags.writeable = False
+    return mat
+
+
 def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
             return_spillover: bool = False):
     """G(h) = g*(h - int g h), truncated to out_n (default: h.n).
@@ -229,16 +239,12 @@ def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
     if out_n > reach:
         raise ConfigurationError(
             f"cannot produce modes up to {out_n}: bump band supports {reach}")
-    ks_out = np.arange(-reach, reach + 1)
-    js = h.wavenumbers
-    K, J = np.meshgrid(ks_out, js, indexing="ij")
-    mat = bump.ghat_at(K - J) - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J)
-    wide = mat @ h.coeffs
-    mid = reach
-    out = wide[mid - out_n: mid + out_n + 1]
+    wide = _widening(bump, h.n) @ h.coeffs
+    out = wide[reach - out_n: reach + out_n + 1]
     result = TorusFunction(out_n, out, real_flag=h.real_flag)
     if return_spillover:
-        dropped = np.concatenate([wide[: mid - out_n], wide[mid + out_n + 1:]])
+        dropped = np.concatenate([wide[:reach - out_n],
+                                  wide[reach + out_n + 1:]])
         return result, float(np.sqrt(TWO_PI * np.sum(np.abs(dropped) ** 2)))
     return result
 

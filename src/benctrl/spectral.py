@@ -9,6 +9,7 @@ sqrt(2pi)*fhat(k) and the Sobolev norms below make {psi_k} orthonormal in L2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,13 @@ class TorusFunction:
 # -- core operations -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def hs_weights(n: int, s: float) -> np.ndarray:
-    """H^s weights (1+|k|^2)^s for k = -n..n."""
-    k = np.arange(-n, n + 1, dtype=float)
-    return (1.0 + k**2) ** s
+    """H^s weights (1+|k|^2)^s for k = -n..n, read-only and memoized, by
+    libm's scalar pow: numpy's vectorized one rounds differently by CPU."""
+    w = np.array([(1.0 + k * k) ** float(s) for k in range(-n, n + 1)])
+    w.flags.writeable = False
+    return w
 
 
 def sobolev_norm(f: TorusFunction, s: float) -> float:
@@ -120,8 +124,10 @@ def mean(f: TorusFunction) -> complex:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """Write a header line and one line per row of floats (shortest repr)."""
+    """Write a header line and one line per row of floats (shortest repr);
+    ``rows`` is a 2-D array or an iterable of equal-length rows."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                       dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("".join([header + "\n"] + [
+            ",".join(map(repr, row)) + "\n" for row in table]))

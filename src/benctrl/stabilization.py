@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigurationError, DecayFitError, ObservabilityError
 from .operators import Gramian, MMatrix, gg_star_matrix
@@ -148,7 +147,8 @@ def _propagate(law: FeedbackLaw, v0: np.ndarray, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     es = law.eigensystem
     if es.Vinv is None:
-        return np.array([sla.expm(law.closed_loop * t) @ v0 for t in times])
+        from scipy import linalg  # the library's one scipy call, loaded here
+        return np.array([linalg.expm(law.closed_loop * t) @ v0 for t in times])
     nz = law.spectrum.wavenumbers != 0
     a = es.Vinv @ v0[nz]
     traj = np.empty((len(times), len(v0)), dtype=complex)

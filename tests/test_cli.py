@@ -1,17 +1,24 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import benctrl.cli as cli
+import benctrl.moment_control as mc
+import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
 from benctrl.moment_control import ControlSignal
-from benctrl.operators import evolve_free
+from benctrl.operators import apply_G, evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
 from benctrl.spectral import TorusFunction, mean, sobolev_norm
 
@@ -396,3 +403,59 @@ class TestOversampledDiagnostic:
         report = _json.loads((tmp_path / "report.json").read_text())
         assert report["spillover_beyond_n"] is not None
         assert 0 < report["spillover_beyond_n"] < 1
+
+    def test_spillover_is_the_per_sample_apply_G_loop(self, tmp_path):
+        """The matrix of G is built once per run; the oracle rebuilds it for
+        every sample, as each apply_G call did before it was kept."""
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({
+            "experiment": "control", "alpha": 1.0, "n": 8, "n_sim": 24,
+            "T": 1.0, "seed": 3, "outdir": str(tmp_path)}))
+        assert main(["control", "--scenario", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        scn = load_scenario(path)
+        u0 = cli._state_from_config(scn.u0, scn.n, scn.s, scn.seed)
+        u1 = cli._state_from_config(scn.u1, scn.n, scn.s, [scn.seed, 1])
+        problem = mc.ControlProblem(scn.alpha, scn.mu, scn.T, scn.s, scn.n,
+                                    cli._build_bump(scn, 2 * scn.n), u0, u1)
+        signal = mc.synthesize_control(problem, on_singular="lstsq").signal
+        fine = cli._build_bump(scn, scn.n_sim + scn.n)
+        oracle = 0.0
+        for t in np.linspace(0.0, scn.T, 9):
+            operators._widening.cache_clear()
+            gh, dropped = apply_G(fine, signal.at_time(float(t)), out_n=scn.n,
+                                  return_spillover=True)
+            oracle = max(oracle, dropped / sobolev_norm(gh, 0.0))
+        assert report["spillover_beyond_n"] == oracle
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no run may leave state
+    in it that a later run reads."""
+
+    RUNS = (["stabilize", "--law", "gramian", "--lambda", "2"],
+            ["stabilize"], ["spectrum"])
+
+    def test_reports_match_fresh_processes(self, tmp_path):
+        common = ["--n", "8", "--seed", "5"]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        for i, args in enumerate(self.RUNS):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*args, *common, "--outdir", str(here)]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "benctrl.cli", *args, *common,
+                 "--outdir", str(fresh)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert (here / "report.json").read_bytes() == \
+                (fresh / "report.json").read_bytes()
+            # the fresh process warns exactly where this one did
+            assert proc.stderr.count("Warning: ") == len(caught)
+            assert all(str(w.message) in proc.stderr for w in caught)
+        reports = [json.loads((tmp_path / f"here{i}" / "report.json")
+                              .read_text()) for i in range(3)]
+        assert [r.get("law") for r in reports] == ["gramian", "simple", None]

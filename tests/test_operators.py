@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import benctrl.operators as operators
 from benctrl.errors import ConfigurationError
 from benctrl.operators import (apply_G, build_bump, bump_from_coefficients,
                                evolve_free, gg_star_matrix, m_matrix)
@@ -138,6 +139,17 @@ class TestApplyG:
         out, spill = apply_G(bump, h, return_spillover=True)
         assert out.n == 8
         assert spill > 0  # the product g*h genuinely widens the band
+
+    def test_kept_matrix_is_the_meshgrid_matrix(self):
+        bump = build_bump(kmax=40)
+        reach = bump.kmax - 8
+        K, J = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-8, 9),
+                           indexing="ij")
+        fresh = bump.ghat_at(K - J) \
+            - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J)
+        kept = operators._widening(bump, 8)
+        assert kept.tobytes() == fresh.tobytes() and not kept.flags.writeable
+        assert operators._widening(build_bump(kmax=40), 8) is kept
 
     def test_band_limit_guard(self):
         bump = build_bump(kmax=8)

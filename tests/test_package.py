@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import benctrl
 
@@ -15,3 +19,17 @@ def test_all_lists_every_public_name_once():
                if isinstance(getattr(benctrl, name), types.ModuleType)}
     assert modules == {"errors", "moment_control", "operators", "spectral",
                        "spectrum", "stabilization"}
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    """Start-up pays for numpy and the standard library only: scipy loads
+    with the expm fallback, the process pool with a sweep."""
+    src = Path(benctrl.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, benctrl, benctrl.cli; print(sorted(m for m in "
+             "('scipy', 'concurrent.futures.process') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

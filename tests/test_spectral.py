@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from benctrl.spectral import TorusFunction, mean, sobolev_norm, write_csv
+from benctrl.spectral import (TorusFunction, hs_weights, mean, sobolev_norm,
+                              write_csv)
 
 
 class TestSobolevNorm:
@@ -59,3 +62,49 @@ class TestWireFormats:
         lines = path.read_text().splitlines()
         assert lines == ["x,value", f"0.0,{1 / 3!r}", f"{np.pi!r},-2.5e-17"]
         assert float(lines[1].split(",")[1]) == 1 / 3
+
+    @staticmethod
+    def old_csv(header, rows):
+        """Reference bytes: ``repr(float(v))`` per value, row by row."""
+        return header + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+    def test_csv_bytes_are_the_per_value_reprs(self, tmp_path):
+        values = [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.nan, np.inf, -np.inf,
+                  1 / 3, -2.5e-17, 7]
+        table = np.array(values).reshape(-1, 2)
+        narrow = np.array([[0.1, -1e-8], [3.3, 2 ** -30]], dtype=np.float32)
+        path = tmp_path / "t.csv"
+        for make in (lambda: table, lambda: iter(table.tolist()),
+                     lambda: zip(*table.T), lambda: narrow,
+                     lambda: (tuple(r) for r in narrow),
+                     lambda: [(7, True), (2 ** 60 + 1, -0)], lambda: []):
+            write_csv(path, "a,b", make())
+            assert path.read_text() == self.old_csv("a,b", make())
+
+    def test_complex_entries_fail_as_before(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError):
+            write_csv(path, "a", [(1 + 2j,)])
+        rows = [(np.complex128(1 + 2j),)]
+        with pytest.warns(np.exceptions.ComplexWarning):
+            write_csv(path, "a", rows)
+        assert path.read_text() == "a\n1.0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.exceptions.ComplexWarning):
+                write_csv(path, "a", rows)
+
+
+class TestHsWeights:
+    @pytest.mark.parametrize("n", [0, 1, 5, 96])
+    @pytest.mark.parametrize("s", [0, 0.25, 0.5, 0.7, 1, 1.5, 2.0, 2.5])
+    def test_scalar_pow_bit_for_bit(self, n, s):
+        expected = np.array([(1.0 + k * k) ** s for k in range(-n, n + 1)])
+        assert hs_weights(n, s).tobytes() == expected.tobytes()
+
+    def test_memoized_read_only(self):
+        w = hs_weights(7, 0.7)
+        assert hs_weights(7, 0.7) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0

@@ -310,6 +310,20 @@ class TestEigenPropagation:
             ref = sampled_norms(u0, law, times, s)
             assert np.all(np.abs(hist[s] - ref) <= 1e-14 * ref)
 
+    def test_fallback_reads_expm_off_scipy_linalg(self, monkeypatch):
+        """Each call looks ``scipy.linalg.expm`` up anew, so a wrapper put
+        on the module attribute (as a tracer does) sees every sample."""
+        calls, original = [], sla.expm
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(sla, "expm", counted)
+        u0 = TorusFunction(2, np.array([0.3, -0.2j, 0.5, 1.0, 0.4]))
+        simulate_closed_loop(u0, jordan_law(), [0.0, 0.5, 2.0])
+        assert len(calls) == 3
+
     def test_jordan_block_falls_back_to_expm(self):
         law = jordan_law()
         nz = law.spectrum.wavenumbers != 0
