@@ -256,7 +256,9 @@ def _run_simulate(scn: Scenario, outdir: Path) -> dict:
 
 
 def _run_control(scn: Scenario, outdir: Path) -> dict:
-    bump = _build_bump(scn, 2 * scn.n)
+    # one profile for the spillover band n_sim + n and the m-matrix's |k| <= 2n
+    fine = scn.n_sim and scn.n_sim > scn.n and "coefficients" not in scn.bump
+    bump = _build_bump(scn, scn.n_sim + scn.n if fine else 2 * scn.n)
     u0 = _state_from_config(scn.u0, scn.n, scn.s, scn.seed)
     # u1 draws from its own stream: seed + 1 is the next sweep case's u0
     u1 = _state_from_config(scn.u1, scn.n, scn.s, [scn.seed, 1])
@@ -274,12 +276,11 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     # oversampled diagnostic: mass of G(h) in modes n < |k| <= n_sim that the
     # (2n+1)-truncated simulation never sees, relative to |Gh|
     spillover = None
-    if scn.n_sim and scn.n_sim > scn.n and "coefficients" not in scn.bump:
-        fine = _build_bump(scn, scn.n_sim + scn.n)
+    if fine:
         spillover = 0.0
         for t in np.linspace(0.0, scn.T, 9):
             h_t = result.signal.at_time(float(t))
-            gh, dropped = apply_G(fine, h_t, out_n=scn.n,
+            gh, dropped = apply_G(bump, h_t, out_n=scn.n,
                                   return_spillover=True)
             base = sobolev_norm(gh, 0.0)
             if base > 0:

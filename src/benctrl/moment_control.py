@@ -32,7 +32,8 @@ from ._closedform import exp_kernel
 from .errors import ConfigurationError, SingularClusterBlockError, SingularGramError
 from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
 from .spectral import TorusFunction, hs_weights, sobolev_norm
-from .spectrum import HorizonKernel, Spectrum, eigenvalues
+from .spectrum import (HorizonKernel, Spectrum, eigenvalues, from_real,
+                       real_form)
 
 #: Gram matrices with condition number beyond this are declared singular.
 GRAM_COND_LIMIT = 1e14
@@ -124,16 +125,16 @@ def build_biorthogonal(spec: Spectrum, T: float,
 
     The Gram matrix Gamma (the spectrum's ``kernel(T).gram``) has diagonal
     T and off-diagonal (e^{i(lam_k-lam_m)T} - 1)/(i(lam_k-lam_m)).  It is
-    Hermitian, so its 2-norm condition number is the ratio of its extreme
-    eigenvalue magnitudes.  When cond(Gamma) exceeds 1e14 the family is
-    numerically dependent on [0, T]; the near-resonant pair is named in the
-    error.  ``on_singular="lstsq"`` instead builds least-squares duals by a
-    rank-revealing pseudo-inverse and flags the family as degenerate
+    Hermitian and mirror-symmetric, so its 2-norm condition number is the
+    ratio of the extreme eigenvalue magnitudes of its real form M
+    (``spectrum.real_form``), and the duals come from one real solve with
+    M.  When cond(Gamma) exceeds 1e14 the family is numerically dependent
+    on [0, T]; the near-resonant pair is named in the error.
+    ``on_singular="lstsq"`` instead builds least-squares duals by a
+    rank-revealing pseudo-inverse of M and flags the family as degenerate
     (biorthogonality then holds only on the resolvable subspace), with a
-    warning on every call.
-
-    The spectrum keeps the family of the latest (T, on_singular), so a
-    second call returns the same read-only family.
+    warning on every call.  The spectrum keeps the family of the latest
+    (T, on_singular), so a second call returns the same read-only family.
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
@@ -153,7 +154,10 @@ def _biorthogonal(spec: Spectrum, T: float,
     lam = spec.distinct_lambdas()
     kernel = spec.kernel(T)
     gram = kernel.gram
-    eig = np.abs(np.linalg.eigvalsh(gram))
+    # the real form needs the mirror as reversal; ascending lambda is one
+    perm = None if np.all(np.diff(spec.mirror) == -1) else np.argsort(lam)
+    real = real_form(gram if perm is None else gram[np.ix_(perm, perm)])
+    eig = np.abs(np.linalg.eigvalsh(real))
     cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
     degenerate = False
     if cond > GRAM_COND_LIMIT:
@@ -172,15 +176,16 @@ def _biorthogonal(spec: Spectrum, T: float,
             degenerate = True
         else:
             raise ValueError("on_singular must be 'error' or 'lstsq'")
-    if degenerate:
-        dual = np.linalg.pinv(gram, rcond=LSTSQ_RCOND).conj().T
-    else:
-        # Gamma * conj(D)^T = I  =>  D = (Gamma^{-1})^H; one refinement step,
-        # with the computed inverse applied to the residual
-        eye = np.eye(len(lam), dtype=complex)
-        x = np.linalg.solve(gram, eye)
-        x += x @ (eye - gram @ x)
-        dual = x.conj().T
+    # Gamma^{-1} (or its pseudo-inverse) is Q M^{-1} Q^H, M the real form
+    inv = np.linalg.pinv(real, rcond=LSTSQ_RCOND) if degenerate \
+        else np.linalg.solve(real, np.eye(len(lam)))
+    x = from_real(from_real(inv.T).conj().T)
+    if perm is not None:
+        x[np.ix_(perm, perm)] = x.copy()
+    if not degenerate:
+        # D = (Gamma^{-1})^H, with one refinement step against Gamma itself
+        x += x @ (np.eye(len(lam)) - gram @ x)
+    dual = x.conj().T
     return BiorthogonalFamily(T=T, lambdas=lam, kernel=kernel,
                               dual_coeffs=dual, cond=cond,
                               degenerate=degenerate)

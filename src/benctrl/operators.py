@@ -133,13 +133,14 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
 
 def bump_from_coefficients(ghat, kind: str = "custom", center: float = np.pi,
                            width: float = np.pi) -> BumpProfile:
-    """Wrap an explicit coefficient list (index -kmax..kmax) as a profile."""
+    """Wrap an explicit coefficient list (index -kmax..kmax) of a real g."""
     ghat = np.asarray(ghat, dtype=complex)
     if ghat.ndim != 1 or ghat.size % 2 == 0:
         raise ConfigurationError("coefficient list must have odd length")
     kmax = ghat.size // 2
     if not np.isclose(ghat[kmax].real, 1.0 / TWO_PI, rtol=1e-12, atol=1e-14):
         raise ConfigurationError("ghat(0) must equal 1/(2pi) (unit integral)")
+    spect.require_mirror(ghat, "localizer coefficients (g must be real)")
     return BumpProfile(kind, center, width, kmax, ghat, 0.0, 1.0)
 
 
@@ -284,10 +285,11 @@ class Gramian:
     """A ``gramian`` certified positive definite on the mean-zero modes.
 
     ``eigvals`` (ascending) and the columns of ``eigvecs`` are the
-    eigenpairs of the mean-zero block, from one ``eigh``; ``cond`` and
-    ``min_eig_meanzero`` are read off them.  Mode 0 is always in the
-    kernel, since G annihilates constants.  ``mmatrix`` is the m-matrix of
-    the G it integrates.  All arrays are read-only.
+    eigenpairs of the mean-zero block, from one ``eigh`` of its real form
+    (eigvecs = Q X, ``spectrum.real_form``); ``cond`` and ``min_eig_meanzero``
+    are read off them.  Mode 0 is always in the kernel, since G annihilates
+    constants.  ``mmatrix`` is the m-matrix of the G it integrates; all
+    arrays are read-only.
     """
 
     rate: float
@@ -319,14 +321,14 @@ class Gramian:
 
         def certify():
             W = gramian(mm, spec, T, rate, flow)
-            nz = spec.wavenumbers != 0
-            vals, vecs = np.linalg.eigh(W[np.ix_(nz, nz)])
+            # mode 0 is the middle index, the real form's last row and column
+            vals, vecs = np.linalg.eigh(spect.real_form(W)[:-1, :-1])
             if vals[0] <= 0.0:
                 raise ObservabilityError(
                     f"Gramian singular on mean-zero modes (min eigenvalue "
                     f"{vals[0]:.3e}) at rate={rate}, T={T}, n={spec.n}")
             return cls(rate, T, W, float(vals[-1] / vals[0]), float(vals[0]),
-                       vals, vecs, mm)
+                       vals, spect.from_real(vecs), mm)
         return memo.get((mm, float(T), float(rate)), certify)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ and the free propagator multiplies mode k by e^{-i*lambda_k*t}.  Eigenvalues
 may coincide for resonant alpha (e.g. alpha=1 groups {-1,0,1}; alpha=7/3
 groups {1,2} and {-1,-2}); a maximal group of indices sharing one eigenvalue
 is a cluster and never exceeds size 3.  The gap gamma between distinct
-eigenvalues controls the conditioning of the moment problem.
+eigenvalues controls the conditioning of the moment problem.  lambda is odd
+and g real, so k -> -k conjugates each matrix factored (``real_form``).
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ import numpy as np
 
 from ._closedform import exp_kernel
 from ._memo import Latest, latest
-from .errors import ClusterSizeError
+from .errors import ClusterSizeError, ConfigurationError
 
 #: Relative tolerance for float clustering decisions.
 CLUSTER_RTOL = 1e-9
 
 #: Pairs closer than NEAR_CLUSTER_FRACTION * gamma trigger a conditioning warning.
 NEAR_CLUSTER_FRACTION = 1e-3
+
+#: relative departure from mirror symmetry beyond rounding
+MIRROR_RTOL = 1e-12
 
 
 def eigenvalue(k: int, alpha, mu=0):
@@ -86,7 +90,8 @@ class Spectrum:
     (the member of smallest |k|, which is 0 whenever 0 belongs to the
     group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
     holds wavenumber k: the one map from modes to clusters that every
-    cluster-aware computation reads.  ``kernel(T, rate)`` holds the time
+    cluster-aware computation reads; ``mirror[c]`` is the cluster of the
+    negated members of cluster c.  ``kernel(T, rate)`` holds the time
     integrals over one horizon that every closed-form integral of a control
     and every Gramian reads.
     ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
@@ -105,6 +110,7 @@ class Spectrum:
     gap_gamma: float
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
+    mirror: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel: Latest = field(default_factory=Latest, init=False, repr=False,
                             compare=False)
     _family: Latest = field(default_factory=Latest, init=False, repr=False,
@@ -116,9 +122,10 @@ class Spectrum:
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
         slot = np.array(self.slot, dtype=np.intp)
-        lam.flags.writeable = slot.flags.writeable = False
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "slot", slot)
+        mirror = slot[np.subtract(self.n, self.representatives)]
+        for name, arr in dict(lambdas=lam, slot=slot, mirror=mirror).items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -134,13 +141,17 @@ class Spectrum:
         The spectrum keeps the kernel of the latest (T, rate) asked for
         (another key replaces it), so the duals, the moments, the controlled
         evolution, the control norms and the controllability Gramian of one
-        synthesis share a single evaluation.
+        synthesis share a single evaluation.  Row -k is row k conjugated at
+        the mirror clusters, bit for bit, so only rows k >= 0 are evaluated.
         """
-        T, rate = float(T), float(rate)
+        T, rate, n = float(T), float(rate), self.n
 
         def evaluate():
-            matrix = exp_kernel(self.lambdas, self.distinct_lambdas(), T, rate)
-            gram = matrix[np.add(self.representatives, self.n)]
+            matrix = np.empty((2 * n + 1, len(self.representatives)), complex)
+            matrix[n:] = exp_kernel(self.lambdas[n:], self.distinct_lambdas(),
+                                    T, rate)
+            np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
+            gram = matrix[np.add(self.representatives, n)]
             matrix.flags.writeable = gram.flags.writeable = False
             return HorizonKernel(T, rate, self.lambdas, self.slot, matrix,
                                  gram)
@@ -178,7 +189,8 @@ def clusters(n: int, alpha, mu=0):
         tol = CLUSTER_RTOL
     order = np.argsort(values, kind="stable")
     v = values[order]
-    breaks = np.abs(np.diff(v)) > tol * np.maximum(1.0, np.abs(v[1:]))
+    scale = np.maximum(1.0, np.abs(v))   # a gap's larger end: mirror-blind
+    breaks = np.abs(np.diff(v)) > tol * np.maximum(scale[1:], scale[:-1])
     ks = (order - n).tolist()
     cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(ks)]
     groups = sorted(tuple(sorted(ks[a:b])) for a, b in zip(cuts, cuts[1:]))
@@ -262,6 +274,44 @@ def gap_gamma(spec: Spectrum) -> float:
     if len(dist) < 2:
         raise ValueError("need at least two distinct eigenvalues")
     return float(np.diff(np.sort(dist)).min())
+
+
+def require_mirror(a, what: str):
+    """ConfigurationError unless max|a - conj(flip(a))| <= MIRROR_RTOL max|a|:
+    ghat(-k) = conj ghat(k), or A[::-1, ::-1] = conj(A) to rounding."""
+    defect = np.abs(a - np.flip(a).conj()).max()
+    if defect > MIRROR_RTOL * np.abs(a).max():
+        raise ConfigurationError(f"{what} not mirror-symmetric: {defect:.3e}")
+
+
+def real_form(A: np.ndarray) -> np.ndarray:
+    """M = Q^H A Q, real, for a mirror-symmetric A whose index i mirrors to
+    N-1-i.  With p = N // 2, column j of Q is (e_{N-p+j} + e_{p-1-j})/sqrt2,
+    column p+j is i(e_{N-p+j} - e_{p-1-j})/sqrt2, and the middle index of an
+    odd N is the last.  Reads the upper p rows and the middle row of A."""
+    N, p, r = len(A), len(A) // 2, math.sqrt(2.0)
+    a, b = A[N - p:, N - p:], A[N - p:, ::-1][:, N - p:]
+    row, col = A[p:N - p, N - p:] * r, A[N - p:, p:N - p] * r  # odd N only
+    M = np.empty((N, N))
+    M[:p, :p], M[:p, p:2 * p] = a.real + b.real, b.imag - a.imag
+    M[p:2 * p, :p], M[p:2 * p, p:2 * p] = a.imag + b.imag, a.real - b.real
+    M[2 * p:, :p], M[2 * p:, p:2 * p] = row.real, -row.imag
+    M[:p, 2 * p:], M[p:2 * p, 2 * p:] = col.real, col.imag
+    M[2 * p:, 2 * p:] = A[p:N - p, p:N - p].real
+    return M
+
+
+def from_real(X: np.ndarray) -> np.ndarray:
+    """Q X for the Q of ``real_form``: M's eigenvectors X map to A's, and
+    A^{-1} = Q M^{-1} Q^H is from_real(from_real(M^{-1}.T).conj().T)."""
+    N, p, s = len(X), len(X) // 2, math.sqrt(0.5)
+    out = np.empty(X.shape, complex)
+    u, upper, lower = X[:p] * s, out[N - p:], out[:p][::-1]
+    np.multiply(X[p:2 * p], 1j * s, out=upper)
+    np.subtract(u, upper, out=lower)
+    np.add(u, upper, out=upper)
+    out[p:N - p] = X[2 * p:]
+    return out
 
 
 def spectrum_report(spec: Spectrum) -> dict:

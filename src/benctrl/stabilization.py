@@ -14,9 +14,9 @@ Both laws annihilate mode 0, so the mean of the state is carried unchanged;
 the fluctuation u - [u0] is propagated exactly in time from one
 eigendecomposition B = V diag(w) V^-1 of the closed loop's mean-zero block,
 cached on the law, which removes time discretization error from the decay
-measurements.  The dispersive gaps (about k^2) dwarf ||GG*||, so B is close
-to normal and V well conditioned; above ``EIG_COND_LIMIT`` each sample falls
-back to a dense matrix exponential (scaling-and-squaring via scipy).
+measurements; V = Q X for the eigenvectors X of B's real form.  The gaps
+(about k^2) dwarf ||GG*||, so B is close to normal and V well conditioned;
+above ``EIG_COND_LIMIT`` each sample takes scipy's matrix exponential.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, DecayFitError, ObservabilityError
 from .operators import Gramian, MMatrix, gg_star_matrix
 from .spectral import TWO_PI, TorusFunction, hs_weights
-from .spectrum import Spectrum
+from .spectrum import Spectrum, from_real, real_form, require_mirror
 
 #: norms below this are treated as floating noise and excluded from fits
 NORM_FLOOR = 1e-13
@@ -75,16 +75,18 @@ class FeedbackLaw:
         ``eig`` leaves each eigenvalue off by about eps*||B||, 4e-12 at n=32,
         which over the simple law's horizon of about 3e4 moves an amplitude
         by 4e-8; the two-sided Rayleigh quotient diag(V^-1 B V) is accurate
-        to second order in that error.  Above ``EIG_COND_LIMIT`` V^-1 is not
-        formed and the plain eigenvalues are kept.
+        to second order in that error.  Above ``EIG_COND_LIMIT`` for cond(V) =
+        cond(X), V^-1 = X^-1 Q^H is not formed.  A non-mirror B is an error.
         """
         nz = self.spectrum.wavenumbers != 0
         block = self.closed_loop[np.ix_(nz, nz)]
-        w, V = np.linalg.eig(block)
-        cond = float(np.linalg.cond(V))
+        require_mirror(block, "closed loop")
+        w, X = np.linalg.eig(real_form(self.closed_loop)[:-1, :-1])
+        cond = float(np.linalg.cond(X))
+        V = from_real(X)
         if not cond <= EIG_COND_LIMIT:
             return Eigensystem(w, V, None, cond)
-        Vinv = np.linalg.inv(V)
+        Vinv = from_real(np.linalg.inv(X).conj().T).conj().T
         w = np.sum(Vinv * (block @ V).T, axis=1)
         return Eigensystem(w, V, Vinv, cond)
 

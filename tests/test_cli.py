@@ -429,6 +429,46 @@ class TestOversampledDiagnostic:
         assert report["spillover_beyond_n"] == oracle
 
 
+    def test_one_bump_profile_per_run(self, tmp_path, monkeypatch):
+        """The m-matrix reads the spillover band's profile: its
+        coefficients at |k| <= 2n are the bits of an order-2n profile, so
+        the report is that of two profiles, from one."""
+        scn = {"experiment": "control", "alpha": 1.0, "n": 8, "n_sim": 24,
+               "T": 1.0, "seed": 3, "outdir": str(tmp_path)}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn))
+        profiles, sample = [], operators.BumpProfile.sample
+
+        def counted(self, x):
+            profiles.append(self.kmax)
+            return sample(self, x)
+
+        monkeypatch.setattr(operators.BumpProfile, "sample", counted)
+        operators.build_bump.cache_clear()
+        reports = []
+        for _ in range(3):
+            assert main(["control", "--scenario", str(path)]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert profiles == [32]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        wide = operators.build_bump(kmax=32).ghat
+        narrow = operators.build_bump(kmax=16).ghat
+        assert np.array_equal(wide[16:49], narrow)
+
+    def test_complex_valued_localizer_exits_2(self, tmp_path, capsys):
+        n = 4
+        ghat = operators.build_bump(kmax=2 * n).ghat.copy()
+        ghat[2 * n + 1] *= np.exp(0.1j)      # ghat(-1) != conj ghat(1)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({
+            "experiment": "control", "n": n, "outdir": str(tmp_path),
+            "bump": {"coefficients": [[k, z.real, z.imag] for k, z in zip(
+                range(-2 * n, 2 * n + 1), ghat)]}}))
+        assert main(["control", "--scenario", str(path)]) == 2
+        assert "mirror-symmetric" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSharedParser:
     """``main`` builds its parser once per process; no run may leave state
     in it that a later run reads."""

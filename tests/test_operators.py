@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,28 @@ class TestBumpProfile:
         assert np.array_equal(clone.ghat, base.ghat)
         with pytest.raises(ConfigurationError):
             bump_from_coefficients(np.ones(9))
+
+    def test_complex_valued_localizer_rejected(self):
+        # ghat(-k) = conj ghat(k) is what makes G, and every matrix built
+        # on it, mirror-symmetric
+        ghat = np.array(build_bump(kmax=8).ghat)
+        ghat[8 + 3] += 1e-9j
+        with pytest.raises(ConfigurationError, match="mirror-symmetric"):
+            bump_from_coefficients(ghat)
+        ghat[8 - 3] -= 1e-9j                       # conjugate pair: real again
+        bump_from_coefficients(ghat)
+
+    def test_benchmark_coefficients_accepted(self):
+        # the benchmark's raised cosine in closed form departs from
+        # conjugate symmetry by about 3e-17 of max|ghat|
+        path = Path(__file__).parents[1] / "perfbench" / "reference.py"
+        spec = importlib.util.spec_from_file_location("_reference", path)
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+        ghat = reference.raised_cosine_ghat(64, np.pi, np.pi / 2)
+        defect = np.abs(ghat - ghat[::-1].conj()).max() / np.abs(ghat).max()
+        assert 0 < defect < 1e-15
+        assert np.array_equal(bump_from_coefficients(ghat).ghat, ghat)
 
     def test_memoized_on_arguments_and_types(self):
         build_bump.cache_clear()

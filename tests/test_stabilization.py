@@ -239,13 +239,20 @@ def sampled_norms(u0, law, times, s):
     return np.array(out)
 
 
-def jordan_law():
-    """A closed loop whose mean-zero block is one Jordan block: its
-    eigenvectors are degenerate, so it is propagated by expm."""
+#: the unitary Q of ``spectrum.real_form`` on the 4 mean-zero modes at n=2
+Q4 = spectrum_mod.from_real(np.eye(4))
+
+
+def jordan_law(similar=Q4):
+    """A closed loop whose mean-zero block is similar(-I + N)similar^H, N
+    one Jordan block: its eigenvectors are degenerate, so it is propagated
+    by expm.  Under Q4 the block is mirror-symmetric, as every closed loop
+    of a real equation is; under the identity it is not."""
     spec = spectrum_mod.analyze(2, 1.0)
     nz = spec.wavenumbers != 0
     C = np.zeros((5, 5), dtype=complex)
-    C[np.ix_(nz, nz)] = -np.eye(4) + np.eye(4, k=1)
+    C[np.ix_(nz, nz)] = similar @ (-np.eye(4) + np.eye(4, k=1)) \
+        @ similar.conj().T
     return FeedbackLaw("jordan", 0.0, -C, C, spec)
 
 
@@ -334,10 +341,20 @@ class TestEigenPropagation:
         times = [0.0, 0.5, 2.0, 7.0]
         for t, u in zip(times, simulate_closed_loop(u0, law, times)):
             tN = t * N
-            exact = np.exp(-t) * (np.eye(4) + tN + tN @ tN / 2
-                                  + tN @ tN @ tN / 6) @ u0.coeffs[nz]
+            exact = np.exp(-t) * Q4 @ (np.eye(4) + tN + tN @ tN / 2
+                                       + tN @ tN @ tN / 6) \
+                @ Q4.conj().T @ u0.coeffs[nz]
             assert np.abs(u.coeffs[nz] - exact).max() <= 1e-14
             assert u.coeff(0) == u0.coeff(0)
+
+    def test_a_loop_without_mirror_symmetry_is_rejected(self):
+        # -I + N on the modes in their own order breaks B[::-1, ::-1] =
+        # conj(B); a real equation cannot produce it
+        law = jordan_law(similar=np.eye(4))
+        with pytest.raises(ConfigurationError, match="mirror-symmetric"):
+            law.eigensystem
+        with pytest.raises(ConfigurationError):
+            simulate_closed_loop(TorusFunction(2, np.ones(5)), law, [0.0])
 
 
 class TestDecayFit:
