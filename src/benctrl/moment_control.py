@@ -83,8 +83,9 @@ class BiorthogonalFamily:
     ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
     with the Gram matrix Gamma of the exponentials the duals are exactly the
     rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
-    ``kernel`` is the spectrum's HorizonKernel they were built on, and
-    ``dual_moments`` pairs it with the duals.  The arrays are read-only.
+    ``kernel`` is the spectrum's HorizonKernel they were built on; what the
+    controls of the family read (``dual_moments``, ``mode_duals``,
+    ``slot_norms``) is formed on first use.  The arrays are read-only.
     """
 
     T: float
@@ -114,7 +115,24 @@ class BiorthogonalFamily:
         sum of every control the family assembles into (2n+1)^2 work (see
         ``_duhamel``).
         """
-        out = self.kernel.matrix @ self.dual_coeffs.conj().T[:, self.kernel.slot]
+        out = self.kernel.matrix @ self.mode_duals.T
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def mode_duals(self) -> np.ndarray:
+        """conj(D)[slot]: row j is the conjugated dual of wavenumber j's
+        cluster, so mode j of an assembled control is h_j times it."""
+        out = np.conj(self.dual_coeffs)[self.kernel.slot, :]
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def slot_norms(self) -> np.ndarray:
+        """Re diag(D Gamma D^H), one N^3 product: ||q_c||^2 in L2(0, T) for
+        each cluster c, so mode j of a control has |h_j|^2 slot_norms[slot j]."""
+        D = self.dual_coeffs
+        out = ((D @ self.gram) * D.conj()).sum(axis=1).real
         out.flags.writeable = False
         return out
 
@@ -236,10 +254,9 @@ class ControlSignal:
     a signal without one evaluates the same integrals on demand.
 
     A signal built by a route also carries what the route knows, so its
-    terminal state (``_duhamel``) and, on the Gramian route, its L2 norm
-    cost (2n+1)^2 work: the moment route's amplitudes h_j with their
-    ``family``, the Gramian route's eta with its certified forward
-    Gramian W.
+    terminal state (``_duhamel``) and its L2 norm cost (2n+1)^2 work at
+    most: the moment route's amplitudes h_j with their ``family``, the
+    Gramian route's eta with its certified forward Gramian W.
     """
 
     n: int
@@ -274,17 +291,23 @@ class ControlSignal:
         """||h||_{L2([0,T]; H^s)} as the quadratic form sum_j w_j Re(E_j Gamma^T E_j^H).
 
         Gamma^T[k, m] = int_0^T e^{-i(lam_k-lam_m)t} dt is the Gram matrix of
-        the conjugate frequencies e^{-i lam t}.  At s = 0 a Gramian-route
-        signal reads sqrt(Re eta^H W eta) instead.
+        the conjugate frequencies e^{-i lam t}.  A moment-route signal has
+        E_j = h_j conj(D)[slot j], so its form is sum_j w_j |h_j|^2 times
+        the family's ``slot_norms`` at slot j; at s = 0 a Gramian-route
+        signal reads sqrt(Re eta^H W eta).
         """
         if self.gramian is not None and s == 0:
             eta = self.eta
             return float(np.sqrt(max(
                 np.vdot(eta, self.gramian.matrix @ eta).real, 0.0)))
-        gram = self.kernel.gram if self.kernel is not None else \
-            exp_kernel(self.lambdas, self.lambdas, self.T)
-        E = self.exp_coeffs
-        quad = ((E @ gram.T) * E.conj()).sum(axis=1).real
+        if self.family is not None:
+            h, fam = self.amplitudes, self.family
+            quad = (h.real ** 2 + h.imag ** 2) * fam.slot_norms[fam.kernel.slot]
+        else:
+            gram = self.kernel.gram if self.kernel is not None else \
+                exp_kernel(self.lambdas, self.lambdas, self.T)
+            E = self.exp_coeffs
+            quad = ((E @ gram.T) * E.conj()).sum(axis=1).real
         total = float(hs_weights(self.n, s) @ quad)
         return float(np.sqrt(max(total, 0.0)))
 
@@ -307,10 +330,10 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
     """h(x,t) = sum_j h_j conj(q_j)(t) psi_j(x) in exponential-coefficient form.
 
     conj(q_j) = sum_m conj(dual_coeffs[j, m]) e^{-i lam_m t}, so mode j's
-    row is h_j * conj(dual row of its cluster).
+    row is h_j times the family's ``mode_duals`` row j.
     """
     h = np.asarray(h, complex)
-    rows = np.conj(family.dual_coeffs)[spec.slot, :]
+    rows = family.mode_duals
     return ControlSignal(spec.n, family.T, family.lambdas, h[:, None] * rows,
                          amplitudes=h, kernel=family.kernel, family=family)
 
@@ -379,6 +402,16 @@ def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> Gramian:
     return Gramian.certified(mm, spec, T)
 
 
+def _sorted_adjoint(mm: MMatrix, spec: Spectrum) -> tuple:
+    """G* with columns sorted by cluster, the order and each run's start."""
+    order = np.argsort(spec.slot, kind="stable")
+    starts = np.searchsorted(spec.slot[order], np.arange(len(spec.clusters)))
+    out = (mm.operator.conj().T[:, order], order, starts)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
                 mm: MMatrix | None = None) -> tuple[ControlSignal, dict]:
     """Minimal-norm control through the controllability Gramian.
@@ -395,7 +428,6 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
         spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
     if mm is None:
         mm = m_matrix(problem.bump, problem.n)
-    n = problem.n
     c = reduce_to_zero_start(problem)
     W = controllability_gramian(mm, spec, problem.T)
     eta = W.solve(c)
@@ -404,12 +436,10 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     # one cluster share a frequency and add into its slot, and sorting the
     # columns by slot makes each cluster one run of the reduction
     lam_dist = spec.distinct_lambdas()
-    order = np.argsort(spec.slot, kind="stable")
-    starts = np.searchsorted(spec.slot[order], np.arange(len(lam_dist)))
-    gstar = mm.operator.conj().T
-    E = np.add.reduceat(gstar[:, order] * eta[order], starts, axis=1)
+    gstar, order, starts = spec._adjoint.get(mm, lambda: _sorted_adjoint(mm, spec))
+    E = np.add.reduceat(gstar * eta[order], starts, axis=1)
     E *= np.exp(1j * lam_dist * problem.T)
-    signal = ControlSignal(n, problem.T, lam_dist, E,
+    signal = ControlSignal(problem.n, problem.T, lam_dist, E,
                            kernel=spec.kernel(problem.T), eta=eta, gramian=W)
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 

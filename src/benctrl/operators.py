@@ -331,6 +331,13 @@ class Gramian:
                        vals, spect.from_real(vecs), mm)
         return memo.get((mm, float(T), float(rate)), certify)
 
+    @functools.cached_property
+    def eigvecs_h(self) -> np.ndarray:
+        """eigvecs^H, formed once per Gramian, read-only."""
+        out = self.eigvecs.conj().T
+        out.flags.writeable = False
+        return out
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (W x)_k = b_k for k != 0 and x_0 = 0.
 
@@ -340,12 +347,12 @@ class Gramian:
         """
         b = np.asarray(b, dtype=complex)
         nz = np.arange(len(b)) != len(b) // 2
-        V = self.eigvecs
+        V, Vh = self.eigvecs, self.eigvecs_h
         w = self.eigvals.reshape((-1,) + (1,) * (b.ndim - 1))
         x = np.zeros(b.shape, dtype=complex)
-        x[nz] = V @ ((V.conj().T @ b[nz]) / w)
+        x[nz] = V @ ((Vh @ b[nz]) / w)
         r = (b - self.matrix @ x)[nz]
-        x[nz] += V @ ((V.conj().T @ r) / w)
+        x[nz] += V @ ((Vh @ r) / w)
         return x
 
 

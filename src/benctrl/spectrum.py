@@ -96,8 +96,9 @@ class Spectrum:
     and every Gramian reads.
     ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
     this truncation.  The spectrum also keeps the latest biorthogonal
-    family (``moment_control.build_biorthogonal``) and the latest certified
-    Gramian of each flow (``operators.Gramian.certified``) built on it.
+    family (``moment_control.build_biorthogonal``), the latest certified
+    Gramian of each flow (``operators.Gramian.certified``) built on it, and
+    HUM's adjoint G* sorted by cluster for the latest m-matrix.
     """
 
     alpha: float
@@ -115,6 +116,8 @@ class Spectrum:
                             compare=False)
     _family: Latest = field(default_factory=Latest, init=False, repr=False,
                             compare=False)
+    _adjoint: Latest = field(default_factory=Latest, init=False, repr=False,
+                             compare=False)
     _gramians: dict = field(
         default_factory=lambda: {"forward": Latest(), "backward": Latest()},
         init=False, repr=False, compare=False)

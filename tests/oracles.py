@@ -4,7 +4,8 @@ Each oracle evaluates by brute force a quantity that ``benctrl`` computes in
 closed form: time integrals by composite Gauss-Legendre rules, m-matrix
 entries by applying G pointwise on a uniform grid, the energy derivative by
 a centred difference; the Duhamel integral of a control at 50 digits by
-mpmath; the decay-rate fit by one ``np.polyfit`` per suffix window.
+mpmath, and so the L2([0,T]; H^s) norm of a control; the decay-rate fit
+by one ``np.polyfit`` per suffix window.
 ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
 ``gramian_direct`` assemble, each on its own, the Gram matrices and
 Gramians the library reads off one shared horizon kernel.
@@ -179,6 +180,30 @@ def duhamel_mpmath(signal, mm, lam, dps: int = 50) -> np.ndarray:
                 for j in range(len(E)) if op[k, j] != 0)
             out.append(complex(total))
     return np.array(out)
+
+
+def l2_hs_norm_mpmath(signal, s: float = 0.0, dps: int = 50) -> float:
+    """||h||_{L2([0,T]; H^s)} of the signal's ``exp_coeffs`` at ``dps``
+    digits: the square root of sum_j w_j sum_{m,m'} E[j,m] conj(E[j,m'])
+    int_0^T e^{-i(nu_m - nu_m')t} dt.
+
+    The floats of the coefficients, the frequencies, T and the weights
+    ``hs_weights(n, s)`` are taken as exact, so only the library's own
+    rounding separates its norm from this one.
+    """
+    weights = hs_weights(signal.n, s)
+    with mpmath.workdps(dps):
+        T = mpmath.mpf(signal.T)
+        nu = [mpmath.mpf(float(v)) for v in signal.lambdas]
+        ker = [[T if a == b else mpmath.expm1(-1j * (a - b) * T)
+                / (-1j * (a - b)) for b in nu] for a in nu]
+        total = mpmath.mpf(0)
+        for w, row in zip(weights, signal.exp_coeffs):
+            E = [mpmath.mpc(complex(z)) for z in row]
+            Ec = [mpmath.conj(z) for z in E]
+            quad = mpmath.fdot(E, [mpmath.fdot(k, Ec) for k in ker])
+            total += mpmath.mpf(float(w)) * quad.real
+        return float(mpmath.sqrt(total))
 
 
 def estimate_decay_rate_polyfit(times, norms) -> DecayFit:

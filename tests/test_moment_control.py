@@ -21,10 +21,11 @@ from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
                                     verify_moments)
 from benctrl.operators import (Gramian, build_bump, bump_from_coefficients,
                                evolve_free, gg_star_matrix, gramian, m_matrix)
-from benctrl.spectral import TWO_PI, TorusFunction, mean
+from benctrl.spectral import TWO_PI, TorusFunction, hs_weights, mean
 from oracles import (duhamel_mpmath, evolve_controlled_quadrature, exp_gram,
                      gauss_legendre_nodes, gramian_direct,
-                     l2_hs_norm_conjugate_gram, moments_quadrature,
+                     l2_hs_norm_conjugate_gram, l2_hs_norm_mpmath,
+                     moments_quadrature,
                      weighted_gramian_quadrature)
 
 
@@ -34,6 +35,15 @@ def clear_memos():
     build_bump.cache_clear()
     m_matrix.cache_clear()
     spectrum_mod.analyze.cache_clear()
+
+
+def _form_condition(signal, s) -> float:
+    """kappa = sum_j w_j |E_j| |Gamma| |E_j|^T / ||h||^2, the condition
+    number of the quadratic form behind ``ControlSignal.l2_hs_norm``."""
+    A = np.abs(signal.exp_coeffs)
+    gram = np.abs(exp_gram(signal.lambdas, signal.T))
+    total = hs_weights(signal.n, s) @ ((A @ gram) * A).sum(axis=1)
+    return float(total) / l2_hs_norm_conjugate_gram(signal, s) ** 2
 
 
 def make_problem(n=16, alpha=1.0, mu=0.0, T=1.0, s=0.0, seed=0, bump=None):
@@ -161,13 +171,30 @@ class TestHorizonKernel:
         dict(alpha=0.1, mu=0.3, T=0.5, s=1.0, seed=4),
     ])
     def test_l2_norm_matches_the_conjugate_gram_form(self, kw):
+        # Against the exact norm of the emitted coefficients every form errs
+        # by at most eps times the condition number kappa of the quadratic
+        # form; the moment route's |h_j|^2 slot_norms form and the float
+        # conjugate-Gram form differ by rounding of that size, so they are
+        # held to each other only where kappa is small.  HUM's norm at s = 0
+        # is read from eta and W, not from its coefficients, and may carry
+        # a few more ulps of theirs.
+        eps = np.finfo(float).eps
         prob = make_problem(n=16, **kw)
         res = synthesize_control(prob)
         hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
         sig = res.signal
         bare = ControlSignal(sig.n, sig.T, sig.lambdas, sig.exp_coeffs)
-        for signal in (sig, hum, bare):
-            for s in (0.0, 1.0):
+        for s in (0.0, 1.0):
+            exact = l2_hs_norm_mpmath(sig, s)
+            for signal, want, ulps in ((sig, exact, 0), (bare, exact, 0),
+                                       (hum, l2_hs_norm_mpmath(hum, s), 8)):
+                kappa = _form_condition(signal, s)
+                assert abs(signal.l2_hs_norm(s) - want) <= \
+                    eps * (kappa + ulps) * want
+            if _form_condition(sig, s) <= 1e3:
+                want = l2_hs_norm_conjugate_gram(sig, s)
+                assert abs(sig.l2_hs_norm(s) - want) <= 1e-13 * want
+            for signal in (hum, bare):
                 want = l2_hs_norm_conjugate_gram(signal, s)
                 assert abs(signal.l2_hs_norm(s) - want) <= 1e-13 * want
 
@@ -411,6 +438,42 @@ class TestMemo:
                                   b.control_norm, b.cond_gamma)
         assert np.array_equal(miss[1].exp_coeffs, hit[1].exp_coeffs)
         assert miss[2] == hit[2] and miss[3] == hit[3]
+
+    @pytest.mark.parametrize("alpha,mu,T", [(Fraction(7, 3), 0, 1.0),
+                                            (1.0, 0.3, 0.5)])
+    def test_a_second_case_reads_the_hoisted_arrays(self, alpha, mu, T):
+        clear_memos()
+        n = 16
+        seen = []
+        for seed in (3, 4):
+            prob = make_problem(n=n, alpha=alpha, mu=mu, T=T, seed=seed)
+            res = synthesize_control(prob)
+            hum_control(prob, res.spectrum, res.mmatrix)
+            spec, mm, fam = res.spectrum, res.mmatrix, res.family
+            W = controllability_gramian(mm, spec, T)
+            gstar, order, starts = spec._adjoint.get(mm, pytest.fail)
+            seen.append((fam, (fam.slot_norms, fam.mode_duals, gstar, order,
+                               starts, W.eigvecs_h)))
+        (fam, first), (again, second) = seen
+        assert again is fam
+        for a, b in zip(first, second):
+            assert a is b and not b.flags.writeable
+        D, gram = fam.dual_coeffs, fam.gram
+        want_order = np.argsort(spec.slot, kind="stable")
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(spec.slot[order][starts],
+                              np.arange(len(spec.clusters)))
+        for got, want in (
+                (fam.slot_norms, np.diag(D @ gram @ D.conj().T).real),
+                (fam.mode_duals, D.conj()[spec.slot]),
+                (gstar, mm.operator.conj().T[:, want_order]),
+                (W.eigvecs_h, np.linalg.inv(W.eigvecs))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # members of one cluster read the same dual
+        for cluster in spec.clusters:
+            rows = fam.mode_duals[np.add(cluster, n)]
+            assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
     def test_memoized_arrays_are_read_only(self):
         prob = make_problem(n=8, alpha=1.0, seed=2)
