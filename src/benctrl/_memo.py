@@ -3,13 +3,13 @@
 Callers rebuild their bump, problem and spectrum on every call, so a memo is
 keyed by value, not by object, and keeps the latest entry only: a new key
 evicts the old entry before the new one is computed, so two entries never
-live at once.  A computation that raises stores nothing.
+live at once.  A computation that raises stores nothing.  What a memo
+keeps is shared, so its arrays are made read-only (``read_only``).
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 
 
 class Latest:
@@ -35,35 +35,26 @@ class Latest:
         return value
 
 
-def typed_arguments(fn):
-    """Key function: each argument of ``fn``, defaults filled in, and its type.
-
-    Types are part of the key because values of different types can compare
-    equal and still give different results (``Fraction(1) == 1.0``).
-    """
-    sig = inspect.signature(fn)
-
-    def key(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return tuple((type(v), v) for v in bound.arguments.values())
-    return key
-
-
-def latest(key=None):
+def latest(key):
     """Decorator: memoize a function on ``key(*args, **kwargs)``, one entry.
 
-    ``key`` defaults to ``typed_arguments``; the memoized function gets a
-    ``cache_clear()`` like ``functools.lru_cache``.
+    The memoized function gets a ``cache_clear()`` like
+    ``functools.lru_cache``.
     """
     def decorate(fn):
-        keyfn = key or typed_arguments(fn)
         memo = Latest()
 
         @functools.wraps(fn)
         def memoized(*args, **kwargs):
-            return memo.get(keyfn(*args, **kwargs),
+            return memo.get(key(*args, **kwargs),
                             lambda: fn(*args, **kwargs))
         memoized.cache_clear = memo.clear
         return memoized
     return decorate
+
+
+def read_only(*arrays):
+    """The arrays, made read-only: one array alone, several as a tuple."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays

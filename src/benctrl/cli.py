@@ -87,6 +87,12 @@ class Scenario:
     outdir: str = "out"
 
     def validate(self):
+        for key in ("seed", "n", "n_sim", "n_times"):
+            value = getattr(self, key)
+            if type(value) is not int and (key != "n_sim" or value is not None):
+                raise ConfigurationError(f"{key} must be an integer: {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
@@ -144,7 +150,7 @@ def load_scenario(path=None, overrides=None) -> Scenario:
         if key in data:
             data[key] = _parse_number(data[key])
     if "T_list" in data:
-        data["T_list"] = tuple(float(v) for v in data["T_list"])
+        data["T_list"] = tuple(float(_parse_number(v)) for v in data["T_list"])
     return Scenario(**data).validate()
 
 
@@ -411,14 +417,15 @@ def run(scn: Scenario) -> int:
 
 def _run_sweep_entry(args):
     base, item, index = args
-    merged = dict(base)
-    merged.update(item)
-    if "seed" not in item:
-        merged["seed"] = int(base.get("seed", 0)) + index
-    merged["outdir"] = str(Path(base.get("outdir", "out")) / f"case_{index:03d}")
     try:
+        if not isinstance(item, dict):
+            raise ConfigurationError(f"a sweep case must be an object: {item!r}")
+        outdir = Path(base.get("outdir", "out")) / f"case_{index:03d}"
+        merged = {**base, **item, "outdir": str(outdir)}
+        if "seed" not in item:
+            merged["seed"] = int(base.get("seed", 0)) + index
         scn = load_scenario(None, merged)
-    except (ConfigurationError, TypeError) as exc:
+    except (ConfigurationError, TypeError, ValueError) as exc:
         print(f"validation error in case {index}: {exc}", file=sys.stderr)
         return 2
     return run(scn)
@@ -434,8 +441,8 @@ def run_sweep(path, workers: int | None = None) -> int:
     """
     with open(path) as fh:
         data = json.load(fh)
-    cases = data.pop("sweep", None)
-    if not cases:
+    cases = data.pop("sweep", None) if isinstance(data, dict) else None
+    if not cases or not isinstance(cases, list):
         raise ConfigurationError("sweep file needs a non-empty 'sweep' list")
     jobs = [(data, item, i) for i, item in enumerate(cases)]
     from concurrent.futures import ProcessPoolExecutor  # only sweeps fork

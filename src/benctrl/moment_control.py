@@ -29,6 +29,7 @@ import numpy as np
 
 from . import spectrum as spectrum_mod
 from ._closedform import exp_kernel
+from ._memo import Latest, read_only
 from .errors import ConfigurationError, SingularClusterBlockError, SingularGramError
 from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
 from .spectral import TorusFunction, hs_weights, sobolev_norm
@@ -69,6 +70,11 @@ class ControlProblem:
             raise ConfigurationError(
                 f"means of u0 and u1 differ by {gap:.3e}; steering preserves the mean")
 
+    @functools.cached_property
+    def target(self) -> np.ndarray:
+        """``reduce_to_zero_start(self)``, formed once per problem, read-only."""
+        return read_only(reduce_to_zero_start(self))
+
 
 def reduce_to_zero_start(problem: ControlProblem) -> np.ndarray:
     """psi-coefficients of the reduced target u1 - U(T)u0; entry 0 vanishes."""
@@ -85,7 +91,8 @@ class BiorthogonalFamily:
     rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
     ``kernel`` is the spectrum's HorizonKernel they were built on; what the
     controls of the family read (``dual_moments``, ``mode_duals``,
-    ``slot_norms``) is formed on first use.  The arrays are read-only.
+    ``slot_norms``, and ``weighted_moments`` per m-matrix) is formed on
+    first use.  The arrays are read-only.
     """
 
     T: float
@@ -94,10 +101,11 @@ class BiorthogonalFamily:
     dual_coeffs: np.ndarray
     cond: float
     degenerate: bool = False     # rank-revealing fallback was used
+    _weighted: Latest = field(default_factory=Latest, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
-        for name in ("lambdas", "dual_coeffs"):
-            getattr(self, name).flags.writeable = False
+        read_only(self.lambdas, self.dual_coeffs)
 
     @property
     def gram(self) -> np.ndarray:
@@ -115,26 +123,26 @@ class BiorthogonalFamily:
         sum of every control the family assembles into (2n+1)^2 work (see
         ``_duhamel``).
         """
-        out = self.kernel.matrix @ self.mode_duals.T
-        out.flags.writeable = False
-        return out
+        return read_only(self.kernel.matrix @ self.mode_duals.T)
+
+    def weighted_moments(self, mm: MMatrix) -> np.ndarray:
+        """op * (K D^H) for the operator op of ``mm``, kept for the latest
+        m-matrix: the moment route's Duhamel sum at the horizon needs it."""
+        return self._weighted.get(
+            mm, lambda: read_only(mm.operator * self.dual_moments))
 
     @functools.cached_property
     def mode_duals(self) -> np.ndarray:
         """conj(D)[slot]: row j is the conjugated dual of wavenumber j's
         cluster, so mode j of an assembled control is h_j times it."""
-        out = np.conj(self.dual_coeffs)[self.kernel.slot, :]
-        out.flags.writeable = False
-        return out
+        return read_only(np.conj(self.dual_coeffs)[self.kernel.slot, :])
 
     @functools.cached_property
     def slot_norms(self) -> np.ndarray:
         """Re diag(D Gamma D^H), one N^3 product: ||q_c||^2 in L2(0, T) for
         each cluster c, so mode j of a control has |h_j|^2 slot_norms[slot j]."""
         D = self.dual_coeffs
-        out = ((D @ self.gram) * D.conj()).sum(axis=1).real
-        out.flags.writeable = False
-        return out
+        return read_only(((D @ self.gram) * D.conj()).sum(axis=1).real)
 
 
 def build_biorthogonal(spec: Spectrum, T: float,
@@ -225,7 +233,7 @@ def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
     if abs(c[n]) > 1e-10 * max(1.0, float(np.abs(c).max())):
         raise ConfigurationError(
             f"target coefficient c_0 = {c[n]:.3e} != 0: mode 0 is unreachable")
-    ctil = c * np.exp(1j * spec.lambdas * T)
+    ctil = c * spec.kernel(T).phases[0]
     nonzero = spec.wavenumbers != 0
     members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
     alone = nonzero & (members[spec.slot] == 1)
@@ -349,21 +357,20 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     from coefficients.  At the horizon of the signal's kernel (t = T, lam
     its rows) a route-built signal needs (2n+1)^2 work: the moment route's
     E = diag(h) conj(D)[slot] sums to sum_j op[k,j] h_j (K D^H)[k, slot j]
-    (the family's ``dual_moments``), and the Gramian route's part is W eta
-    when W integrates this ``mm``.
+    (the family's ``weighted_moments``), and the Gramian route's part is W
+    eta when W integrates this ``mm``; the phases are the kernel's.
     """
     kern = signal.kernel
-    at_horizon = kern is not None and t == kern.T \
-        and np.array_equal(lam, kern.lambdas)
+    at_horizon = kern is not None and t == kern.T and (
+        lam is kern.lambdas or np.array_equal(lam, kern.lambdas))
     if at_horizon and signal.gramian is not None \
             and signal.gramian.mmatrix is mm:
         return signal.gramian.matrix @ signal.eta
+    phase = kern.phases[1] if at_horizon else np.exp(-1j * lam * t)
     if at_horizon and signal.family is not None:
-        kdh = signal.family.dual_moments
-        return np.exp(-1j * lam * t) * ((mm.operator * kdh) @ signal.amplitudes)
+        return phase * (signal.family.weighted_moments(mm) @ signal.amplitudes)
     inner = kern.matrix if at_horizon else exp_kernel(lam, signal.lambdas, t)
-    return np.exp(-1j * lam * t) * \
-        ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
+    return phase * ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
 def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
@@ -403,13 +410,15 @@ def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> Gramian:
 
 
 def _sorted_adjoint(mm: MMatrix, spec: Spectrum) -> tuple:
-    """G* with columns sorted by cluster, the order and each run's start."""
-    order = np.argsort(spec.slot, kind="stable")
-    starts = np.searchsorted(spec.slot[order], np.arange(len(spec.clusters)))
-    out = (mm.operator.conj().T[:, order], order, starts)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    """G* with columns in the order of the cluster sums: the first member of
+    every cluster, then the second members of the clusters ``pairs``, then
+    the third members of the clusters ``pairs[triples]``; with that order."""
+    groups = spec.clusters
+    pairs = np.array([c for c, g in enumerate(groups) if len(g) > 1], np.intp)
+    triples = np.flatnonzero([len(groups[c]) > 2 for c in pairs])
+    order = np.add([g[0] for g in groups] + [groups[c][1] for c in pairs]
+                   + [groups[c][2] for c in pairs[triples]], spec.n)
+    return read_only(mm.operator.conj().T[:, order], order, pairs, triples)
 
 
 def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
@@ -428,19 +437,23 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
         spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
     if mm is None:
         mm = m_matrix(problem.bump, problem.n)
-    c = reduce_to_zero_start(problem)
+    c = problem.target
     W = controllability_gramian(mm, spec, problem.T)
     eta = W.solve(c)
 
-    # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; the terms of
-    # one cluster share a frequency and add into its slot, and sorting the
-    # columns by slot makes each cluster one run of the reduction
-    lam_dist = spec.distinct_lambdas()
-    gstar, order, starts = spec._adjoint.get(mm, lambda: _sorted_adjoint(mm, spec))
-    E = np.add.reduceat(gstar * eta[order], starts, axis=1)
-    E *= np.exp(1j * lam_dist * problem.T)
-    signal = ControlSignal(problem.n, problem.T, lam_dist, E,
-                           kernel=spec.kernel(problem.T), eta=eta, gramian=W)
+    # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; a cluster's
+    # terms a, b, c add into its slot as a + (b + c), as np.add.reduce does
+    gstar, order, pairs, triples = spec._adjoint.get(
+        mm, lambda: _sorted_adjoint(mm, spec))
+    x, N, p = eta[order], len(spec.clusters), len(pairs)
+    E = gstar[:, :N] * x[:N]
+    rest = gstar[:, N:N + p] * x[N:N + p]
+    rest[:, triples] += gstar[:, N + p:] * x[N + p:]
+    E[:, pairs] += rest
+    kern = spec.kernel(problem.T)
+    E *= kern.phases[0][spec.rep_rows]
+    signal = ControlSignal(problem.n, problem.T, spec.distinct_lambdas(), E,
+                           kernel=kern, eta=eta, gramian=W)
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
 
@@ -485,7 +498,7 @@ def synthesize_control(problem: ControlProblem,
     spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
     mm = m_matrix(problem.bump, problem.n)
     family = build_biorthogonal(spec, problem.T, on_singular=on_singular)
-    c = reduce_to_zero_start(problem)
+    c = problem.target
     h = solve_coefficients(c, mm, spec, problem.T)
     signal = assemble_control(h, family, spec)
     check = verify_moments(signal, c, spec, mm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum as spect
-from ._memo import latest
+from ._memo import latest, read_only
 from .errors import ConfigurationError, ObservabilityError
 from .spectral import TWO_PI, TorusFunction
 
@@ -54,8 +54,7 @@ class BumpProfile:
 
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.ghat, dtype=complex))
-        g.flags.writeable = False
-        object.__setattr__(self, "ghat", g)
+        object.__setattr__(self, "ghat", read_only(g))
 
     def ghat_at(self, k):
         """ghat(k) for scalar or array k, zero outside the stored band."""
@@ -86,7 +85,8 @@ class BumpProfile:
         return raw * self.scale
 
 
-@latest()
+@latest(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
+        tuple((type(v), v) for v in (kind, center, width, kmax)))
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                width: float = np.pi / 2, kmax: int = 64) -> BumpProfile:
     """Construct a localizer and profile its Fourier coefficients.
@@ -166,8 +166,7 @@ class MMatrix:
     def __post_init__(self):
         for name in ("entries", "delta_k"):
             arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(arr))
 
     @property
     def operator(self) -> np.ndarray:
@@ -180,9 +179,7 @@ class MMatrix:
         kernel contains mode 0."""
         gop = self.operator
         out = gop @ gop.conj().T
-        out = 0.5 * (out + out.conj().T)
-        out.flags.writeable = False
-        return out
+        return read_only(0.5 * (out + out.conj().T))
 
     def block(self, wavenumbers) -> np.ndarray:
         idx = [k + self.n for k in wavenumbers]
@@ -220,9 +217,8 @@ def _widening(bump: BumpProfile, n: int) -> np.ndarray:
     """Matrix of G from modes |j| <= n to |k| <= bump.kmax - n, read-only;
     the latest is kept, so apply_G over samples of one h.n builds it once."""
     K, J = np.ogrid[n - bump.kmax: bump.kmax - n + 1, -n: n + 1]
-    mat = bump.ghat_at(K - J) - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J)
-    mat.flags.writeable = False
-    return mat
+    return read_only(bump.ghat_at(K - J)
+                     - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J))
 
 
 def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
@@ -302,8 +298,7 @@ class Gramian:
     mmatrix: MMatrix = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("matrix", "eigvals", "eigvecs"):
-            getattr(self, name).flags.writeable = False
+        read_only(self.matrix, self.eigvals, self.eigvecs)
 
     @classmethod
     def certified(cls, mm: MMatrix, spec: spect.Spectrum, T: float,
@@ -334,9 +329,7 @@ class Gramian:
     @functools.cached_property
     def eigvecs_h(self) -> np.ndarray:
         """eigvecs^H, formed once per Gramian, read-only."""
-        out = self.eigvecs.conj().T
-        out.flags.writeable = False
-        return out
+        return read_only(self.eigvecs.conj().T)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (W x)_k = b_k for k != 0 and x_0 = 0.

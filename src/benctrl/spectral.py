@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import read_only
+
 TWO_PI = 2.0 * np.pi
 
 #: Hermitian-symmetry defect above which a declared-real function is rejected.
@@ -54,9 +56,7 @@ class TorusFunction:
                     f"exceeds {REALITY_TOL:.0e}"
                 )
             c = sym
-        c = np.ascontiguousarray(c)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", read_only(np.ascontiguousarray(c)))
 
     # -- indexing helpers ------------------------------------------------
 
@@ -107,9 +107,8 @@ class TorusFunction:
 def hs_weights(n: int, s: float) -> np.ndarray:
     """H^s weights (1+|k|^2)^s for k = -n..n, read-only and memoized, by
     libm's scalar pow: numpy's vectorized one rounds differently by CPU."""
-    w = np.array([(1.0 + k * k) ** float(s) for k in range(-n, n + 1)])
-    w.flags.writeable = False
-    return w
+    return read_only(
+        np.array([(1.0 + k * k) ** float(s) for k in range(-n, n + 1)]))
 
 
 def sobolev_norm(f: TorusFunction, s: float) -> float:

@@ -14,6 +14,7 @@ and g real, so k -> -k conjugates each matrix factored (``real_form``).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from numbers import Rational
 import numpy as np
 
 from ._closedform import exp_kernel
-from ._memo import Latest, latest
+from ._memo import Latest, latest, read_only
 from .errors import ClusterSizeError, ConfigurationError
 
 #: Relative tolerance for float clustering decisions.
@@ -47,10 +48,11 @@ def eigenvalue(k: int, alpha, mu=0):
     return float(k) ** 3 + 2.0 * float(mu) * k - float(alpha) * k * abs(k)
 
 
+@latest(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu))
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
-    """Float array of lambda_k for k = -n..n."""
+    """Float array of lambda_k for k = -n..n, read-only; the latest is kept."""
     k = np.arange(-n, n + 1, dtype=float)
-    return k**3 + 2.0 * float(mu) * k - float(alpha) * k * np.abs(k)
+    return read_only(k**3 + 2.0 * float(mu) * k - float(alpha) * k * np.abs(k))
 
 
 def window_bound(alpha) -> int:
@@ -80,6 +82,12 @@ class HorizonKernel:
     matrix: np.ndarray
     gram: np.ndarray
 
+    @functools.cached_property
+    def phases(self) -> tuple:
+        """(e^{i lambda_k T}, e^{-i lambda_k T}) of the rows, read-only."""
+        return read_only(np.exp(1j * self.lambdas * self.T),
+                         np.exp(-1j * self.lambdas * self.T))
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -91,14 +99,15 @@ class Spectrum:
     group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
     holds wavenumber k: the one map from modes to clusters that every
     cluster-aware computation reads; ``mirror[c]`` is the cluster of the
-    negated members of cluster c.  ``kernel(T, rate)`` holds the time
-    integrals over one horizon that every closed-form integral of a control
-    and every Gramian reads.
-    ``gap_gamma`` is the minimum spacing between distinct eigenvalues at
-    this truncation.  The spectrum also keeps the latest biorthogonal
-    family (``moment_control.build_biorthogonal``), the latest certified
-    Gramian of each flow (``operators.Gramian.certified``) built on it, and
-    HUM's adjoint G* sorted by cluster for the latest m-matrix.
+    negated members of cluster c, ``rep_rows[c]`` the row of its
+    representative.  ``kernel(T, rate)`` holds the time integrals over one
+    horizon that every closed-form integral of a control and every Gramian
+    reads.  ``gap_gamma`` is the minimum spacing between distinct
+    eigenvalues at this truncation.  The spectrum also keeps the latest
+    biorthogonal family (``moment_control.build_biorthogonal``), the latest
+    certified Gramian of each flow (``operators.Gramian.certified``) built
+    on it, and HUM's adjoint G* in cluster-sum order for the latest
+    m-matrix.
     """
 
     alpha: float
@@ -112,6 +121,7 @@ class Spectrum:
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
     mirror: np.ndarray = field(init=False, repr=False, compare=False)
+    rep_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel: Latest = field(default_factory=Latest, init=False, repr=False,
                             compare=False)
     _family: Latest = field(default_factory=Latest, init=False, repr=False,
@@ -126,9 +136,10 @@ class Spectrum:
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
         slot = np.array(self.slot, dtype=np.intp)
         mirror = slot[np.subtract(self.n, self.representatives)]
-        for name, arr in dict(lambdas=lam, slot=slot, mirror=mirror).items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, arr in dict(lambdas=lam, slot=slot, mirror=mirror,
+                              rep_rows=np.add(self.representatives, self.n)
+                              ).items():
+            object.__setattr__(self, name, read_only(arr))
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -136,7 +147,7 @@ class Spectrum:
 
     def distinct_lambdas(self) -> np.ndarray:
         """One eigenvalue per cluster (its representative's), in cluster order."""
-        return self.lambdas[np.add(self.representatives, self.n)]
+        return self.lambdas[self.rep_rows]
 
     def kernel(self, T: float, rate: float = 0.0) -> HorizonKernel:
         """The HorizonKernel at horizon T under the weight e^{-2*rate*t}.
@@ -154,8 +165,8 @@ class Spectrum:
             matrix[n:] = exp_kernel(self.lambdas[n:], self.distinct_lambdas(),
                                     T, rate)
             np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
-            gram = matrix[np.add(self.representatives, n)]
-            matrix.flags.writeable = gram.flags.writeable = False
+            gram = matrix[self.rep_rows]
+            read_only(matrix, gram)
             return HorizonKernel(T, rate, self.lambdas, self.slot, matrix,
                                  gram)
         return self._kernel.get((T, rate), evaluate)
@@ -214,26 +225,15 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     with it the kernel, family and Gramian it keeps), and ``cache_clear()``
     forgets it.  The near-cluster warning is raised on every call.
     """
-    spec = _spectrum(n, alpha, mu)
-    # flag nearly-degenerate pairs that were *not* clustered: the smallest
-    # gap is compared against the next gap scale (the gap the spectrum would
-    # have without the offending pair)
-    dist = np.sort(spec.distinct_lambdas())
-    if len(dist) > 2:
-        gaps = np.diff(dist)
-        dmin = gaps.min()
-        larger = gaps[gaps > 2.0 * dmin]
-        ref = larger.min() if len(larger) else dmin
-        if 0 < dmin < NEAR_CLUSTER_FRACTION * ref:
-            warnings.warn(
-                f"eigenvalue pair at distance {dmin:.3e} << neighbouring gap "
-                f"{ref:.3e}: ill-conditioned Gram matrix expected",
-                RuntimeWarning)
+    spec, near = _spectrum(n, alpha, mu)
+    if near:
+        warnings.warn(near, RuntimeWarning)
     return spec
 
 
 @latest(lambda n, alpha, mu: (n, type(alpha), alpha, type(mu), mu))
-def _spectrum(n: int, alpha, mu) -> Spectrum:
+def _spectrum(n: int, alpha, mu) -> tuple:
+    """The Spectrum and its near-cluster warning, None if there is none."""
     if float(alpha) <= 0:
         raise ValueError("alpha must be positive")
     groups, exact = clusters(n, alpha, mu)
@@ -260,7 +260,19 @@ def _spectrum(n: int, alpha, mu) -> Spectrum:
     else:
         gamma = float("inf")
     object.__setattr__(spec, "gap_gamma", gamma)
-    return spec
+    # flag nearly-degenerate pairs that were *not* clustered: the smallest
+    # gap is compared against the next gap scale (the gap the spectrum would
+    # have without the offending pair)
+    gaps = np.diff(np.sort(spec.distinct_lambdas()))
+    if len(gaps) > 1:
+        dmin = gaps.min()
+        larger = gaps[gaps > 2.0 * dmin]
+        ref = larger.min() if len(larger) else dmin
+        if 0 < dmin < NEAR_CLUSTER_FRACTION * ref:
+            return spec, (f"eigenvalue pair at distance {dmin:.3e} << "
+                          f"neighbouring gap {ref:.3e}: ill-conditioned Gram "
+                          "matrix expected")
+    return spec, None
 
 
 analyze.cache_clear = _spectrum.cache_clear

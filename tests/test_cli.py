@@ -122,6 +122,25 @@ class TestScenario:
         scn = load_scenario(path, {"n": 12})
         assert scn.n == 12
 
+    @pytest.mark.parametrize("experiment,field,value,message", [
+        ("simulate", "seed", "x", "seed must be an integer"),
+        ("simulate", "seed", 1.5, "seed must be an integer"),
+        ("simulate", "seed", -1, "seed must be >= 0"),
+        ("simulate", "n_times", 2.5, "n_times must be an integer"),
+        ("simulate", "n", 4.0, "n must be an integer"),
+        ("control", "n_sim", 12.5, "n_sim must be an integer"),
+        ("observability", "T_list", ["x"], "not a number: 'x'")])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
+                                    value, message):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"n": 4, field: value,
+                                    "outdir": str(tmp_path / "out")}))
+        assert main([experiment, "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpectrumCommand:
     def test_seven_thirds_reports_cluster(self, tmp_path, capsys):
@@ -373,6 +392,28 @@ class TestSweep:
         assert (tmp_path / "case_000" / "report.json").exists()
         assert not (tmp_path / "case_001" / "report.json").exists()
         assert (tmp_path / "case_002" / "report.json").exists()
+
+    def test_a_non_object_case_exits_2_and_the_rest_run(self, tmp_path,
+                                                        capfd):
+        scn = {"experiment": "spectrum", "n": 6, "outdir": str(tmp_path),
+               "sweep": [{"alpha": "1"}, 5, {"alpha": "7/3"}]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(scn))
+        assert main(["sweep", str(path), "--workers", "2"]) == 2
+        err = capfd.readouterr().err
+        assert "validation error in case 1: a sweep case must be an object" \
+            in err and "Traceback" not in err
+        assert (tmp_path / "case_000" / "report.json").exists()
+        assert not (tmp_path / "case_001").exists()
+        assert (tmp_path / "case_002" / "report.json").exists()
+
+    @pytest.mark.parametrize("content", [[{"alpha": 1.0}], {"sweep": 5},
+                                         {"sweep": {"alpha": 1.0}}])
+    def test_a_malformed_sweep_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(content))
+        assert main(["sweep", str(path)]) == 2
+        assert "needs a non-empty 'sweep' list" in capsys.readouterr().err
 
     def test_cases_draw_distinct_states(self, tmp_path, monkeypatch):
         drawn = []

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import types
 import warnings
 import weakref
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import benctrl._closedform as closedform
+import benctrl.moment_control as moment_control
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
 from benctrl.errors import ConfigurationError, SingularGramError
@@ -19,8 +21,9 @@ from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
                                     reduce_to_zero_start, solve_coefficients,
                                     synthesize_control, terminal_residual,
                                     verify_moments)
-from benctrl.operators import (Gramian, build_bump, bump_from_coefficients,
-                               evolve_free, gg_star_matrix, gramian, m_matrix)
+from benctrl.operators import (Gramian, MMatrix, build_bump,
+                               bump_from_coefficients, evolve_free,
+                               gg_star_matrix, gramian, m_matrix)
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights, mean
 from oracles import (duhamel_mpmath, evolve_controlled_quadrature, exp_gram,
                      gauss_legendre_nodes, gramian_direct,
@@ -312,6 +315,37 @@ class TestHorizonKernel:
         self._case(make_problem(n=16, alpha=1.0, seed=6))
         assert shapes == []
 
+    @pytest.mark.parametrize("alpha", [1.0, Fraction(7, 3)])
+    def test_a_second_case_forms_no_operator_product(self, alpha,
+                                                      monkeypatch):
+        # a repeat case reads G only through the arrays kept on the family
+        # and the spectrum: no cluster reduction, and no product with the
+        # operator, op * (K D^H) included
+        reads, reductions = [], []
+        operator = MMatrix.operator
+        monkeypatch.setattr(MMatrix, "operator", property(
+            lambda mm: reads.append(mm) or operator.fget(mm)))
+
+        class CountingAdd:
+            """np.add with its reduceat calls counted."""
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def reduceat(self, *args, **kwargs):
+                reductions.append(args)
+                return np.add.reduceat(*args, **kwargs)
+
+        counting = types.ModuleType("numpy")
+        counting.__dict__.update(np.__dict__, add=CountingAdd())
+        monkeypatch.setattr(moment_control, "np", counting)
+        clear_memos()
+        self._case(make_problem(n=16, alpha=alpha, seed=5))
+        assert reads
+        reads.clear()
+        self._case(make_problem(n=16, alpha=alpha, seed=6))
+        assert reads == [] and reductions == []
+
 
 class TestPerCaseEvaluation:
     """A route-built signal's terminal state and Gramian-route norm come
@@ -451,22 +485,37 @@ class TestMemo:
             hum_control(prob, res.spectrum, res.mmatrix)
             spec, mm, fam = res.spectrum, res.mmatrix, res.family
             W = controllability_gramian(mm, spec, T)
-            gstar, order, starts = spec._adjoint.get(mm, pytest.fail)
-            seen.append((fam, (fam.slot_norms, fam.mode_duals, gstar, order,
-                               starts, W.eigvecs_h)))
+            gstar, order, pairs, triples = spec._adjoint.get(mm, pytest.fail)
+            seen.append((fam, (fam.slot_norms, fam.mode_duals,
+                               fam.weighted_moments(mm), gstar, order, pairs,
+                               triples, W.eigvecs_h)))
         (fam, first), (again, second) = seen
         assert again is fam
         for a, b in zip(first, second):
             assert a is b and not b.flags.writeable
         D, gram = fam.dual_coeffs, fam.gram
-        want_order = np.argsort(spec.slot, kind="stable")
-        assert np.array_equal(order, want_order)
-        assert np.array_equal(spec.slot[order][starts],
-                              np.arange(len(spec.clusters)))
+        # the columns of G*: every cluster's first member in cluster order,
+        # then the second members of ``pairs``, then the third members of
+        # ``pairs[triples]``
+        N, p = len(spec.clusters), len(pairs)
+        assert np.array_equal(np.sort(order), np.arange(2 * n + 1))
+        assert np.array_equal(spec.slot[order[:N]], np.arange(N))
+        assert np.array_equal(spec.slot[order[N:N + p]], pairs)
+        assert np.array_equal(spec.slot[order[N + p:]], pairs[triples])
+        sizes = np.bincount(spec.slot)
+        assert np.array_equal(pairs, np.flatnonzero(sizes > 1))
+        assert np.array_equal(pairs[triples], np.flatnonzero(sizes > 2))
+        for c, members in enumerate(spec.clusters):
+            got = [order[c]] + [order[N + i] for i in np.flatnonzero(
+                pairs == c)] + [order[N + p + i] for i in np.flatnonzero(
+                pairs[triples] == c)]
+            assert got == list(np.add(members, n))
+        assert np.array_equal(fam.weighted_moments(mm),
+                              mm.operator * fam.dual_moments)
         for got, want in (
                 (fam.slot_norms, np.diag(D @ gram @ D.conj().T).real),
                 (fam.mode_duals, D.conj()[spec.slot]),
-                (gstar, mm.operator.conj().T[:, want_order]),
+                (gstar, mm.operator.conj().T[:, order]),
                 (W.eigvecs_h, np.linalg.inv(W.eigvecs))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -474,6 +523,36 @@ class TestMemo:
         for cluster in spec.clusters:
             rows = fam.mode_duals[np.add(cluster, n)]
             assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+
+    def test_another_m_matrix_gets_its_own_weighted_moments(self):
+        # the family keeps op * (K D^H) for one m-matrix, compared by
+        # identity: another localizer's matrix on the same family is formed
+        # afresh and steers to its own terminal state
+        clear_memos()
+        n = 8
+        prob = make_problem(n=n, alpha=1.0, seed=2)
+        res = synthesize_control(prob)
+        fam, mm = res.family, res.mmatrix
+        mine = fam.weighted_moments(mm)
+        for _ in range(2):
+            other = m_matrix(build_bump("smooth_exp_bump", kmax=2 * n), n)
+            theirs = fam.weighted_moments(other)
+            assert theirs is not mine and not theirs.flags.writeable
+            assert np.array_equal(theirs, other.operator * fam.dual_moments)
+            got = evolve_controlled(prob.u0, res.signal, prob.T, 1.0, 0.0,
+                                    other)
+            want = evolve_controlled(
+                prob.u0, TestPerCaseEvaluation._coefficients_only(res.signal),
+                prob.T, 1.0, 0.0, other)
+            assert np.abs(got.coeffs - want.coeffs).max() <= \
+                1e-13 * np.abs(want.coeffs).max()
+            del other, theirs
+            gc.collect()
+            m_matrix.cache_clear()
+        again = fam.weighted_moments(mm)
+        assert again is not mine and np.array_equal(again, mine)
+        check = verify_moments(res.signal, res.targets, res.spectrum, mm)
+        assert check["max_residual"] == res.moment_residual
 
     def test_memoized_arrays_are_read_only(self):
         prob = make_problem(n=8, alpha=1.0, seed=2)
@@ -662,6 +741,30 @@ class TestEvolveControlled:
 
 
 class TestHUM:
+    @pytest.mark.parametrize("alpha,mu,sizes", [
+        (1.0, 0, [3]), (Fraction(7, 3), 0, [2, 2]),
+        (7 / 3 + 1e-12, 0, [2, 2]), (0.7, 0, []),
+        (Fraction(6), Fraction(11, 2), [3, 3])])
+    def test_cluster_sums_are_bitwise_the_reduction(self, alpha, mu, sizes):
+        # the gathered cluster sums add a cluster's terms a, b, c as
+        # a + (b + c), as a reduction over runs of columns sorted by cluster
+        # does; only a triple without mode 0 (k = 1, 2, 3 at alpha=6,
+        # mu=11/2) has three nonzero terms, whose grouping shows in the
+        # rounding
+        n, T = 16, 1.0
+        prob = make_problem(n=n, alpha=alpha, mu=mu, T=T, seed=3)
+        spec = spectrum_mod.analyze(n, alpha, mu)
+        mm = m_matrix(prob.bump, n)
+        assert sorted(len(g) for g in spec.clusters if len(g) > 1) == sizes
+        hum, _ = hum_control(prob, spec, mm)
+        order = np.argsort(spec.slot, kind="stable")
+        starts = np.searchsorted(spec.slot[order],
+                                 np.arange(len(spec.clusters)))
+        want = np.add.reduceat(mm.operator.conj().T[:, order]
+                               * hum.eta[order], starts, axis=1)
+        want *= np.exp(1j * spec.distinct_lambdas() * T)
+        assert hum.exp_coeffs.tobytes() == want.tobytes()
+
     def test_free_flow_target_needs_no_control(self):
         n = 8
         u0 = random_state(6, n, 0.0)
