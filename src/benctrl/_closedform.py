@@ -4,8 +4,9 @@ Every time integral in the toolkit reduces to
 
     phi(z, T) = int_0^T e^{z t} dt  =  (e^{zT} - 1)/z     (z != 0),
 
-evaluated by a Taylor series when |z|T is tiny so that the subtraction
-e^{zT}-1 never loses precision.  ``exp_kernel`` evaluates it on every pair
+with the quotient overwritten by a Taylor series where |z|T is tiny (z = 0
+included), so that the subtraction e^{zT}-1 never loses precision.
+``exp_kernel`` evaluates it on every pair
 of an oscillating row frequency and column frequency, under an optional
 exponential decay weight.
 """
@@ -24,12 +25,11 @@ def phi(z, T: float) -> np.ndarray:
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     w = z * T
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(w) < SERIES_THRESHOLD
-    ws = w[small]
-    out[small] = T * (1.0 + ws / 2.0 + ws**2 / 6.0 + ws**3 / 24.0 + ws**4 / 120.0)
-    zb = z[~small]
-    out[~small] = (np.exp(zb * T) - 1.0) / zb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.exp(w) - 1.0) / z
+    tiny = np.flatnonzero(np.abs(w) < SERIES_THRESHOLD)
+    ws = w.flat[tiny]
+    out.flat[tiny] = T * (1.0 + ws / 2.0 + ws**2 / 6.0 + ws**3 / 24.0 + ws**4 / 120.0)
     return out[0] if scalar else out
 
 

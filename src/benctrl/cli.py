@@ -93,6 +93,10 @@ class Scenario:
                 raise ConfigurationError(f"{key} must be an integer: {value!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        for key in ("T", "s", "decay_lambda", "t_final", "T_list"):
+            value = getattr(self, key)      # t_final may be None
+            if not all(map(math.isfinite, np.ravel(value or 0.0))):
+                raise ConfigurationError(f"{key} must be finite: {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
@@ -110,6 +114,8 @@ class Scenario:
             raise ConfigurationError("law must be 'simple' or 'gramian'")
         if self.law == "gramian" and self.decay_lambda <= 0:
             raise ConfigurationError("decay_lambda must be positive")
+        if self.t_final is not None and self.t_final <= 0:
+            raise ConfigurationError("t_final must be positive")
         if self.n_times < 1:
             raise ConfigurationError("n_times must be >= 1")
         if self.experiment == "stabilize" and self.n_times < 10:
@@ -138,10 +144,7 @@ def load_scenario(path=None, overrides=None) -> Scenario:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                data[key] = val
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     known = {f.name for f in dataclasses.fields(Scenario)}
     unknown = set(data) - known
     if unknown:
@@ -150,6 +153,8 @@ def load_scenario(path=None, overrides=None) -> Scenario:
         if key in data:
             data[key] = _parse_number(data[key])
     if "T_list" in data:
+        if not isinstance(data["T_list"], list):
+            raise ConfigurationError(f"T_list must be a list: {data['T_list']!r}")
         data["T_list"] = tuple(float(_parse_number(v)) for v in data["T_list"])
     return Scenario(**data).validate()
 
@@ -184,15 +189,10 @@ def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
         return TorusFunction.zero(n)
     if kind == "preset":
         name = cfg.get("name", "cos")
-        c = np.zeros(2 * n + 1, dtype=complex)
-        if name == "cos":
-            c[n + 1] = 0.5
-            c[n - 1] = 0.5
-        elif name == "sin":
-            c[n + 1] = -0.5j
-            c[n - 1] = 0.5j
-        else:
+        if name not in ("cos", "sin"):
             raise ConfigurationError(f"unknown preset {name!r}")
+        c = np.zeros(2 * n + 1, dtype=complex)
+        c[n - 1], c[n + 1] = (0.5, 0.5) if name == "cos" else (0.5j, -0.5j)
         return TorusFunction(n, c, real_flag=True)
     if kind == "coeffs":
         c = np.zeros(2 * n + 1, dtype=complex)
@@ -364,11 +364,9 @@ def _run_observability(scn: Scenario, outdir: Path) -> dict:
     bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
-    pairs = []
-    for T in scn.T_list:
-        delta, _ = stab.observability_constant(mm, spec, float(T))
-        pairs.append({"T": float(T), "delta": delta})
-    return {"experiment": "observability", "pairs": pairs}
+    return {"experiment": "observability", "pairs": [
+        {"T": float(T), "delta": stab.observability_constant(mm, spec, float(T))[0]}
+        for T in scn.T_list]}
 
 
 _RUNNERS = {

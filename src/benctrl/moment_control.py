@@ -86,9 +86,9 @@ def reduce_to_zero_start(problem: ControlProblem) -> np.ndarray:
 class BiorthogonalFamily:
     """Dual family of the exponentials e^{i lam t} over distinct eigenvalues.
 
-    ``dual_coeffs[j, m]`` expresses q_j = sum_m dual_coeffs[j, m] e^{i lam_m t};
-    with the Gram matrix Gamma of the exponentials the duals are exactly the
-    rows of Gamma^{-1}, one per cluster of the spectrum, in cluster order.
+    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i lam_m t}; with
+    the Gram matrix Gamma of the exponentials the duals are exactly the rows
+    of Gamma^{-1}, one per cluster, in cluster order; the family holds D^H.
     ``kernel`` is the spectrum's HorizonKernel they were built on; what the
     controls of the family read (``dual_moments``, ``mode_duals``,
     ``slot_norms``, and ``weighted_moments`` per m-matrix) is formed on
@@ -98,19 +98,24 @@ class BiorthogonalFamily:
     T: float
     lambdas: np.ndarray          # distinct eigenvalues, one per cluster
     kernel: HorizonKernel
-    dual_coeffs: np.ndarray
+    duals_h: np.ndarray          # D^H
     cond: float
     degenerate: bool = False     # rank-revealing fallback was used
     _weighted: Latest = field(default_factory=Latest, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
-        read_only(self.lambdas, self.dual_coeffs)
+        read_only(self.lambdas, self.duals_h)
 
     @property
     def gram(self) -> np.ndarray:
         """Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt."""
         return self.kernel.gram
+
+    @functools.cached_property
+    def dual_coeffs(self) -> np.ndarray:
+        """D, the coefficients of the duals q_j by row, read-only."""
+        return read_only(self.duals_h.conj().T)
 
     @functools.cached_property
     def dual_moments(self) -> np.ndarray:
@@ -133,16 +138,17 @@ class BiorthogonalFamily:
 
     @functools.cached_property
     def mode_duals(self) -> np.ndarray:
-        """conj(D)[slot]: row j is the conjugated dual of wavenumber j's
-        cluster, so mode j of an assembled control is h_j times it."""
-        return read_only(np.conj(self.dual_coeffs)[self.kernel.slot, :])
+        """(D^H)^T[slot] = conj(D)[slot]: row j is the conjugated dual of
+        wavenumber j's cluster, so mode j of a control is h_j times it."""
+        return read_only(self.duals_h.T[self.kernel.slot, :])
 
     @functools.cached_property
     def slot_norms(self) -> np.ndarray:
-        """Re diag(D Gamma D^H), one N^3 product: ||q_c||^2 in L2(0, T) for
-        each cluster c, so mode j of a control has |h_j|^2 slot_norms[slot j]."""
-        D = self.dual_coeffs
-        return read_only(((D @ self.gram) * D.conj()).sum(axis=1).real)
+        """Re diag(D Gamma D^H) = Re sum_m conj(P[m, c]) D^H[m, c], P = Gamma
+        D^H the representatives' block of ``dual_moments``: ||q_c||^2 in
+        L2(0, T), so mode j of a control has |h_j|^2 slot_norms[slot j]."""
+        P = self.dual_moments[np.ix_(self.kernel.rows, self.kernel.rows)]
+        return read_only((P.conj() * self.duals_h).sum(axis=0).real)
 
 
 def build_biorthogonal(spec: Spectrum, T: float,
@@ -151,15 +157,15 @@ def build_biorthogonal(spec: Spectrum, T: float,
 
     The Gram matrix Gamma (the spectrum's ``kernel(T).gram``) has diagonal
     T and off-diagonal (e^{i(lam_k-lam_m)T} - 1)/(i(lam_k-lam_m)).  It is
-    Hermitian and mirror-symmetric, so its 2-norm condition number is the
-    ratio of the extreme eigenvalue magnitudes of its real form M
-    (``spectrum.real_form``), and the duals come from one real solve with
-    M.  When cond(Gamma) exceeds 1e14 the family is numerically dependent
-    on [0, T]; the near-resonant pair is named in the error.
-    ``on_singular="lstsq"`` instead builds least-squares duals by a
-    rank-revealing pseudo-inverse of M and flags the family as degenerate
-    (biorthogonality then holds only on the resolvable subspace), with a
-    warning on every call.  The spectrum keeps the family of the latest
+    Hermitian and mirror-symmetric, so one real ``eigh`` of its real form M
+    (``spectrum.real_form``) gives its 2-norm condition number, the ratio
+    of the extreme eigenvalue magnitudes, and the duals through M^{-1}.
+    When cond(Gamma) exceeds 1e14 the family is numerically dependent on
+    [0, T]; the near-resonant pair is named in the error.
+    ``on_singular="lstsq"`` instead builds least-squares duals from the
+    eigenpairs ``np.linalg.pinv`` would keep (|w| > LSTSQ_RCOND max|w|)
+    and flags the family as degenerate (biorthogonality then holds only on
+    the resolvable subspace), with a warning on every call.  The spectrum keeps the family of the latest
     (T, on_singular), so a second call returns the same read-only family.
     """
     if T <= 0:
@@ -182,39 +188,38 @@ def _biorthogonal(spec: Spectrum, T: float,
     gram = kernel.gram
     # the real form needs the mirror as reversal; ascending lambda is one
     perm = None if np.all(np.diff(spec.mirror) == -1) else np.argsort(lam)
-    real = real_form(gram if perm is None else gram[np.ix_(perm, perm)])
-    eig = np.abs(np.linalg.eigvalsh(real))
-    cond = float(eig.max() / eig.min()) if eig.min() > 0 else np.inf
+    # Gamma^{-1} (or its pseudo-inverse) is Q M^{-1} Q^H, M the real form;
+    # one eigh of M gives M^{-1} and cond(Gamma) = max|w| / min|w|
+    w, V = np.linalg.eigh(real_form(gram if perm is None
+                                    else gram[np.ix_(perm, perm)]))
+    mag = np.abs(w)
+    cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf
     degenerate = False
     if cond > GRAM_COND_LIMIT:
         if on_singular == "error":
-            order = np.argsort(lam)
-            gaps = np.diff(lam[order])
-            i = int(np.argmin(gaps))
+            ascending = np.sort(lam)
+            i = int(np.argmin(np.diff(ascending)))
+            a, b = float(ascending[i]), float(ascending[i + 1])
             raise SingularGramError(
                 f"Gram matrix of exponentials numerically singular "
                 f"(cond={cond:.3e} > {GRAM_COND_LIMIT:.0e}); nearest pair "
-                f"lambda={lam[order[i]]:.6g}, {lam[order[i + 1]]:.6g} at "
-                f"distance {gaps[i]:.3e} over T={T}",
-                pair=(float(lam[order[i]]), float(lam[order[i + 1]])),
-                cond=cond)
+                f"lambda={a:.6g}, {b:.6g} at distance {b - a:.3e} over T={T}",
+                pair=(a, b), cond=cond)
         elif on_singular == "lstsq":
+            # pinv's cut: the singular values of the symmetric M are |w|
             degenerate = True
+            keep = mag > LSTSQ_RCOND * mag.max()
+            w, V = w[keep], V[:, keep]
         else:
             raise ValueError("on_singular must be 'error' or 'lstsq'")
-    # Gamma^{-1} (or its pseudo-inverse) is Q M^{-1} Q^H, M the real form
-    inv = np.linalg.pinv(real, rcond=LSTSQ_RCOND) if degenerate \
-        else np.linalg.solve(real, np.eye(len(lam)))
-    x = from_real(from_real(inv.T).conj().T)
+    x = from_real(from_real(V @ (V / w).T).conj().T)
     if perm is not None:
         x[np.ix_(perm, perm)] = x.copy()
     if not degenerate:
-        # D = (Gamma^{-1})^H, with one refinement step against Gamma itself
+        # x = D^H = Gamma^{-1}, with one refinement step against Gamma itself
         x += x @ (np.eye(len(lam)) - gram @ x)
-    dual = x.conj().T
-    return BiorthogonalFamily(T=T, lambdas=lam, kernel=kernel,
-                              dual_coeffs=dual, cond=cond,
-                              degenerate=degenerate)
+    return BiorthogonalFamily(T=T, lambdas=lam, kernel=kernel, duals_h=x,
+                              cond=cond, degenerate=degenerate)
 
 
 def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
@@ -234,20 +239,31 @@ def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
         raise ConfigurationError(
             f"target coefficient c_0 = {c[n]:.3e} != 0: mode 0 is unreachable")
     ctil = c * spec.kernel(T).phases[0]
+    alone, diagonal, blocks = spec._blocks.get(
+        mm, lambda: _cluster_blocks(mm, spec))
+    h = np.zeros(2 * n + 1, dtype=complex)
+    h[alone] = ctil[alone] / diagonal
+    for pos, block_t in blocks:
+        h[pos] = np.linalg.solve(block_t, ctil[pos])
+    return h
+
+
+def _cluster_blocks(mm: MMatrix, spec: Spectrum) -> tuple:
+    """solve_coefficients' lone modes with their m[k,k], and the rows and
+    block M_j^T of each larger cluster, kept on the spectrum per m-matrix."""
     nonzero = spec.wavenumbers != 0
     members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
     alone = nonzero & (members[spec.slot] == 1)
-    h = np.zeros(2 * n + 1, dtype=complex)
-    h[alone] = ctil[alone] / np.diagonal(mm.entries)[alone]
+    blocks = []
     for ci in np.flatnonzero(members >= 2):
         nz = [k for k in spec.clusters[ci] if k != 0]
-        block = mm.block(nz)
+        pos = np.add(nz, spec.n)
+        block = mm.entries[np.ix_(pos, pos)]
         if np.linalg.cond(block) > 1e14:
             raise SingularClusterBlockError(
                 f"cluster block {nz} numerically singular for this localizer")
-        pos = np.add(nz, n)
-        h[pos] = np.linalg.solve(block.T, ctil[pos])
-    return h
+        blocks.append(read_only(pos, block.T))
+    return (*read_only(alone, np.diagonal(mm.entries)[alone]), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -285,8 +301,7 @@ class ControlSignal:
         return self.exp_coeffs @ e
 
     def at_time(self, t: float) -> TorusFunction:
-        v = self.mode_values([t])[:, 0]
-        return TorusFunction.from_psi_coeffs(v, self.n)
+        return TorusFunction.from_psi_coeffs(self.mode_values([t])[:, 0], self.n)
 
     def sample_grid(self, xs, times) -> np.ndarray:
         """h(x, t) on a grid; shape (len(times), len(xs))."""

@@ -124,9 +124,7 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     full = full * scale
     idx = np.arange(-kmax, kmax + 1) % BUMP_SAMPLES
     ghat = full[idx]
-    half = BUMP_SAMPLES // 2
-    tail = np.concatenate([full[kmax + 1: half],
-                           full[half: BUMP_SAMPLES - kmax]])
+    tail = full[kmax + 1: BUMP_SAMPLES - kmax]
     return BumpProfile(kind, center, width, kmax, ghat,
                        float(np.abs(tail).sum()), scale)
 
@@ -181,10 +179,6 @@ class MMatrix:
         out = gop @ gop.conj().T
         return read_only(0.5 * (out + out.conj().T))
 
-    def block(self, wavenumbers) -> np.ndarray:
-        idx = [k + self.n for k in wavenumbers]
-        return self.entries[np.ix_(idx, idx)]
-
 
 @latest(lambda bump, n: (bump.ghat.tobytes(), n))
 def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
@@ -200,9 +194,8 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     ks = np.arange(-n, n + 1)
     J, K = np.meshgrid(ks, ks, indexing="ij")
     entries = bump.ghat_at(K - J) - TWO_PI * bump.ghat_at(-J) * bump.ghat_at(K)
-    diag = entries[np.arange(2 * n + 1), np.arange(2 * n + 1)].real
     off0 = np.abs(ks) > 0
-    beta = float(diag[off0].min())
+    beta = float(np.diagonal(entries).real[off0].min())
     if beta <= 0.0:
         raise ConfigurationError(
             f"m[k,k] reaches {beta:.3e} <= 0 at this truncation; the "

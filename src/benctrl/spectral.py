@@ -26,16 +26,10 @@ REALITY_TOL = 1e-10
 class TorusFunction:
     """Band-limited periodic function, immutable after construction.
 
-    Attributes
-    ----------
-    n : int
-        Truncation order; modes k = -n..n are stored.
-    coeffs : ndarray
-        Complex Fourier coefficients fhat(k), indexed by k + n.
-    real_flag : bool
-        Whether the function is declared real-valued.  When set, the
-        coefficients are Hermitian-symmetrized at construction and a
-        symmetry defect above ``REALITY_TOL`` (relative) raises.
+    ``coeffs[k + n]`` is fhat(k) for the modes k = -n..n.  A function with
+    ``real_flag`` set is declared real-valued: its coefficients are
+    Hermitian-symmetrized at construction, and a symmetry defect above
+    ``REALITY_TOL`` (relative) raises.
     """
 
     n: int
@@ -66,9 +60,7 @@ class TorusFunction:
 
     def coeff(self, k: int) -> complex:
         """Fourier coefficient fhat(k); zero outside the stored band."""
-        if abs(k) > self.n:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + self.n])
+        return complex(self.coeffs[k + self.n]) if abs(k) <= self.n else 0j
 
     @property
     def psi_coeffs(self) -> np.ndarray:

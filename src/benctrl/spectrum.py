@@ -71,14 +71,16 @@ class HorizonKernel:
     the cluster representatives are ``gram``, the Gram matrix Gamma of the
     exponentials e^{i nu t} in L2(0, T); its columns at ``Spectrum.slot``
     are the integrals of every Gramian (``operators.gramian``).  ``slot`` is
-    the spectrum's map from each row to its cluster's column.  The arrays
-    are read-only.
+    the spectrum's map from each row to its cluster's column, ``rows`` its
+    map from each cluster to its representative's row.  The arrays are
+    read-only.
     """
 
     T: float
     rate: float
     lambdas: np.ndarray            # lambda_k of the rows, index k+n
     slot: np.ndarray               # column of row k's cluster, index k+n
+    rows: np.ndarray               # row of cluster c's representative
     matrix: np.ndarray
     gram: np.ndarray
 
@@ -106,8 +108,8 @@ class Spectrum:
     eigenvalues at this truncation.  The spectrum also keeps the latest
     biorthogonal family (``moment_control.build_biorthogonal``), the latest
     certified Gramian of each flow (``operators.Gramian.certified``) built
-    on it, and HUM's adjoint G* in cluster-sum order for the latest
-    m-matrix.
+    on it, and, for the latest m-matrix, HUM's adjoint G* in cluster-sum
+    order and the amplitude solve's cluster blocks.
     """
 
     alpha: float
@@ -128,6 +130,8 @@ class Spectrum:
                             compare=False)
     _adjoint: Latest = field(default_factory=Latest, init=False, repr=False,
                              compare=False)
+    _blocks: Latest = field(default_factory=Latest, init=False, repr=False,
+                            compare=False)
     _gramians: dict = field(
         default_factory=lambda: {"forward": Latest(), "backward": Latest()},
         init=False, repr=False, compare=False)
@@ -167,8 +171,8 @@ class Spectrum:
             np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
             gram = matrix[self.rep_rows]
             read_only(matrix, gram)
-            return HorizonKernel(T, rate, self.lambdas, self.slot, matrix,
-                                 gram)
+            return HorizonKernel(T, rate, self.lambdas, self.slot,
+                                 self.rep_rows, matrix, gram)
         return self._kernel.get((T, rate), evaluate)
 
 
@@ -255,11 +259,8 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         window_bound=window_bound(alpha),
         exact=exact,
     )
-    if len(groups) >= 2:
-        gamma = gap_gamma(spec)
-    else:
-        gamma = float("inf")
-    object.__setattr__(spec, "gap_gamma", gamma)
+    object.__setattr__(spec, "gap_gamma", gap_gamma(spec) if len(groups) >= 2
+                       else float("inf"))
     # flag nearly-degenerate pairs that were *not* clustered: the smallest
     # gap is compared against the next gap scale (the gap the spectrum would
     # have without the offending pair)

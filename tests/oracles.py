@@ -5,7 +5,8 @@ closed form: time integrals by composite Gauss-Legendre rules, m-matrix
 entries by applying G pointwise on a uniform grid, the energy derivative by
 a centred difference; the Duhamel integral of a control at 50 digits by
 mpmath, and so the L2([0,T]; H^s) norm of a control; the decay-rate fit
-by one ``np.polyfit`` per suffix window.
+by one ``np.polyfit`` per suffix window; phi(z, T) = int_0^T e^{zt} dt with
+the quotient and the series each evaluated on its own entries only.
 ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
 ``gramian_direct`` assemble, each on its own, the Gram matrices and
 Gramians the library reads off one shared horizon kernel.
@@ -17,7 +18,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from benctrl._closedform import phi
+from benctrl._closedform import SERIES_THRESHOLD
 from benctrl.errors import DecayFitError
 from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
@@ -129,11 +130,27 @@ def energy_identity_defect_centred(u0, law, times, delta=3e-8) -> np.ndarray:
     return np.asarray(defects)
 
 
+def phi_masked(z, T: float) -> np.ndarray:
+    """int_0^T e^{z t} dt: the series where |z|T < SERIES_THRESHOLD, the
+    quotient (e^{zT} - 1)/z elsewhere, each gathered by a boolean mask."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
+    w = z * T
+    out = np.empty(z.shape, dtype=complex)
+    small = np.abs(w) < SERIES_THRESHOLD
+    ws = w[small]
+    out[small] = T * (1.0 + ws / 2.0 + ws**2 / 6.0 + ws**3 / 24.0 + ws**4 / 120.0)
+    zb = z[~small]
+    out[~small] = (np.exp(zb * T) - 1.0) / zb
+    return out[0] if scalar else out
+
+
 def exp_gram(freqs, T: float) -> np.ndarray:
     """Gram matrix of {e^{i f t}} in L2([0, T]), assembled on its own:
     entry (k, m) = phi(i(f_k - f_m), T)."""
     f = np.asarray(freqs, dtype=float)
-    return phi(1j * (f[:, None] - f[None, :]), T)
+    return phi_masked(1j * (f[:, None] - f[None, :]), T)
 
 
 def l2_hs_norm_conjugate_gram(signal, s: float = 0.0) -> float:
@@ -151,8 +168,8 @@ def gramian_direct(mm, spec, T, rate=0.0, flow="forward") -> np.ndarray:
     without the spectrum's kernel or its clusters."""
     lam = spec.lambdas
     sign = -1.0 if flow == "forward" else 1.0
-    w = gg_star_matrix(mm) * phi(-2.0 * rate + 1j * sign
-                                 * (lam[:, None] - lam[None, :]), T)
+    w = gg_star_matrix(mm) * phi_masked(-2.0 * rate + 1j * sign
+                                        * (lam[:, None] - lam[None, :]), T)
     return 0.5 * (w + w.conj().T)
 
 

@@ -17,6 +17,7 @@ import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
+from benctrl.errors import ConfigurationError
 from benctrl.moment_control import ControlSignal
 from benctrl.operators import apply_G, evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
@@ -129,6 +130,7 @@ class TestScenario:
         ("simulate", "n_times", 2.5, "n_times must be an integer"),
         ("simulate", "n", 4.0, "n must be an integer"),
         ("control", "n_sim", 12.5, "n_sim must be an integer"),
+        ("control", "T", "x", "must be real number"),
         ("observability", "T_list", ["x"], "not a number: 'x'")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
@@ -139,6 +141,40 @@ class TestScenario:
         err = capsys.readouterr().err
         assert "validation error" in err and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["control", "--T", "nan"], "T must be finite"),
+        (["control", "--T", "inf"], "T must be finite"),
+        (["simulate", "--s", "nan"], "s must be finite"),
+        (["stabilize", "--law", "gramian", "--lambda", "nan"],
+         "decay_lambda must be finite"),
+        (["stabilize", "--t-final", "inf"], "t_final must be finite"),
+        (["stabilize", "--t-final", "-1"], "t_final must be positive"),
+        (["stabilize", "--t-final", "0"], "t_final must be positive"),
+        (["observability", "--T-list", "0.5", "nan"],
+         "T_list must be finite")])
+    def test_non_finite_or_non_positive_flag_exits_2(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--n", "4", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["125", 1.0, {"T": 1.0}, (0.5, 1.0)])
+    def test_T_list_must_be_a_list(self, tmp_path, capsys, value):
+        with pytest.raises(ConfigurationError, match="T_list must be a list"):
+            load_scenario(None, {"experiment": "observability",
+                                 "T_list": value})
+        if isinstance(value, tuple):
+            return                      # JSON has no tuples
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"n": 4, "T_list": value,
+                                    "outdir": str(tmp_path / "out")}))
+        assert main(["observability", "--scenario", str(path)]) == 2
+        assert "T_list must be a list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ the same residuals, and duals as biorthogonal as before.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,13 @@ import pytest
 import benctrl.spectrum as spectrum_mod
 from benctrl._closedform import exp_kernel
 from benctrl.errors import ConfigurationError
-from benctrl.moment_control import build_biorthogonal, controllability_gramian
+from benctrl.moment_control import (LSTSQ_RCOND, build_biorthogonal,
+                                    controllability_gramian)
 from benctrl.operators import build_bump, m_matrix
 from benctrl.spectrum import from_real, real_form, require_mirror
 from benctrl.stabilization import (build_L_lambda, feedback_gramian,
                                    feedback_simple)
+from oracles import phi_masked
 
 GRID = list(itertools.product((0.1, 1.0, 7 / 3), (0.0, 0.3), (8, 32)))
 
@@ -111,6 +114,24 @@ class TestMirrorMap:
             assert np.array_equal(got.view(float), want.view(float))
 
 
+class TestKernel:
+    @pytest.mark.parametrize("alpha,mu,n", GRID + UNORDERED)
+    def test_exp_kernel_is_the_masked_phi(self, alpha, mu, n):
+        # the quotient over the whole array, overwritten by the series where
+        # |z|T < 1e-6, is bit for bit the evaluation of each on its own
+        # entries: the z = 0 diagonal, clustered pairs whose float
+        # eigenvalues differ by rounding, columns shifted by 1e-9 and 1e-5
+        lam = spectrum_mod.analyze(n, alpha, mu).lambdas
+        series = 0
+        for T, rate in itertools.product((0.1, 1.0, 5.0), (0.0, 1e-8, 0.25)):
+            for cols in (lam, lam + 1e-9, lam - 1e-5):
+                got = exp_kernel(lam, cols, T, rate)
+                z = 1j * (lam[:, None] - cols[None, :]) - 2.0 * rate
+                series += np.count_nonzero(np.abs(z * T) < 1e-6)
+                assert np.array_equal(got, phi_masked(z, T))
+        assert series > 0
+
+
 class TestFactorizations:
     @pytest.mark.parametrize("alpha,mu,n", GRID + UNORDERED)
     def test_gram_eigenvalues(self, alpha, mu, n):
@@ -182,3 +203,56 @@ class TestDuals:
         eye = np.eye(len(family.gram))
         defect = np.abs(family.gram @ family.dual_coeffs.conj().T - eye).max()
         assert defect <= 1e-12 * family.cond
+
+    @staticmethod
+    def _count_linalg(monkeypatch) -> dict:
+        """Calls of the dense factorizations of np.linalg from now on."""
+        calls = {}
+        for name in ("eigh", "eigvalsh", "solve", "pinv", "svd", "inv"):
+            def counting(*args, _name=name, _fn=getattr(np.linalg, name),
+                         **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha,mu,n,T,on_singular", [
+        (1.0, 0.0, 16, 1.0, "error"), (7 / 3, 0.3, 16, 5.0, "error"),
+        (*UNORDERED[0], 1.0, "error"), (1.0, 0.0, 16, 0.05, "lstsq")])
+    def test_one_eigh_per_fresh_family(self, monkeypatch, alpha, mu, n, T,
+                                       on_singular):
+        spec = spectrum_mod.analyze(n, alpha, mu)
+        spec.kernel(T)
+        spec._family.clear()
+        calls = self._count_linalg(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            family = build_biorthogonal(spec, T, on_singular=on_singular)
+            assert family.degenerate == (on_singular == "lstsq")
+            assert calls == {"eigh": 1}
+            assert build_biorthogonal(spec, T, on_singular) is family
+        assert calls == {"eigh": 1}
+
+    @pytest.mark.parametrize("alpha,n,T", [(1.0, 16, 0.05), (0.1, 96, 0.1),
+                                           (1.0, 96, 0.1), (7 / 3, 96, 0.1)])
+    def test_least_squares_duals_are_the_pinv_duals(self, alpha, n, T):
+        spec = spectrum_mod.analyze(n, alpha, 0.0)
+        with pytest.warns(RuntimeWarning, match="rank-revealing"):
+            family = build_biorthogonal(spec, T, on_singular="lstsq")
+        assert family.degenerate
+        # the mirror of these spectra is the reversal: no permutation
+        assert np.all(np.diff(spec.mirror) == -1)
+        M = real_form(family.gram)
+        w = np.linalg.eigvalsh(M)
+        sing = np.linalg.svd(M, compute_uv=False)
+        kept = np.sum(np.abs(w) > LSTSQ_RCOND * np.abs(w).max())
+        assert 0 < kept < len(w)
+        assert kept == np.sum(sing > LSTSQ_RCOND * sing.max())
+        inv = np.linalg.pinv(M, rcond=LSTSQ_RCOND)
+        want = from_real(from_real(inv.T).conj().T)
+        # both carry errors of order eps over the cut, 2e-3 of the largest
+        # kept 1/|w|; they agree to 5e-7 .. 7e-5, and a direction kept or
+        # dropped against pinv's choice would move the largest entry by O(1)
+        got = family.duals_h
+        bound = np.finfo(float).eps / LSTSQ_RCOND
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()

@@ -13,7 +13,8 @@ import benctrl._closedform as closedform
 import benctrl.moment_control as moment_control
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
-from benctrl.errors import ConfigurationError, SingularGramError
+from benctrl.errors import (ConfigurationError, SingularClusterBlockError,
+                            SingularGramError)
 from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
                                     ControlSignal, assemble_control,
                                     build_biorthogonal, controllability_gramian,
@@ -621,6 +622,47 @@ class TestSolveCoefficients:
         c[n] = 1.0
         with pytest.raises(ConfigurationError):
             solve_coefficients(c, mm, spec, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 7 / 3, Fraction(7, 3)])
+    def test_a_repeat_reads_the_kept_blocks(self, alpha, monkeypatch):
+        # the lone modes, the diagonal and the cluster blocks are kept per
+        # m-matrix on the spectrum: a repeat calls np.linalg.cond no more,
+        # and its h is bit for bit that of a fresh computation
+        conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda *a, **k: conds.append(a) or cond(*a, **k))
+        n, T = 16, 1.0
+        mm = m_matrix(build_bump(kmax=2 * n), n)
+        rng = np.random.default_rng(4)
+        c1, c2 = rng.standard_normal((2, 2 * n + 1)) \
+            + 1j * rng.standard_normal((2, 2 * n + 1))
+        c1[n] = c2[n] = 0.0
+        spectrum_mod.analyze.cache_clear()
+        spec = spectrum_mod.analyze(n, alpha)
+        solve_coefficients(c1, mm, spec, T)
+        blocks = sum(len([k for k in g if k]) > 1 for g in spec.clusters)
+        assert len(conds) == blocks
+        h = solve_coefficients(c2, mm, spec, T)
+        assert len(conds) == blocks
+        spectrum_mod.analyze.cache_clear()
+        fresh = solve_coefficients(c2, mm, spectrum_mod.analyze(n, alpha), T)
+        assert len(conds) == 2 * blocks
+        assert np.array_equal(h, fresh)
+
+    def test_a_singular_block_raises_on_every_call(self):
+        # alpha=1: the cluster {-1, 0, 1} couples modes -1 and 1 through a
+        # 2x2 block, made singular here
+        n = 4
+        spec = spectrum_mod.analyze(n, 1.0)
+        entries = np.eye(2 * n + 1, dtype=complex)
+        entries[np.ix_([n - 1, n + 1], [n - 1, n + 1])] = 1.0
+        mm = MMatrix(n, entries, 1.0, 1.0, np.ones(2 * n + 1))
+        c = np.ones(2 * n + 1, dtype=complex)
+        c[n] = 0.0
+        for _ in range(2):
+            with pytest.raises(SingularClusterBlockError, match=r"\[-1, 1\]"):
+                solve_coefficients(c, mm, spec, 1.0)
 
     def test_cluster_block_satisfies_moments(self):
         # alpha=1 cluster {-1,0,1}: reduced block solve must still satisfy
