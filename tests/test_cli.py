@@ -130,8 +130,8 @@ class TestScenario:
         ("simulate", "n_times", 2.5, "n_times must be an integer"),
         ("simulate", "n", 4.0, "n must be an integer"),
         ("control", "n_sim", 12.5, "n_sim must be an integer"),
-        ("control", "T", "x", "must be real number"),
-        ("observability", "T_list", ["x"], "not a number: 'x'")])
+        ("observability", "T_list", ["x"], "not a number: 'x'"),
+        ("control", "T", "x", "must be real number")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"
