@@ -23,7 +23,7 @@ from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
                         gramian, m_matrix)
 from .spectral import TorusFunction, hs_weights, mean, sobolev_norm, write_csv
-from .spectrum import (HorizonKernel, Spectrum, clusters, eigenvalue,
+from .spectrum import (Horizon, Spectrum, clusters, eigenvalue,
                        eigenvalues, gap_gamma)
 from .spectrum import analyze as analyze_spectrum
 from .spectrum import spectrum_report, window_bound
@@ -53,7 +53,7 @@ __all__ = [
     # spectral
     "TorusFunction", "hs_weights", "mean", "sobolev_norm", "write_csv",
     # spectrum
-    "HorizonKernel", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
+    "Horizon", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
     "eigenvalues", "gap_gamma", "spectrum_report", "window_bound",
     # stabilization
     "DecayFit", "FeedbackLaw", "build_L_lambda", "energy_identity_defect",

@@ -121,6 +121,15 @@ class Scenario:
         if self.experiment == "stabilize" and self.n_times < 10:
             raise ConfigurationError(
                 "n_times must be >= 10: the decay fit needs 10 samples")
+        if not self.T_list or min(self.T_list) <= 0:
+            raise ConfigurationError("T_list must be a list of positive "
+                                     f"numbers: {list(self.T_list)!r}")
+        for key in ("u0", "u1"):
+            _check_state(key, getattr(self, key), self.n)
+        if not isinstance(self.bump, dict):
+            raise ConfigurationError(f"bump must be an object: {self.bump!r}")
+        if "coefficients" in self.bump:
+            _check_rows("bump coefficients", self.bump["coefficients"])
         return self
 
     def canonical(self) -> dict:
@@ -181,27 +190,51 @@ def random_state(seed, n: int, s: float, norm: float = 1.0) -> TorusFunction:
     return f.with_coeffs(f.coeffs * (norm / current))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_rows(key: str, rows, n: float = math.inf):
+    """ConfigurationError unless ``rows`` is a list of [k, re, im] with an
+    integer |k| <= n and finite numbers re, im."""
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 3 and type(row[0]) is int
+            and abs(row[0]) <= n and all(map(_is_number, row[1:]))
+            for row in rows):
+        raise ConfigurationError(f"{key} must be a list of [k, re, im] rows "
+                                 "with integer k in the band, finite re, im")
+
+
+def _check_state(key: str, cfg, n: int):
+    """ConfigurationError unless ``cfg`` describes a state of order n."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{key} must be an object: {cfg!r}")
+    kind = cfg.get("type", "random")
+    if kind == "random" and not _is_number(cfg.get("norm", 1.0)):
+        raise ConfigurationError(f"{key} norm must be a finite number")
+    if kind == "preset" and cfg.get("name", "cos") not in ("cos", "sin"):
+        raise ConfigurationError(f"unknown preset {cfg['name']!r}")
+    if kind == "coeffs":
+        _check_rows(f"{key} data", cfg.get("data"), n)
+    if kind not in ("random", "zero", "preset", "coeffs"):
+        raise ConfigurationError(f"unknown state type {kind!r}")
+
+
 def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
+    """The state a validated ``cfg`` describes (``_check_state``)."""
     kind = cfg.get("type", "random")
     if kind == "random":
         return random_state(seed, n, s, float(cfg.get("norm", 1.0)))
     if kind == "zero":
         return TorusFunction.zero(n)
+    c = np.zeros(2 * n + 1, dtype=complex)
     if kind == "preset":
-        name = cfg.get("name", "cos")
-        if name not in ("cos", "sin"):
-            raise ConfigurationError(f"unknown preset {name!r}")
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[n - 1], c[n + 1] = (0.5, 0.5) if name == "cos" else (0.5j, -0.5j)
+        c[n - 1], c[n + 1] = (0.5, 0.5) if cfg.get("name", "cos") == "cos" \
+            else (0.5j, -0.5j)
         return TorusFunction(n, c, real_flag=True)
-    if kind == "coeffs":
-        c = np.zeros(2 * n + 1, dtype=complex)
-        for k, re, im in cfg["data"]:
-            if abs(int(k)) > n:
-                raise ConfigurationError(f"coefficient index {k} beyond n={n}")
-            c[int(k) + n] = re + 1j * im
-        return TorusFunction(n, c, real_flag=bool(cfg.get("real", False)))
-    raise ConfigurationError(f"unknown state type {kind!r}")
+    for k, re, im in cfg["data"]:
+        c[k + n] = re + 1j * im
+    return TorusFunction(n, c, real_flag=bool(cfg.get("real", False)))
 
 
 def _build_bump(scn: Scenario, kmax: int):

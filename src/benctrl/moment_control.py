@@ -29,18 +29,12 @@ import numpy as np
 
 from . import spectrum as spectrum_mod
 from ._closedform import exp_kernel
-from ._memo import Latest, read_only
-from .errors import ConfigurationError, SingularClusterBlockError, SingularGramError
+from ._memo import read_only
+from .errors import ConfigurationError, SingularGramError
 from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
 from .spectral import TorusFunction, hs_weights, sobolev_norm
-from .spectrum import (HorizonKernel, Spectrum, eigenvalues, from_real,
-                       real_form)
-
-#: Gram matrices with condition number beyond this are declared singular.
-GRAM_COND_LIMIT = 1e14
-
-#: singular-value cutoff (relative) for the rank-revealing fallback solve
-LSTSQ_RCOND = 1e-13
+from .spectrum import (GRAM_COND_LIMIT, BiorthogonalFamily, Horizon,
+                       Spectrum, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -82,144 +76,32 @@ def reduce_to_zero_start(problem: ControlProblem) -> np.ndarray:
     return problem.u1.psi_coeffs - drifted.psi_coeffs
 
 
-@dataclass(frozen=True)
-class BiorthogonalFamily:
-    """Dual family of the exponentials e^{i lam t} over distinct eigenvalues.
-
-    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i lam_m t}; with
-    the Gram matrix Gamma of the exponentials the duals are exactly the rows
-    of Gamma^{-1}, one per cluster, in cluster order; the family holds D^H.
-    ``kernel`` is the spectrum's HorizonKernel they were built on; what the
-    controls of the family read (``dual_moments``, ``mode_duals``,
-    ``slot_norms``, and ``weighted_moments`` per m-matrix) is formed on
-    first use.  The arrays are read-only.
-    """
-
-    T: float
-    lambdas: np.ndarray          # distinct eigenvalues, one per cluster
-    kernel: HorizonKernel
-    duals_h: np.ndarray          # D^H
-    cond: float
-    degenerate: bool = False     # rank-revealing fallback was used
-    _weighted: Latest = field(default_factory=Latest, init=False, repr=False,
-                              compare=False)
-
-    def __post_init__(self):
-        read_only(self.lambdas, self.duals_h)
-
-    @property
-    def gram(self) -> np.ndarray:
-        """Gamma[k, m] = int_0^T e^{i(lam_k-lam_m)t} dt."""
-        return self.kernel.gram
-
-    @functools.cached_property
-    def dual_coeffs(self) -> np.ndarray:
-        """D, the coefficients of the duals q_j by row, read-only."""
-        return read_only(self.duals_h.conj().T)
-
-    @functools.cached_property
-    def dual_moments(self) -> np.ndarray:
-        """(K D^H)[k, slot j] = int_0^T e^{i lam_k t} conj(q_{slot j})(t) dt.
-
-        K is the kernel's matrix and q_{slot j} the dual of wavenumber j's
-        cluster.  One (2n+1) x N x (2n+1) product, formed on first use and
-        kept with the family, read-only.  Its rows at the cluster
-        representatives are Gamma Gamma^{-1} = I, and it turns the Duhamel
-        sum of every control the family assembles into (2n+1)^2 work (see
-        ``_duhamel``).
-        """
-        return read_only(self.kernel.matrix @ self.mode_duals.T)
-
-    def weighted_moments(self, mm: MMatrix) -> np.ndarray:
-        """op * (K D^H) for the operator op of ``mm``, kept for the latest
-        m-matrix: the moment route's Duhamel sum at the horizon needs it."""
-        return self._weighted.get(
-            mm, lambda: read_only(mm.operator * self.dual_moments))
-
-    @functools.cached_property
-    def mode_duals(self) -> np.ndarray:
-        """(D^H)^T[slot] = conj(D)[slot]: row j is the conjugated dual of
-        wavenumber j's cluster, so mode j of a control is h_j times it."""
-        return read_only(self.duals_h.T[self.kernel.slot, :])
-
-    @functools.cached_property
-    def slot_norms(self) -> np.ndarray:
-        """Re diag(D Gamma D^H) = Re sum_m conj(P[m, c]) D^H[m, c], P = Gamma
-        D^H the representatives' block of ``dual_moments``: ||q_c||^2 in
-        L2(0, T), so mode j of a control has |h_j|^2 slot_norms[slot j]."""
-        P = self.dual_moments[np.ix_(self.kernel.rows, self.kernel.rows)]
-        return read_only((P.conj() * self.duals_h).sum(axis=0).real)
-
-
 def build_biorthogonal(spec: Spectrum, T: float,
                        on_singular: str = "error") -> BiorthogonalFamily:
-    """Solve for the biorthogonal duals of the distinct exponentials.
-
-    The Gram matrix Gamma (the spectrum's ``kernel(T).gram``) has diagonal
-    T and off-diagonal (e^{i(lam_k-lam_m)T} - 1)/(i(lam_k-lam_m)).  It is
-    Hermitian and mirror-symmetric, so one real ``eigh`` of its real form M
-    (``spectrum.real_form``) gives its 2-norm condition number, the ratio
-    of the extreme eigenvalue magnitudes, and the duals through M^{-1}.
-    When cond(Gamma) exceeds 1e14 the family is numerically dependent on
-    [0, T]; the near-resonant pair is named in the error.
-    ``on_singular="lstsq"`` instead builds least-squares duals from the
-    eigenpairs ``np.linalg.pinv`` would keep (|w| > LSTSQ_RCOND max|w|)
-    and flags the family as degenerate (biorthogonality then holds only on
-    the resolvable subspace), with a warning on every call.  The spectrum keeps the family of the latest
-    (T, on_singular), so a second call returns the same read-only family.
-    """
-    if T <= 0:
-        raise ConfigurationError("horizon T must be positive")
-    T = float(T)
-    family = spec._family.get((T, on_singular),
-                              lambda: _biorthogonal(spec, T, on_singular))
+    """The biorthogonal family of the spectrum's horizon T, whatever
+    ``on_singular``.  Beyond GRAM_COND_LIMIT it is degenerate: ``"error"``
+    raises SingularGramError naming the nearest pair, ``"lstsq"`` returns
+    its least-squares duals (biorthogonal only on the resolvable subspace)
+    with a warning, on every call."""
+    if on_singular not in ("error", "lstsq"):
+        raise ConfigurationError(
+            f"on_singular must be 'error' or 'lstsq', got {on_singular!r}")
+    family = spec.horizon(T).family
+    if family.degenerate and on_singular == "error":
+        ascending = np.sort(family.lambdas)
+        i = int(np.argmin(np.diff(ascending)))
+        a, b = float(ascending[i]), float(ascending[i + 1])
+        raise SingularGramError(
+            f"Gram matrix of exponentials numerically singular "
+            f"(cond={family.cond:.3e} > {GRAM_COND_LIMIT:.0e}); nearest pair "
+            f"lambda={a:.6g}, {b:.6g} at distance {b - a:.3e} over "
+            f"T={family.T}", pair=(a, b), cond=family.cond)
     if family.degenerate:
         warnings.warn(
             f"Gram matrix has cond {family.cond:.2e}; duals built by "
             "rank-revealing least squares, biorthogonality only approximate",
             RuntimeWarning)
     return family
-
-
-def _biorthogonal(spec: Spectrum, T: float,
-                  on_singular: str) -> BiorthogonalFamily:
-    lam = spec.distinct_lambdas()
-    kernel = spec.kernel(T)
-    gram = kernel.gram
-    # the real form needs the mirror as reversal; ascending lambda is one
-    perm = None if np.all(np.diff(spec.mirror) == -1) else np.argsort(lam)
-    # Gamma^{-1} (or its pseudo-inverse) is Q M^{-1} Q^H, M the real form;
-    # one eigh of M gives M^{-1} and cond(Gamma) = max|w| / min|w|
-    w, V = np.linalg.eigh(real_form(gram if perm is None
-                                    else gram[np.ix_(perm, perm)]))
-    mag = np.abs(w)
-    cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf
-    degenerate = False
-    if cond > GRAM_COND_LIMIT:
-        if on_singular == "error":
-            ascending = np.sort(lam)
-            i = int(np.argmin(np.diff(ascending)))
-            a, b = float(ascending[i]), float(ascending[i + 1])
-            raise SingularGramError(
-                f"Gram matrix of exponentials numerically singular "
-                f"(cond={cond:.3e} > {GRAM_COND_LIMIT:.0e}); nearest pair "
-                f"lambda={a:.6g}, {b:.6g} at distance {b - a:.3e} over T={T}",
-                pair=(a, b), cond=cond)
-        elif on_singular == "lstsq":
-            # pinv's cut: the singular values of the symmetric M are |w|
-            degenerate = True
-            keep = mag > LSTSQ_RCOND * mag.max()
-            w, V = w[keep], V[:, keep]
-        else:
-            raise ValueError("on_singular must be 'error' or 'lstsq'")
-    x = from_real(from_real(V @ (V / w).T).conj().T)
-    if perm is not None:
-        x[np.ix_(perm, perm)] = x.copy()
-    if not degenerate:
-        # x = D^H = Gamma^{-1}, with one refinement step against Gamma itself
-        x += x @ (np.eye(len(lam)) - gram @ x)
-    return BiorthogonalFamily(T=T, lambdas=lam, kernel=kernel, duals_h=x,
-                              cond=cond, degenerate=degenerate)
 
 
 def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
@@ -231,39 +113,21 @@ def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
     couple through the block M_j of m-entries; the block system
     c~ = M_j^T h is solved with mode 0 removed (its moment is automatic and
     h_0 = 0, and keeping it would make the block singular since the zero
-    column of m vanishes).
+    column of m vanishes).  The blocks are the plant's (``Plant.blocks``).
     """
     n = spec.n
     c = np.asarray(c, dtype=complex)
     if abs(c[n]) > 1e-10 * max(1.0, float(np.abs(c).max())):
         raise ConfigurationError(
             f"target coefficient c_0 = {c[n]:.3e} != 0: mode 0 is unreachable")
-    ctil = c * spec.kernel(T).phases[0]
-    alone, diagonal, blocks = spec._blocks.get(
-        mm, lambda: _cluster_blocks(mm, spec))
+    horizon = spec.horizon(T)
+    ctil = c * horizon.phases[0]
+    alone, diagonal, blocks = horizon.plant(mm).blocks
     h = np.zeros(2 * n + 1, dtype=complex)
     h[alone] = ctil[alone] / diagonal
     for pos, block_t in blocks:
         h[pos] = np.linalg.solve(block_t, ctil[pos])
     return h
-
-
-def _cluster_blocks(mm: MMatrix, spec: Spectrum) -> tuple:
-    """solve_coefficients' lone modes with their m[k,k], and the rows and
-    block M_j^T of each larger cluster, kept on the spectrum per m-matrix."""
-    nonzero = spec.wavenumbers != 0
-    members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
-    alone = nonzero & (members[spec.slot] == 1)
-    blocks = []
-    for ci in np.flatnonzero(members >= 2):
-        nz = [k for k in spec.clusters[ci] if k != 0]
-        pos = np.add(nz, spec.n)
-        block = mm.entries[np.ix_(pos, pos)]
-        if np.linalg.cond(block) > 1e14:
-            raise SingularClusterBlockError(
-                f"cluster block {nz} numerically singular for this localizer")
-        blocks.append(read_only(pos, block.T))
-    return (*read_only(alone, np.diagonal(mm.entries)[alone]), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -273,26 +137,19 @@ class ControlSignal:
     The psi-coefficient of mode j at time t is
     sum_m exp_coeffs[j, m] * e^{-i lambdas[m] t}; this exact representation
     drives all closed-form integrals.  Sampled (x, t) grids are generated
-    only for export.  ``kernel`` is the HorizonKernel of the spectrum the
-    signal was built on (its columns are ``lambdas``, its horizon ``T``);
-    a signal without one evaluates the same integrals on demand.
-
-    A signal built by a route also carries what the route knows, so its
-    terminal state (``_duhamel``) and its L2 norm cost (2n+1)^2 work at
-    most: the moment route's amplitudes h_j with their ``family``, the
-    Gramian route's eta with its certified forward Gramian W.
+    only for export.  ``horizon`` is the Horizon the signal was built on;
+    a signal without one evaluates the same integrals on demand.  A route
+    also leaves its ``amplitudes``: the moment route's h_j, over the
+    horizon's family, or the Gramian route's eta with its ``gramian`` W.
+    Its terminal state and L2 norm then cost (2n+1)^2 work at most.
     """
 
     n: int
     T: float
     lambdas: np.ndarray          # distinct eigenvalues (frequency slots)
     exp_coeffs: np.ndarray       # (2n+1) x len(lambdas)
-    amplitudes: np.ndarray | None = None   # moment route: h_j
-    kernel: HorizonKernel | None = field(default=None, repr=False,
-                                         compare=False)
-    family: BiorthogonalFamily | None = field(default=None, repr=False,
-                                              compare=False)
-    eta: np.ndarray | None = None          # Gramian route: W eta = c
+    horizon: Horizon | None = field(default=None, repr=False, compare=False)
+    amplitudes: np.ndarray | None = None   # h_j, or eta with W eta = c
     gramian: Gramian | None = field(default=None, repr=False, compare=False)
 
     def mode_values(self, times) -> np.ndarray:
@@ -319,15 +176,15 @@ class ControlSignal:
         the family's ``slot_norms`` at slot j; at s = 0 a Gramian-route
         signal reads sqrt(Re eta^H W eta).
         """
+        h = self.amplitudes
         if self.gramian is not None and s == 0:
-            eta = self.eta
             return float(np.sqrt(max(
-                np.vdot(eta, self.gramian.matrix @ eta).real, 0.0)))
-        if self.family is not None:
-            h, fam = self.amplitudes, self.family
-            quad = (h.real ** 2 + h.imag ** 2) * fam.slot_norms[fam.kernel.slot]
+                np.vdot(h, self.gramian.matrix @ h).real, 0.0)))
+        if self.gramian is None and h is not None:
+            fam = self.horizon.family
+            quad = (h.real ** 2 + h.imag ** 2) * fam.slot_norms[fam.slot]
         else:
-            gram = self.kernel.gram if self.kernel is not None else \
+            gram = self.horizon.gram if self.horizon is not None else \
                 exp_kernel(self.lambdas, self.lambdas, self.T)
             E = self.exp_coeffs
             quad = ((E @ gram.T) * E.conj()).sum(axis=1).real
@@ -356,9 +213,12 @@ def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
     row is h_j times the family's ``mode_duals`` row j.
     """
     h = np.asarray(h, complex)
-    rows = family.mode_duals
-    return ControlSignal(spec.n, family.T, family.lambdas, h[:, None] * rows,
-                         amplitudes=h, kernel=family.kernel, family=family)
+    E = h[:, None] * family.mode_duals
+    horizon = spec.horizon(family.T)
+    if horizon.family is not family:
+        return ControlSignal(spec.n, family.T, family.lambdas, E)
+    return ControlSignal(spec.n, family.T, family.lambdas, E,
+                         horizon=horizon, amplitudes=h)
 
 
 def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
@@ -369,22 +229,20 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     the integrand is a finite sum of exponentials, so the integral is
     sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t), (2n+1) x N^2 work
     and the only path at other times and spectra and for a signal built
-    from coefficients.  At the horizon of the signal's kernel (t = T, lam
-    its rows) a route-built signal needs (2n+1)^2 work: the moment route's
-    E = diag(h) conj(D)[slot] sums to sum_j op[k,j] h_j (K D^H)[k, slot j]
-    (the family's ``weighted_moments``), and the Gramian route's part is W
-    eta when W integrates this ``mm``; the phases are the kernel's.
+    from coefficients.  At the signal's horizon (t = T, lam its rows) the
+    moment route's part is sum_j op[k,j] h_j (K D^H)[k, slot j] (the plant's
+    ``weighted_moments``), the Gramian route's W eta if W integrates ``mm``.
     """
-    kern = signal.kernel
-    at_horizon = kern is not None and t == kern.T and (
-        lam is kern.lambdas or np.array_equal(lam, kern.lambdas))
+    horizon, h = signal.horizon, signal.amplitudes
+    at_horizon = horizon is not None and t == horizon.T and (
+        lam is horizon.lambdas or np.array_equal(lam, horizon.lambdas))
     if at_horizon and signal.gramian is not None \
             and signal.gramian.mmatrix is mm:
-        return signal.gramian.matrix @ signal.eta
-    phase = kern.phases[1] if at_horizon else np.exp(-1j * lam * t)
-    if at_horizon and signal.family is not None:
-        return phase * (signal.family.weighted_moments(mm) @ signal.amplitudes)
-    inner = kern.matrix if at_horizon else exp_kernel(lam, signal.lambdas, t)
+        return signal.gramian.matrix @ h
+    phase = horizon.phases[1] if at_horizon else np.exp(-1j * lam * t)
+    if at_horizon and signal.gramian is None and h is not None:
+        return phase * (horizon.plant(mm).weighted_moments @ h)
+    inner = horizon.kernel if at_horizon else exp_kernel(lam, signal.lambdas, t)
     return phase * ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
@@ -419,21 +277,9 @@ def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> Gramian:
     """W_T = int_0^T U(T-s) GG* U(T-s)^* ds on psi coefficients, certified.
 
     Substituting tau = T-s shows this is the forward-flow Gramian
-    int_0^T U(tau) GG* U(tau)^* dtau, which also governs observability;
-    ObservabilityError is raised if it is singular on mean-zero modes."""
-    return Gramian.certified(mm, spec, T)
-
-
-def _sorted_adjoint(mm: MMatrix, spec: Spectrum) -> tuple:
-    """G* with columns in the order of the cluster sums: the first member of
-    every cluster, then the second members of the clusters ``pairs``, then
-    the third members of the clusters ``pairs[triples]``; with that order."""
-    groups = spec.clusters
-    pairs = np.array([c for c, g in enumerate(groups) if len(g) > 1], np.intp)
-    triples = np.flatnonzero([len(groups[c]) > 2 for c in pairs])
-    order = np.add([g[0] for g in groups] + [groups[c][1] for c in pairs]
-                   + [groups[c][2] for c in pairs[triples]], spec.n)
-    return read_only(mm.operator.conj().T[:, order], order, pairs, triples)
+    int_0^T U(tau) GG* U(tau)^* dtau, which also governs observability:
+    the plant's ``forward_gramian``, ObservabilityError if singular."""
+    return spec.horizon(T).plant(mm).forward_gramian
 
 
 def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
@@ -442,11 +288,9 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
 
     h(t) = G* U(T-t)^* eta with W_T eta = u1 - U(T)u0 (restricted to
     mean-zero modes, solved through the eigenpairs of the certified W_T).
-    Independent of the moment construction; by the
-    minimizer property its L2([0,T]; L2) norm is a lower bound for any
-    steering control's.  The signal carries eta and W_T: its controlled
-    terminal state is W_T eta and its squared L2([0,T]; L2) norm
-    Re eta^H W_T eta.
+    Independent of the moment construction; by the minimizer property its
+    L2([0,T]; L2) norm, sqrt(Re eta^H W_T eta), is a lower bound for any
+    steering control's.
     """
     if spec is None:
         spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
@@ -458,17 +302,16 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
 
     # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; a cluster's
     # terms a, b, c add into its slot as a + (b + c), as np.add.reduce does
-    gstar, order, pairs, triples = spec._adjoint.get(
-        mm, lambda: _sorted_adjoint(mm, spec))
+    horizon = spec.horizon(problem.T)
+    gstar, order, pairs, triples = horizon.plant(mm).adjoint
     x, N, p = eta[order], len(spec.clusters), len(pairs)
     E = gstar[:, :N] * x[:N]
     rest = gstar[:, N:N + p] * x[N:N + p]
     rest[:, triples] += gstar[:, N + p:] * x[N + p:]
     E[:, pairs] += rest
-    kern = spec.kernel(problem.T)
-    E *= kern.phases[0][spec.rep_rows]
+    E *= horizon.phases[0][horizon.rows]
     signal = ControlSignal(problem.n, problem.T, spec.distinct_lambdas(), E,
-                           kernel=kern, eta=eta, gramian=W)
+                           horizon=horizon, amplitudes=eta, gramian=W)
     return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
 
 

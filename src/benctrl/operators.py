@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum as spect
-from ._memo import latest, read_only
-from .errors import ConfigurationError, ObservabilityError
+from ._memo import Latest, latest, read_only
+from .errors import (ConfigurationError, ObservabilityError,
+                     SingularClusterBlockError)
 from .spectral import TWO_PI, TorusFunction
 
 #: quadrature resolution used when profiling a bump into Fourier coefficients
@@ -152,7 +153,7 @@ class MMatrix:
     ``entries[j+n, k+n]`` holds m[j,k]; ``beta`` is the minimum diagonal
     entry off mode 0 and ``delta_min`` the minimum of
     delta_k = ||G psi_k||^2 = sum_j |m[k,j]|^2 over k != 0.  Matrices
-    compare by identity, as keys of the memoized Gramian.
+    compare by identity, as keys of ``Horizon.plant``.
     """
 
     n: int
@@ -248,7 +249,7 @@ def gg_star_matrix(mm: MMatrix) -> np.ndarray:
 # -- Gramians ----------------------------------------------------------------
 
 
-def gramian(mm: MMatrix, spec: spect.Spectrum, T: float, rate: float = 0.0,
+def gramian(mm: MMatrix, horizon: spect.Horizon, rate: float = 0.0,
             flow: str = "forward") -> np.ndarray:
     """Closed form of int_0^T e^{-2*rate*tau} U(s*tau) GG* U(s*tau)^* dtau.
 
@@ -256,11 +257,12 @@ def gramian(mm: MMatrix, spec: spect.Spectrum, T: float, rate: float = 0.0,
     observability Gramian; ``flow="backward"`` (s = -1) with rate=lambda is
     the weighted Gramian L_lambda of the prescribed-decay feedback.  Entry
     (k,l) is (GG*)_{kl} * int_0^T e^{(-2*rate - i*s*(lam_k - lam_l)) tau} dtau,
-    read off the spectrum's kernel ``spec.kernel(T, rate)`` at the column of
-    l's cluster and conjugated for the forward flow.  (Both flows are
-    Hermitian with identical spectra; the eigenvectors conjugate.)
+    the horizon's kernel at the column of l's cluster, conjugated for the
+    forward flow.  (Both flows are Hermitian with identical spectra; the
+    eigenvectors conjugate.)
     """
-    K = spec.kernel(T, rate).matrix[:, spec.slot]
+    K = horizon.kernel if rate == 0 else horizon.weighted_kernel(rate)
+    K = K[:, horizon.slot]
     if flow == "forward":
         K = K.conj()
     elif flow != "backward":
@@ -293,32 +295,6 @@ class Gramian:
     def __post_init__(self):
         read_only(self.matrix, self.eigvals, self.eigvecs)
 
-    @classmethod
-    def certified(cls, mm: MMatrix, spec: spect.Spectrum, T: float,
-                  rate: float = 0.0, flow: str = "forward") -> "Gramian":
-        """Assemble ``gramian(...)``; raise ObservabilityError unless definite.
-
-        ``spec`` keeps the latest certified Gramian of each flow, keyed on
-        (mm, T, rate), so it goes with the spectrum, and a feedback's
-        backward L_lambda and the forward Gramian of delta(T) do not evict
-        each other.
-        """
-        memo = spec._gramians.get(flow)
-        if memo is None:
-            raise ConfigurationError("flow must be 'forward' or 'backward'")
-
-        def certify():
-            W = gramian(mm, spec, T, rate, flow)
-            # mode 0 is the middle index, the real form's last row and column
-            vals, vecs = np.linalg.eigh(spect.real_form(W)[:-1, :-1])
-            if vals[0] <= 0.0:
-                raise ObservabilityError(
-                    f"Gramian singular on mean-zero modes (min eigenvalue "
-                    f"{vals[0]:.3e}) at rate={rate}, T={T}, n={spec.n}")
-            return cls(rate, T, W, float(vals[-1] / vals[0]), float(vals[0]),
-                       vals, spect.from_real(vecs), mm)
-        return memo.get((mm, float(T), float(rate)), certify)
-
     @functools.cached_property
     def eigvecs_h(self) -> np.ndarray:
         """eigvecs^H, formed once per Gramian, read-only."""
@@ -340,6 +316,83 @@ class Gramian:
         r = (b - self.matrix @ x)[nz]
         x[nz] += V @ ((Vh @ r) / w)
         return x
+
+
+@dataclass(frozen=True, eq=False)
+class Plant:
+    """What an m-matrix adds at one horizon, each formed on first use; a
+    failed computation raises on every call.  A plant is reached as
+    ``Horizon.plant(mm)`` and refers to its horizon weakly, so the two make
+    no reference cycle.  Every array is read-only."""
+
+    horizon: spect.Horizon = field(repr=False)     # a weakref.proxy
+    mm: MMatrix
+    _backward: Latest = field(default_factory=Latest, init=False, repr=False)
+
+    @functools.cached_property
+    def adjoint(self) -> tuple:
+        """(G*, order, pairs, triples): G* with columns in the order of the
+        cluster sums, the first member of every cluster, then the second
+        members of the clusters ``pairs``, then the third members of the
+        clusters ``pairs[triples]``."""
+        groups = self.horizon.clusters
+        pairs = np.array([c for c, g in enumerate(groups) if len(g) > 1],
+                         np.intp)
+        triples = np.flatnonzero([len(groups[c]) > 2 for c in pairs])
+        order = np.add([g[0] for g in groups] + [groups[c][1] for c in pairs]
+                       + [groups[c][2] for c in pairs[triples]],
+                       self.horizon.n)
+        return read_only(self.mm.operator.conj().T[:, order], order, pairs,
+                         triples)
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """(alone, diagonal, blocks): the modes off 0 alone in their
+        cluster with their m[k,k], and the rows and block M_j^T of each
+        cluster of two or more such modes, for the amplitude solve."""
+        h, entries = self.horizon, self.mm.entries
+        nonzero = np.arange(-h.n, h.n + 1) != 0
+        members = np.bincount(h.slot[nonzero], minlength=len(h.clusters))
+        alone = nonzero & (members[h.slot] == 1)
+        blocks = []
+        for ci in np.flatnonzero(members >= 2):
+            nz = [k for k in h.clusters[ci] if k != 0]
+            pos = np.add(nz, h.n)
+            block = entries[np.ix_(pos, pos)]
+            if np.linalg.cond(block) > 1e14:
+                raise SingularClusterBlockError(
+                    f"cluster block {nz} numerically singular for this "
+                    "localizer")
+            blocks.append(read_only(pos, block.T))
+        return (*read_only(alone, np.diagonal(entries)[alone]), tuple(blocks))
+
+    @functools.cached_property
+    def weighted_moments(self) -> np.ndarray:
+        """op * (K D^H), K D^H the ``dual_moments`` of the horizon's family:
+        the moment route's Duhamel sum at the horizon."""
+        return read_only(self.mm.operator * self.horizon.family.dual_moments)
+
+    @functools.cached_property
+    def forward_gramian(self) -> Gramian:
+        """W_T, the controllability and observability Gramian."""
+        return self._certify(0.0, "forward")
+
+    def backward_gramian(self, rate: float) -> Gramian:
+        """L_lambda of the decay ``rate``; the plant keeps the latest."""
+        return self._backward.get(rate,
+                                  lambda: self._certify(rate, "backward"))
+
+    def _certify(self, rate: float, flow: str) -> Gramian:
+        W = gramian(self.mm, self.horizon, rate, flow)
+        # mode 0 is the middle index, the real form's last row and column
+        vals, vecs = np.linalg.eigh(spect.real_form(W)[:-1, :-1])
+        h = self.horizon
+        if vals[0] <= 0.0:
+            raise ObservabilityError(
+                f"Gramian singular on mean-zero modes (min eigenvalue "
+                f"{vals[0]:.3e}) at rate={rate}, T={h.T}, n={h.n}")
+        return Gramian(rate, h.T, W, float(vals[-1] / vals[0]),
+                       float(vals[0]), vals, spect.from_real(vecs), self.mm)
 
 
 # -- free propagators --------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -35,6 +36,12 @@ NEAR_CLUSTER_FRACTION = 1e-3
 
 #: relative departure from mirror symmetry beyond rounding
 MIRROR_RTOL = 1e-12
+
+#: Gram matrices with condition number beyond this are declared singular.
+GRAM_COND_LIMIT = 1e14
+
+#: singular-value cutoff (relative) for the rank-revealing fallback solve
+LSTSQ_RCOND = 1e-13
 
 
 def eigenvalue(k: int, alpha, mu=0):
@@ -63,35 +70,6 @@ def window_bound(alpha) -> int:
 
 
 @dataclass(frozen=True)
-class HorizonKernel:
-    """Time integrals over [0, T] pairing every mode with every frequency slot.
-
-    ``matrix[k+n, m] = int_0^T e^{(-2*rate + i(lambda_k - nu_m))t} dt``,
-    with nu the distinct eigenvalues in cluster order.  At rate 0 its rows at
-    the cluster representatives are ``gram``, the Gram matrix Gamma of the
-    exponentials e^{i nu t} in L2(0, T); its columns at ``Spectrum.slot``
-    are the integrals of every Gramian (``operators.gramian``).  ``slot`` is
-    the spectrum's map from each row to its cluster's column, ``rows`` its
-    map from each cluster to its representative's row.  The arrays are
-    read-only.
-    """
-
-    T: float
-    rate: float
-    lambdas: np.ndarray            # lambda_k of the rows, index k+n
-    slot: np.ndarray               # column of row k's cluster, index k+n
-    rows: np.ndarray               # row of cluster c's representative
-    matrix: np.ndarray
-    gram: np.ndarray
-
-    @functools.cached_property
-    def phases(self) -> tuple:
-        """(e^{i lambda_k T}, e^{-i lambda_k T}) of the rows, read-only."""
-        return read_only(np.exp(1j * self.lambdas * self.T),
-                         np.exp(-1j * self.lambdas * self.T))
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of the truncated generator with their cluster structure.
 
@@ -102,14 +80,8 @@ class Spectrum:
     holds wavenumber k: the one map from modes to clusters that every
     cluster-aware computation reads; ``mirror[c]`` is the cluster of the
     negated members of cluster c, ``rep_rows[c]`` the row of its
-    representative.  ``kernel(T, rate)`` holds the time integrals over one
-    horizon that every closed-form integral of a control and every Gramian
-    reads.  ``gap_gamma`` is the minimum spacing between distinct
-    eigenvalues at this truncation.  The spectrum also keeps the latest
-    biorthogonal family (``moment_control.build_biorthogonal``), the latest
-    certified Gramian of each flow (``operators.Gramian.certified``) built
-    on it, and, for the latest m-matrix, HUM's adjoint G* in cluster-sum
-    order and the amplitude solve's cluster blocks.
+    representative.  ``gap_gamma`` is the minimum spacing between distinct
+    eigenvalues at this truncation.
     """
 
     alpha: float
@@ -124,17 +96,8 @@ class Spectrum:
     exact: bool                    # clusters decided by integer arithmetic
     mirror: np.ndarray = field(init=False, repr=False, compare=False)
     rep_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _kernel: Latest = field(default_factory=Latest, init=False, repr=False,
-                            compare=False)
-    _family: Latest = field(default_factory=Latest, init=False, repr=False,
-                            compare=False)
-    _adjoint: Latest = field(default_factory=Latest, init=False, repr=False,
+    _horizon: Latest = field(default_factory=Latest, init=False, repr=False,
                              compare=False)
-    _blocks: Latest = field(default_factory=Latest, init=False, repr=False,
-                            compare=False)
-    _gramians: dict = field(
-        default_factory=lambda: {"forward": Latest(), "backward": Latest()},
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
@@ -153,27 +116,141 @@ class Spectrum:
         """One eigenvalue per cluster (its representative's), in cluster order."""
         return self.lambdas[self.rep_rows]
 
-    def kernel(self, T: float, rate: float = 0.0) -> HorizonKernel:
-        """The HorizonKernel at horizon T under the weight e^{-2*rate*t}.
+    def horizon(self, T: float) -> Horizon:
+        """The Horizon at T > 0; the spectrum keeps the latest."""
+        if T <= 0:
+            raise ConfigurationError("horizon T must be positive")
+        T = float(T)
+        return self._horizon.get(T, lambda: Horizon(
+            T, self.n, self.lambdas, self.slot, self.rep_rows, self.mirror,
+            self.clusters))
 
-        The spectrum keeps the kernel of the latest (T, rate) asked for
-        (another key replaces it), so the duals, the moments, the controlled
-        evolution, the control norms and the controllability Gramian of one
-        synthesis share a single evaluation.  Row -k is row k conjugated at
-        the mirror clusters, bit for bit, so only rows k >= 0 are evaluated.
-        """
-        T, rate, n = float(T), float(rate), self.n
 
-        def evaluate():
-            matrix = np.empty((2 * n + 1, len(self.representatives)), complex)
-            matrix[n:] = exp_kernel(self.lambdas[n:], self.distinct_lambdas(),
-                                    T, rate)
-            np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
-            gram = matrix[self.rep_rows]
-            read_only(matrix, gram)
-            return HorizonKernel(T, rate, self.lambdas, self.slot,
-                                 self.rep_rows, matrix, gram)
-        return self._kernel.get((T, rate), evaluate)
+@dataclass(frozen=True, eq=False)
+class Horizon:
+    """What a spectrum and a horizon T determine, each formed on first use.
+
+    ``kernel[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt`` for the distinct
+    eigenvalues nu; its rows at the representatives are ``gram``, the Gram
+    matrix Gamma of the e^{i nu t}.  ``plant(mm)`` is what an m-matrix adds;
+    the horizon keeps the latest.  It holds the spectrum's arrays, not the
+    spectrum, so the two make no reference cycle.  Arrays are read-only.
+    """
+
+    T: float
+    n: int
+    lambdas: np.ndarray            # lambda_k of the rows, index k+n
+    slot: np.ndarray               # column of row k's cluster, index k+n
+    rows: np.ndarray               # row of cluster c's representative
+    mirror: np.ndarray             # cluster of cluster c's negated members
+    clusters: tuple
+    _plant: Latest = field(default_factory=Latest, init=False, repr=False)
+
+    def weighted_kernel(self, rate: float) -> np.ndarray:
+        """``kernel`` under the weight e^{-2*rate*t}, evaluated afresh on
+        the rows k >= 0: row -k is row k conjugated at the mirror clusters."""
+        n = self.n
+        matrix = np.empty((2 * n + 1, len(self.rows)), complex)
+        matrix[n:] = exp_kernel(self.lambdas[n:], self.lambdas[self.rows],
+                                self.T, rate)
+        np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
+        return matrix
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        return read_only(self.weighted_kernel(0.0))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        return read_only(self.kernel[self.rows])
+
+    @functools.cached_property
+    def phases(self) -> tuple:
+        """(e^{i lambda_k T}, e^{-i lambda_k T}) of the rows, read-only."""
+        return read_only(np.exp(1j * self.lambdas * self.T),
+                         np.exp(-1j * self.lambdas * self.T))
+
+    @functools.cached_property
+    def family(self) -> BiorthogonalFamily:
+        """The duals of the exponentials.  One real ``eigh`` of Gamma's real
+        form M gives cond(Gamma) = max|w| / min|w| and Gamma^{-1} = Q M^{-1}
+        Q^H, refined once against Gamma.  Beyond ``GRAM_COND_LIMIT`` the
+        family is degenerate: least-squares duals from the eigenpairs
+        ``np.linalg.pinv`` would keep, |w| > LSTSQ_RCOND max|w|."""
+        lam, gram = self.lambdas[self.rows], self.gram
+        # the real form needs the mirror as reversal; ascending lambda is one
+        perm = None if np.all(np.diff(self.mirror) == -1) else np.argsort(lam)
+        w, V = np.linalg.eigh(real_form(gram if perm is None
+                                        else gram[np.ix_(perm, perm)]))
+        mag = np.abs(w)
+        cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf
+        degenerate = cond > GRAM_COND_LIMIT
+        if degenerate:
+            # pinv's cut: the singular values of the symmetric M are |w|
+            keep = mag > LSTSQ_RCOND * mag.max()
+            w, V = w[keep], V[:, keep]
+        x = from_real(from_real(V @ (V / w).T).conj().T)
+        if perm is not None:
+            x[np.ix_(perm, perm)] = x.copy()
+        if not degenerate:
+            x += x @ (np.eye(len(lam)) - gram @ x)
+        return BiorthogonalFamily(self.T, lam, self.kernel, gram, self.slot,
+                                  self.rows, x, cond, degenerate)
+
+    def plant(self, mm):
+        """The ``operators.Plant`` of the m-matrix ``mm`` at this horizon."""
+        from .operators import Plant    # operators builds on this module
+        return self._plant.get(mm, lambda: Plant(weakref.proxy(self), mm))
+
+
+@dataclass(frozen=True)
+class BiorthogonalFamily:
+    """Dual family of the exponentials e^{i nu t} over distinct eigenvalues.
+
+    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i nu_m t}: the
+    rows of Gamma^{-1}, one per cluster; the family holds D^H and the arrays
+    of its Horizon.  What its controls read is formed on first use.  The
+    arrays are read-only.
+    """
+
+    T: float
+    lambdas: np.ndarray          # distinct eigenvalues, one per cluster
+    kernel: np.ndarray
+    gram: np.ndarray             # Gamma[k, m] = int_0^T e^{i(nu_k-nu_m)t} dt
+    slot: np.ndarray
+    rows: np.ndarray
+    duals_h: np.ndarray          # D^H
+    cond: float
+    degenerate: bool = False     # rank-revealing fallback was used
+
+    def __post_init__(self):
+        read_only(self.lambdas, self.duals_h)
+
+    @functools.cached_property
+    def dual_coeffs(self) -> np.ndarray:
+        """D, the coefficients of the duals q_j by row, read-only."""
+        return read_only(self.duals_h.conj().T)
+
+    @functools.cached_property
+    def dual_moments(self) -> np.ndarray:
+        """(K D^H)[k, slot j] = int_0^T e^{i lambda_k t} conj(q_{slot j})(t) dt,
+        for the kernel K: it turns the Duhamel sum of every control of the
+        family into (2n+1)^2 work (``moment_control._duhamel``)."""
+        return read_only(self.kernel @ self.mode_duals.T)
+
+    @functools.cached_property
+    def mode_duals(self) -> np.ndarray:
+        """(D^H)^T[slot] = conj(D)[slot]: row j is the conjugated dual of
+        wavenumber j's cluster, so mode j of a control is h_j times it."""
+        return read_only(self.duals_h.T[self.slot, :])
+
+    @functools.cached_property
+    def slot_norms(self) -> np.ndarray:
+        """Re diag(D Gamma D^H) = Re sum_m conj(P[m, c]) D^H[m, c], P = Gamma
+        D^H the representatives' block of ``dual_moments``: ||q_c||^2 in
+        L2(0, T), so mode j of a control has |h_j|^2 slot_norms[slot j]."""
+        P = self.dual_moments[np.ix_(self.rows, self.rows)]
+        return read_only((P.conj() * self.duals_h).sum(axis=0).real)
 
 
 def _representative(group):
@@ -226,7 +303,7 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
 
     Spectra are memoized by value, one at a time: a call with the same
     arguments, of the same types, returns the same read-only Spectrum (and
-    with it the kernel, family and Gramian it keeps), and ``cache_clear()``
+    with it the horizon it keeps), and ``cache_clear()``
     forgets it.  The near-cluster warning is raised on every call.
     """
     spec, near = _spectrum(n, alpha, mu)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DecayFitError, ObservabilityError
+from .errors import ConfigurationError, DecayFitError
 from .operators import Gramian, MMatrix, gg_star_matrix
 from .spectral import TWO_PI, TorusFunction, hs_weights
 from .spectrum import Spectrum, from_real, real_form, require_mirror
@@ -104,9 +104,7 @@ def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
     """
     if lam <= 0:
         raise ConfigurationError("decay rate lambda must be positive")
-    if T <= 0:
-        raise ConfigurationError("window T must be positive")
-    return Gramian.certified(mm, spec, T, rate=lam, flow="backward")
+    return spec.horizon(T).plant(mm).backward_gramian(lam)
 
 
 def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
@@ -259,16 +257,11 @@ def observability_constant(mm: MMatrix, spec: Spectrum, T: float):
 
     delta^2 is the smallest eigenvalue of the observability Gramian
     int_0^T U(-tau)^* GG* U(-tau) dtau on the mean-zero subspace, read with
-    its eigenvector off the certified forward Gramian; the minimizing phi
-    is returned alongside.
+    its eigenvector off the plant's certified forward Gramian, which
+    raises ObservabilityError where it is singular; the minimizing phi is
+    returned alongside.
     """
-    if T <= 0:
-        raise ConfigurationError("T must be positive")
-    try:
-        W = Gramian.certified(mm, spec, T)
-    except ObservabilityError as exc:
-        raise ObservabilityError(
-            f"observability fails at T={T}, n={spec.n}: {exc}") from None
+    W = spec.horizon(T).plant(mm).forward_gramian
     phi = np.zeros(2 * spec.n + 1, dtype=complex)
     phi[spec.wavenumbers != 0] = W.eigvecs[:, 0]
     delta = float(np.sqrt(W.eigvals[0]))

@@ -131,7 +131,15 @@ class TestScenario:
         ("simulate", "n", 4.0, "n must be an integer"),
         ("control", "n_sim", 12.5, "n_sim must be an integer"),
         ("observability", "T_list", ["x"], "not a number: 'x'"),
-        ("control", "T", "x", "must be real number")])
+        ("control", "T", "x", "must be real number"),
+        ("control", "u0", "random", "u0 must be an object"),
+        ("control", "u0", {"type": "coeffs"}, "u0 data must be a list"),
+        ("control", "u1", {"type": "coeffs", "data": [[1, "a", 0]]},
+         "u1 data must be a list of [k, re, im]"),
+        ("control", "u0", {"type": "random", "norm": "big"},
+         "u0 norm must be a finite number"),
+        ("control", "bump", {"coefficients": [[0, "x", 0]]},
+         "bump coefficients must be a list of [k, re, im]")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"
@@ -153,7 +161,9 @@ class TestScenario:
         (["stabilize", "--t-final", "-1"], "t_final must be positive"),
         (["stabilize", "--t-final", "0"], "t_final must be positive"),
         (["observability", "--T-list", "0.5", "nan"],
-         "T_list must be finite")])
+         "T_list must be finite"),
+        (["observability", "--T-list", "0.5", "-1"],
+         "T_list must be a list of positive numbers")])
     def test_non_finite_or_non_positive_flag_exits_2(self, tmp_path, capsys,
                                                     argv, message):
         out = tmp_path / "out"
@@ -163,7 +173,7 @@ class TestScenario:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["125", 1.0, {"T": 1.0}, (0.5, 1.0)])
+    @pytest.mark.parametrize("value", ["125", 1.0, {"T": 1.0}, (0.5, 1.0), []])
     def test_T_list_must_be_a_list(self, tmp_path, capsys, value):
         with pytest.raises(ConfigurationError, match="T_list must be a list"):
             load_scenario(None, {"experiment": "observability",

@@ -16,10 +16,9 @@ import pytest
 import benctrl.spectrum as spectrum_mod
 from benctrl._closedform import exp_kernel
 from benctrl.errors import ConfigurationError
-from benctrl.moment_control import (LSTSQ_RCOND, build_biorthogonal,
-                                    controllability_gramian)
+from benctrl.moment_control import build_biorthogonal, controllability_gramian
 from benctrl.operators import build_bump, m_matrix
-from benctrl.spectrum import from_real, real_form, require_mirror
+from benctrl.spectrum import LSTSQ_RCOND, from_real, real_form, require_mirror
 from benctrl.stabilization import (build_L_lambda, feedback_gramian,
                                    feedback_simple)
 from oracles import phi_masked
@@ -109,7 +108,9 @@ class TestMirrorMap:
     def test_half_kernel_is_bit_identical(self, alpha, mu, n):
         spec = spectrum_mod.analyze(n, alpha, mu)
         for T, rate in itertools.product((0.1, 1.0, 5.0), (0.0, 0.25, 1.0)):
-            got = spec.kernel(T, rate).matrix
+            horizon = spec.horizon(T)
+            got = horizon.kernel if rate == 0 else \
+                horizon.weighted_kernel(rate)
             want = exp_kernel(spec.lambdas, spec.distinct_lambdas(), T, rate)
             assert np.array_equal(got.view(float), want.view(float))
 
@@ -136,7 +137,7 @@ class TestFactorizations:
     @pytest.mark.parametrize("alpha,mu,n", GRID + UNORDERED)
     def test_gram_eigenvalues(self, alpha, mu, n):
         spec = spectrum_mod.analyze(n, alpha, mu)
-        gram = spec.kernel(1.0).gram
+        gram = spec.horizon(1.0).gram
         order = np.argsort(spec.distinct_lambdas())
         got = np.linalg.eigvalsh(real_form(gram[np.ix_(order, order)]))
         want = np.linalg.eigvalsh(gram)
@@ -221,9 +222,8 @@ class TestDuals:
         (*UNORDERED[0], 1.0, "error"), (1.0, 0.0, 16, 0.05, "lstsq")])
     def test_one_eigh_per_fresh_family(self, monkeypatch, alpha, mu, n, T,
                                        on_singular):
+        spectrum_mod.analyze.cache_clear()      # a fresh horizon
         spec = spectrum_mod.analyze(n, alpha, mu)
-        spec.kernel(T)
-        spec._family.clear()
         calls = self._count_linalg(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -231,6 +231,21 @@ class TestDuals:
             assert family.degenerate == (on_singular == "lstsq")
             assert calls == {"eigh": 1}
             assert build_biorthogonal(spec, T, on_singular) is family
+        assert calls == {"eigh": 1}
+
+    @pytest.mark.parametrize("alpha,mu,n,T", [
+        (1.0, 0.0, 16, 1.0), (7 / 3, 0.3, 16, 5.0), (*UNORDERED[0], 1.0)])
+    def test_both_fallbacks_share_one_family(self, monkeypatch, alpha, mu, n,
+                                             T):
+        # below GRAM_COND_LIMIT on_singular changes nothing, so the horizon
+        # keeps one family for both values
+        spectrum_mod.analyze.cache_clear()
+        spec = spectrum_mod.analyze(n, alpha, mu)
+        calls = self._count_linalg(monkeypatch)
+        strict = build_biorthogonal(spec, T, on_singular="error")
+        assert build_biorthogonal(spec, T, on_singular="lstsq") is strict
+        assert build_biorthogonal(spec, T) is strict
+        assert not strict.degenerate
         assert calls == {"eigh": 1}
 
     @pytest.mark.parametrize("alpha,n,T", [(1.0, 16, 0.05), (0.1, 96, 0.1),

@@ -22,7 +22,7 @@ from benctrl.moment_control import (GRAM_COND_LIMIT, ControlProblem,
                                     reduce_to_zero_start, solve_coefficients,
                                     synthesize_control, terminal_residual,
                                     verify_moments)
-from benctrl.operators import (Gramian, MMatrix, build_bump,
+from benctrl.operators import (MMatrix, build_bump,
                                bump_from_coefficients, evolve_free,
                                gg_star_matrix, gramian, m_matrix)
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights, mean
@@ -35,7 +35,7 @@ from oracles import (duhamel_mpmath, evolve_controlled_quadrature, exp_gram,
 
 def clear_memos():
     """Forget the memoized bump, m-matrix and spectrum, and so everything
-    that hangs off them (horizon kernel, family, certified Gramian)."""
+    that hangs off them (the horizon with its family and its plant)."""
     build_bump.cache_clear()
     m_matrix.cache_clear()
     spectrum_mod.analyze.cache_clear()
@@ -128,7 +128,7 @@ class TestBiorthogonal:
 
     def test_singular_horizon_raises_with_pair(self):
         spec = spectrum_mod.analyze(16, 0.1)
-        for _ in range(2):                # an error is never memoized
+        for _ in range(2):                # it raises on every call
             with pytest.raises(SingularGramError) as exc:
                 build_biorthogonal(spec, 0.05)
             assert exc.value.cond > 1e14
@@ -142,6 +142,10 @@ class TestBiorthogonal:
         # the second call is a memo hit and warns again
         with pytest.warns(RuntimeWarning, match="rank-revealing"):
             assert build_biorthogonal(spec, 0.05, on_singular="lstsq") is fam
+        # an unknown fallback is rejected at every horizon, singular or not
+        for T in (1.0, 0.05):
+            with pytest.raises(ConfigurationError, match="on_singular"):
+                build_biorthogonal(spec, T, on_singular="lsqt")
 
 
 class TestHorizonKernel:
@@ -150,24 +154,26 @@ class TestHorizonKernel:
         (96, 7 / 3, 0.3, 1.0)])
     def test_gram_rows_are_the_exponential_gram(self, n, alpha, mu, T):
         spec = spectrum_mod.analyze(n, alpha, mu)
-        kern = spec.kernel(T)
+        horizon = spec.horizon(T)
         reps = np.add(spec.representatives, n)
         old = exp_gram(spec.distinct_lambdas(), T)
-        assert np.array_equal(kern.gram, old)
-        assert np.array_equal(kern.matrix[reps], old)
+        assert np.array_equal(horizon.gram, old)
+        assert np.array_equal(horizon.kernel[reps], old)
         assert np.array_equal(build_biorthogonal(spec, T).gram, old)
 
     def test_one_read_only_kernel_per_horizon(self):
         spec = spectrum_mod.analyze(8, 7 / 3, 0.3)
-        kern = spec.kernel(1.0)
-        assert spec.kernel(1.0) is kern
-        assert kern.matrix.shape == (17, len(spec.clusters))
-        assert not kern.matrix.flags.writeable
-        assert not kern.gram.flags.writeable
-        other = spec.kernel(0.5)
-        assert other.T == 0.5 and other is not kern
-        assert np.array_equal(kern.matrix,
-                              spectrum_mod.analyze(8, 7 / 3, 0.3).kernel(1.0).matrix)
+        horizon = spec.horizon(1.0)
+        assert spec.horizon(1.0) is horizon
+        assert horizon.kernel is horizon.kernel
+        assert horizon.kernel.shape == (17, len(spec.clusters))
+        assert not horizon.kernel.flags.writeable
+        assert not horizon.gram.flags.writeable
+        other = spec.horizon(0.5)
+        assert other.T == 0.5 and other is not horizon
+        assert np.array_equal(
+            horizon.kernel,
+            spectrum_mod.analyze(8, 7 / 3, 0.3).horizon(1.0).kernel)
 
     @pytest.mark.parametrize("kw", [
         dict(alpha=7 / 3, mu=0.3, T=5.0, s=1.0, seed=2),
@@ -302,7 +308,7 @@ class TestHorizonKernel:
             for T in (0.1, 1.0, 5.0):
                 for rate in (0.0, 0.5, 4.0):
                     for flow in ("forward", "backward"):
-                        W = gramian(mm, spec, T, rate, flow)
+                        W = gramian(mm, spec.horizon(T), rate, flow)
                         want = gramian_direct(mm, spec, T, rate, flow)
                         assert np.abs(W - want).max() <= \
                             1e-15 * np.abs(want).max()
@@ -320,7 +326,7 @@ class TestHorizonKernel:
     def test_a_second_case_forms_no_operator_product(self, alpha,
                                                       monkeypatch):
         # a repeat case reads G only through the arrays kept on the family
-        # and the spectrum: no cluster reduction, and no product with the
+        # and the plant: no cluster reduction, and no product with the
         # operator, op * (K D^H) included
         reads, reductions = [], []
         operator = MMatrix.operator
@@ -355,8 +361,7 @@ class TestPerCaseEvaluation:
 
     @staticmethod
     def _coefficients_only(signal):
-        return dataclasses.replace(signal, amplitudes=None, family=None,
-                                   eta=None, gramian=None)
+        return dataclasses.replace(signal, amplitudes=None, gramian=None)
 
     @pytest.mark.parametrize("alpha,mu,T,bound", [
         (1.0, 0.0, 1.0, 1e-13), (7 / 3, 0.3, 5.0, 2e-10),
@@ -453,7 +458,7 @@ class TestMemo:
         spec, mm = first[0].spectrum, first[0].mmatrix
         assert controllability_gramian(mm, spec, 1.0) is \
             controllability_gramian(mm, spec, 1.0)
-        assert Gramian.certified(mm, spec, 1.0, rate=0, flow="forward") is \
+        assert spec.horizon(1.0).plant(mm).forward_gramian is \
             controllability_gramian(mm, spec, 1.0)
         # equal coefficients hit as well
         ghat = np.array(first[0].problem.bump.ghat)
@@ -486,9 +491,10 @@ class TestMemo:
             hum_control(prob, res.spectrum, res.mmatrix)
             spec, mm, fam = res.spectrum, res.mmatrix, res.family
             W = controllability_gramian(mm, spec, T)
-            gstar, order, pairs, triples = spec._adjoint.get(mm, pytest.fail)
+            plant = spec.horizon(T).plant(mm)
+            gstar, order, pairs, triples = plant.adjoint
             seen.append((fam, (fam.slot_norms, fam.mode_duals,
-                               fam.weighted_moments(mm), gstar, order, pairs,
+                               plant.weighted_moments, gstar, order, pairs,
                                triples, W.eigvecs_h)))
         (fam, first), (again, second) = seen
         assert again is fam
@@ -511,7 +517,7 @@ class TestMemo:
                 pairs == c)] + [order[N + p + i] for i in np.flatnonzero(
                 pairs[triples] == c)]
             assert got == list(np.add(members, n))
-        assert np.array_equal(fam.weighted_moments(mm),
+        assert np.array_equal(plant.weighted_moments,
                               mm.operator * fam.dual_moments)
         for got, want in (
                 (fam.slot_norms, np.diag(D @ gram @ D.conj().T).real),
@@ -526,18 +532,19 @@ class TestMemo:
             assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
     def test_another_m_matrix_gets_its_own_weighted_moments(self):
-        # the family keeps op * (K D^H) for one m-matrix, compared by
-        # identity: another localizer's matrix on the same family is formed
-        # afresh and steers to its own terminal state
+        # the horizon keeps the plant, with op * (K D^H), of one m-matrix,
+        # compared by identity: another localizer's matrix on the same
+        # family is formed afresh and steers to its own terminal state
         clear_memos()
         n = 8
         prob = make_problem(n=n, alpha=1.0, seed=2)
         res = synthesize_control(prob)
         fam, mm = res.family, res.mmatrix
-        mine = fam.weighted_moments(mm)
+        horizon = res.spectrum.horizon(prob.T)
+        mine = horizon.plant(mm).weighted_moments
         for _ in range(2):
             other = m_matrix(build_bump("smooth_exp_bump", kmax=2 * n), n)
-            theirs = fam.weighted_moments(other)
+            theirs = horizon.plant(other).weighted_moments
             assert theirs is not mine and not theirs.flags.writeable
             assert np.array_equal(theirs, other.operator * fam.dual_moments)
             got = evolve_controlled(prob.u0, res.signal, prob.T, 1.0, 0.0,
@@ -550,7 +557,7 @@ class TestMemo:
             del other, theirs
             gc.collect()
             m_matrix.cache_clear()
-        again = fam.weighted_moments(mm)
+        again = horizon.plant(mm).weighted_moments
         assert again is not mine and np.array_equal(again, mine)
         check = verify_moments(res.signal, res.targets, res.spectrum, mm)
         assert check["max_residual"] == res.moment_residual
@@ -573,6 +580,31 @@ class TestMemo:
         synthesize_control(make_problem(n=8, alpha=0.7, seed=3))
         gc.collect()
         assert old() is None
+
+    def test_an_evicted_horizon_is_freed_without_the_cycle_collector(self):
+        # no object refers back to the one that keeps it (a horizon holds
+        # the spectrum's arrays, a plant its horizon weakly), so dropping
+        # the last reference frees a horizon or spectrum with all it keeps
+        clear_memos()
+        gc.collect()
+        gc.disable()
+        try:
+            prob = make_problem(n=8, alpha=1.0, seed=3)
+            res = synthesize_control(prob)
+            hum_control(prob, res.spectrum, res.mmatrix)
+            spec = res.spectrum
+            kept = [weakref.ref(obj) for obj in (
+                spec.horizon(prob.T), res.family,
+                controllability_gramian(res.mmatrix, spec, prob.T))]
+            del res
+            spec.horizon(0.5)
+            assert [ref() for ref in kept] == [None] * 3
+            old = weakref.ref(spec)
+            del spec
+            spectrum_mod.analyze(8, 0.7)
+            assert old() is None
+        finally:
+            gc.enable()
 
     def test_gramian_solve_matches_the_dense_solve(self):
         n = 16
@@ -625,8 +657,8 @@ class TestSolveCoefficients:
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 7 / 3, Fraction(7, 3)])
     def test_a_repeat_reads_the_kept_blocks(self, alpha, monkeypatch):
-        # the lone modes, the diagonal and the cluster blocks are kept per
-        # m-matrix on the spectrum: a repeat calls np.linalg.cond no more,
+        # the lone modes, the diagonal and the cluster blocks are kept on
+        # the plant of the m-matrix: a repeat calls np.linalg.cond no more,
         # and its h is bit for bit that of a fresh computation
         conds = []
         cond = np.linalg.cond
@@ -803,7 +835,7 @@ class TestHUM:
         starts = np.searchsorted(spec.slot[order],
                                  np.arange(len(spec.clusters)))
         want = np.add.reduceat(mm.operator.conj().T[:, order]
-                               * hum.eta[order], starts, axis=1)
+                               * hum.amplitudes[order], starts, axis=1)
         want *= np.exp(1j * spec.distinct_lambdas() * T)
         assert hum.exp_coeffs.tobytes() == want.tobytes()
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -33,3 +34,19 @@ def test_import_loads_neither_scipy_nor_the_process_pool():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    """Private state stays with its object: a module reads a
+    single-underscore attribute of ``self`` or ``cls`` only."""
+    reads = []
+    for path in sorted(Path(benctrl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                reads.append(f"{path.name}:{node.lineno}: "
+                             f"{ast.unparse(node)}")
+    assert reads == []

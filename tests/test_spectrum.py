@@ -230,7 +230,7 @@ class TestMemo:
     def test_a_new_key_evicts_the_old_spectrum(self):
         sp.analyze.cache_clear()
         spec = sp.analyze(8, 1.0)
-        spec.kernel(1.0)
+        spec.horizon(1.0).kernel
         old = weakref.ref(spec)
         del spec
         gc.collect()

@@ -48,7 +48,7 @@ class TestLLambda:
         spec, mm = setup()
         gg = gg_star_matrix(mm)
         L = build_L_lambda(mm, spec, 1e-8, 1.0)
-        unweighted = gramian(mm, spec, 1.0, flow="backward")
+        unweighted = gramian(mm, spec.horizon(1.0), flow="backward")
         assert np.abs(L.matrix - unweighted).max() <= 1e-7
         quad = weighted_gramian_quadrature(gg, spec.lambdas, 1.0, rate=0.0,
                                            total_nodes=2048)
