@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 from .errors import (BenctrlError, ClusterSizeError, ConfigurationError,
                      DecayFitError, ObservabilityError,
                      SingularClusterBlockError, SingularGramError)
-from .moment_control import (BiorthogonalFamily, ControlProblem, ControlSignal,
-                             SynthesisResult, assemble_control,
-                             build_biorthogonal, controllability_gramian,
-                             evolve_controlled, hum_control,
-                             reduce_to_zero_start, solve_coefficients,
-                             synthesize_control, terminal_residual,
-                             verify_moments)
+from .moment_control import (ControlProblem, ControlSignal, SynthesisResult,
+                             assemble_control, build_biorthogonal,
+                             controllability_gramian, evolve_controlled,
+                             hum_control, reduce_to_zero_start,
+                             solve_coefficients, synthesize_control,
+                             terminal_residual, verify_moments)
 from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
                         gramian, m_matrix)
@@ -41,11 +40,10 @@ __all__ = [
     "BenctrlError", "ClusterSizeError", "ConfigurationError", "DecayFitError",
     "ObservabilityError", "SingularClusterBlockError", "SingularGramError",
     # moment_control
-    "BiorthogonalFamily", "ControlProblem", "ControlSignal", "SynthesisResult",
-    "assemble_control", "build_biorthogonal", "controllability_gramian",
-    "evolve_controlled", "hum_control", "reduce_to_zero_start",
-    "solve_coefficients", "synthesize_control", "terminal_residual",
-    "verify_moments",
+    "ControlProblem", "ControlSignal", "SynthesisResult", "assemble_control",
+    "build_biorthogonal", "controllability_gramian", "evolve_controlled",
+    "hum_control", "reduce_to_zero_start", "solve_coefficients",
+    "synthesize_control", "terminal_residual", "verify_moments",
     # operators
     "BumpProfile", "Gramian", "MMatrix", "apply_G", "build_bump",
     "bump_from_coefficients", "evolve_free", "gg_star_matrix", "gramian",

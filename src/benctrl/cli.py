@@ -130,6 +130,10 @@ class Scenario:
             raise ConfigurationError(f"bump must be an object: {self.bump!r}")
         if "coefficients" in self.bump:
             _check_rows("bump coefficients", self.bump["coefficients"])
+        elif not all(_is_number(self.bump.get(key, 1.0))
+                     for key in ("center", "width")):
+            raise ConfigurationError(
+                "bump center and width must be finite numbers")
         return self
 
     def canonical(self) -> dict:
@@ -209,13 +213,15 @@ def _check_state(key: str, cfg, n: int):
     """ConfigurationError unless ``cfg`` describes a state of order n."""
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{key} must be an object: {cfg!r}")
-    kind = cfg.get("type", "random")
-    if kind == "random" and not _is_number(cfg.get("norm", 1.0)):
-        raise ConfigurationError(f"{key} norm must be a finite number")
+    kind, norm = cfg.get("type", "random"), cfg.get("norm", 1.0)
+    if kind == "random" and not (_is_number(norm) and norm >= 0):
+        raise ConfigurationError(f"{key} norm must be a finite number >= 0")
     if kind == "preset" and cfg.get("name", "cos") not in ("cos", "sin"):
         raise ConfigurationError(f"unknown preset {cfg['name']!r}")
     if kind == "coeffs":
         _check_rows(f"{key} data", cfg.get("data"), n)
+        if not isinstance(cfg.get("real", False), bool):
+            raise ConfigurationError(f"{key} real must be true or false")
     if kind not in ("random", "zero", "preset", "coeffs"):
         raise ConfigurationError(f"unknown state type {kind!r}")
 
@@ -234,7 +240,7 @@ def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
         return TorusFunction(n, c, real_flag=True)
     for k, re, im in cfg["data"]:
         c[k + n] = re + 1j * im
-    return TorusFunction(n, c, real_flag=bool(cfg.get("real", False)))
+    return TorusFunction(n, c, real_flag=cfg.get("real", False))
 
 
 def _build_bump(scn: Scenario, kmax: int):
@@ -252,6 +258,12 @@ def _build_bump(scn: Scenario, kmax: int):
 # -- report/CSV emission -----------------------------------------------------
 
 
+def _artifact(outdir: Path, name: str) -> Path:
+    """outdir / name; the first artifact of a run makes the directory."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
@@ -261,7 +273,7 @@ def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
         "scenario_hash": scn.digest(),
         "seed": scn.seed,
     }
-    path = outdir / "report.json"
+    path = _artifact(outdir, "report.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -285,7 +297,8 @@ def _run_simulate(scn: Scenario, outdir: Path) -> dict:
     power = np.abs(traj) ** 2
     l2, hs = (np.sqrt(TWO_PI * np.sum(hs_weights(scn.n, s) * power, axis=1))
               for s in (0.0, scn.s))
-    write_csv(outdir / "norms.csv", "t,L2_norm,Hs_norm", zip(times, l2, hs))
+    write_csv(_artifact(outdir, "norms.csv"), "t,L2_norm,Hs_norm",
+              zip(times, l2, hs))
     return {
         "experiment": "simulate",
         "t_final": float(times[-1]),
@@ -333,13 +346,13 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
             range(-scn.n, scn.n + 1),
             np.stack([E.real, E.imag], axis=-1).tolist())],
     }
-    with open(outdir / "control_coeffs.json", "w") as fh:
+    with open(_artifact(outdir, "control_coeffs.json"), "w") as fh:
         # json.dump never uses the C encoder; json.dumps writes the same bytes
         fh.write(json.dumps(coeff_payload, sort_keys=True))
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
-    write_csv(outdir / "control_samples.csv", "t,x,h_re,h_im",
+    write_csv(_artifact(outdir, "control_samples.csv"), "t,x,h_re,h_im",
               np.stack([*np.meshgrid(ts, xs, indexing="ij"), vals.real,
                         vals.imag], axis=-1).reshape(-1, 4))
     return {
@@ -376,9 +389,9 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
     times = np.linspace(0.0, t_final, scn.n_times)
     hist = stab.norm_history(u0, law, times, s_values=(0.0, scn.s))
     fitobj = stab.estimate_decay_rate(hist["times"], hist[0.0])
-    write_csv(outdir / "decay.csv", "t,L2_norm,Hs_norm",
-              zip(hist["times"], hist[0.0], hist[scn.s]))
     delta, _ = stab.observability_constant(mm, spec, scn.T)
+    write_csv(_artifact(outdir, "decay.csv"), "t,L2_norm,Hs_norm",
+              zip(hist["times"], hist[0.0], hist[scn.s]))
     return {
         "experiment": "stabilize",
         "law": scn.law,
@@ -424,11 +437,11 @@ def _missed_target(scn: Scenario, payload: dict) -> str | None:
 def run(scn: Scenario) -> int:
     """Dispatch a validated scenario; returns the process exit code.
 
-    A control run that reaches u1 by neither route still writes its report
+    The output directory is made only when an artifact is written.  A
+    control run that reaches u1 by neither route still writes its report
     and exits 3.
     """
     outdir = Path(scn.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         payload = _RUNNERS[scn.experiment](scn, outdir)
     except ConfigurationError as exc:
@@ -446,20 +459,30 @@ def run(scn: Scenario) -> int:
     return 0
 
 
-def _run_sweep_entry(args):
-    base, item, index = args
+def _load_and_run(load, where: str = "") -> int:
+    """``run`` the scenario ``load()`` returns; exit 2 if it is invalid."""
     try:
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"a sweep case must be an object: {item!r}")
-        outdir = Path(base.get("outdir", "out")) / f"case_{index:03d}"
-        merged = {**base, **item, "outdir": str(outdir)}
-        if "seed" not in item:
-            merged["seed"] = int(base.get("seed", 0)) + index
-        scn = load_scenario(None, merged)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        print(f"validation error in case {index}: {exc}", file=sys.stderr)
+        scn = load()
+    except (ConfigurationError, OSError, TypeError, ValueError) as exc:
+        print(f"validation error{where}: {exc}", file=sys.stderr)
         return 2
     return run(scn)
+
+
+def _sweep_case(base: dict, item, index: int) -> Scenario:
+    """Sweep case ``index``: ``item`` over ``base`` in its own outdir."""
+    if not isinstance(item, dict):
+        raise ConfigurationError(f"a sweep case must be an object: {item!r}")
+    outdir = Path(base.get("outdir", "out")) / f"case_{index:03d}"
+    merged = {**base, **item, "outdir": str(outdir)}
+    if "seed" not in item:
+        merged["seed"] = int(base.get("seed", 0)) + index
+    return load_scenario(None, merged)
+
+
+def _run_sweep_entry(args):
+    return _load_and_run(functools.partial(_sweep_case, *args),
+                         f" in case {args[2]}")
 
 
 def run_sweep(path, workers: int | None = None) -> int:
@@ -528,12 +551,8 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "scenario") and v is not None}
     overrides["experiment"] = args.command
-    try:
-        scn = load_scenario(args.scenario, overrides)
-    except (ConfigurationError, OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    return run(scn)
+    return _load_and_run(
+        functools.partial(load_scenario, args.scenario, overrides))
 
 
 if __name__ == "__main__":

@@ -33,8 +33,7 @@ from ._memo import read_only
 from .errors import ConfigurationError, SingularGramError
 from .operators import BumpProfile, Gramian, MMatrix, evolve_free, m_matrix
 from .spectral import TorusFunction, hs_weights, sobolev_norm
-from .spectrum import (GRAM_COND_LIMIT, BiorthogonalFamily, Horizon,
-                       Spectrum, eigenvalues)
+from .spectrum import GRAM_COND_LIMIT, Horizon, Spectrum, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,16 @@ def reduce_to_zero_start(problem: ControlProblem) -> np.ndarray:
 
 
 def build_biorthogonal(spec: Spectrum, T: float,
-                       on_singular: str = "error") -> BiorthogonalFamily:
-    """The biorthogonal family of the spectrum's horizon T, whatever
-    ``on_singular``.  Beyond GRAM_COND_LIMIT it is degenerate: ``"error"``
-    raises SingularGramError naming the nearest pair, ``"lstsq"`` returns
-    its least-squares duals (biorthogonal only on the resolvable subspace)
-    with a warning, on every call."""
+                       on_singular: str = "error") -> Horizon:
+    """The spectrum's horizon T, which carries the biorthogonal family,
+    whatever ``on_singular``.  Beyond GRAM_COND_LIMIT the family is
+    degenerate: ``"error"`` raises SingularGramError naming the nearest
+    pair, ``"lstsq"`` returns its least-squares duals (biorthogonal only on
+    the resolvable subspace) with a warning, on every call."""
     if on_singular not in ("error", "lstsq"):
         raise ConfigurationError(
             f"on_singular must be 'error' or 'lstsq', got {on_singular!r}")
-    family = spec.horizon(T).family
+    family = spec.horizon(T)
     if family.degenerate and on_singular == "error":
         ascending = np.sort(family.lambdas)
         i = int(np.argmin(np.diff(ascending)))
@@ -140,7 +139,7 @@ class ControlSignal:
     only for export.  ``horizon`` is the Horizon the signal was built on;
     a signal without one evaluates the same integrals on demand.  A route
     also leaves its ``amplitudes``: the moment route's h_j, over the
-    horizon's family, or the Gramian route's eta with its ``gramian`` W.
+    horizon's duals, or the Gramian route's eta with its ``gramian`` W.
     Its terminal state and L2 norm then cost (2n+1)^2 work at most.
     """
 
@@ -173,7 +172,7 @@ class ControlSignal:
         Gamma^T[k, m] = int_0^T e^{-i(lam_k-lam_m)t} dt is the Gram matrix of
         the conjugate frequencies e^{-i lam t}.  A moment-route signal has
         E_j = h_j conj(D)[slot j], so its form is sum_j w_j |h_j|^2 times
-        the family's ``slot_norms`` at slot j; at s = 0 a Gramian-route
+        the horizon's ``slot_norms`` at slot j; at s = 0 a Gramian-route
         signal reads sqrt(Re eta^H W eta).
         """
         h = self.amplitudes
@@ -181,8 +180,8 @@ class ControlSignal:
             return float(np.sqrt(max(
                 np.vdot(h, self.gramian.matrix @ h).real, 0.0)))
         if self.gramian is None and h is not None:
-            fam = self.horizon.family
-            quad = (h.real ** 2 + h.imag ** 2) * fam.slot_norms[fam.slot]
+            slot_norms = self.horizon.slot_norms[self.horizon.slot]
+            quad = (h.real ** 2 + h.imag ** 2) * slot_norms
         else:
             gram = self.horizon.gram if self.horizon is not None else \
                 exp_kernel(self.lambdas, self.lambdas, self.T)
@@ -205,20 +204,18 @@ class ControlSignal:
         return float(defect / scale)
 
 
-def assemble_control(h: np.ndarray, family: BiorthogonalFamily,
+def assemble_control(h: np.ndarray, family: Horizon,
                      spec: Spectrum) -> ControlSignal:
     """h(x,t) = sum_j h_j conj(q_j)(t) psi_j(x) in exponential-coefficient form.
 
     conj(q_j) = sum_m conj(dual_coeffs[j, m]) e^{-i lam_m t}, so mode j's
-    row is h_j times the family's ``mode_duals`` row j.
+    row is h_j times the horizon's ``mode_duals`` row j.  The signal keeps
+    the horizon and h.
     """
     h = np.asarray(h, complex)
-    E = h[:, None] * family.mode_duals
-    horizon = spec.horizon(family.T)
-    if horizon.family is not family:
-        return ControlSignal(spec.n, family.T, family.lambdas, E)
-    return ControlSignal(spec.n, family.T, family.lambdas, E,
-                         horizon=horizon, amplitudes=h)
+    return ControlSignal(spec.n, family.T, family.lambdas,
+                         h[:, None] * family.mode_duals, horizon=family,
+                         amplitudes=h)
 
 
 def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
@@ -235,7 +232,8 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     """
     horizon, h = signal.horizon, signal.amplitudes
     at_horizon = horizon is not None and t == horizon.T and (
-        lam is horizon.lambdas or np.array_equal(lam, horizon.lambdas))
+        lam is horizon.mode_lambdas
+        or np.array_equal(lam, horizon.mode_lambdas))
     if at_horizon and signal.gramian is not None \
             and signal.gramian.mmatrix is mm:
         return signal.gramian.matrix @ h
@@ -322,7 +320,7 @@ class SynthesisResult:
     problem: ControlProblem
     spectrum: Spectrum
     mmatrix: MMatrix
-    family: BiorthogonalFamily
+    family: Horizon              # the horizon, which carries the duals
     targets: np.ndarray
     signal: ControlSignal
     terminal_residual: float
@@ -352,7 +350,7 @@ def synthesize_control(problem: ControlProblem,
                        on_singular: str = "error") -> SynthesisResult:
     """Full moment-method pipeline: targets, duals, amplitudes, diagnostics.
 
-    The spectrum, m-matrix and family are those the memos hold."""
+    The spectrum, m-matrix and horizon are those the memos hold."""
     spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
     mm = m_matrix(problem.bump, problem.n)
     family = build_biorthogonal(spec, problem.T, on_singular=on_singular)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum as spect
-from ._memo import Latest, latest, read_only
+from ._memo import latest, read_only
 from .errors import (ConfigurationError, ObservabilityError,
                      SingularClusterBlockError)
 from .spectral import TWO_PI, TorusFunction
@@ -327,7 +327,6 @@ class Plant:
 
     horizon: spect.Horizon = field(repr=False)     # a weakref.proxy
     mm: MMatrix
-    _backward: Latest = field(default_factory=Latest, init=False, repr=False)
 
     @functools.cached_property
     def adjoint(self) -> tuple:
@@ -368,9 +367,9 @@ class Plant:
 
     @functools.cached_property
     def weighted_moments(self) -> np.ndarray:
-        """op * (K D^H), K D^H the ``dual_moments`` of the horizon's family:
-        the moment route's Duhamel sum at the horizon."""
-        return read_only(self.mm.operator * self.horizon.family.dual_moments)
+        """op * (K D^H), K D^H the horizon's ``dual_moments``: the moment
+        route's Duhamel sum at the horizon."""
+        return read_only(self.mm.operator * self.horizon.dual_moments)
 
     @functools.cached_property
     def forward_gramian(self) -> Gramian:
@@ -378,9 +377,8 @@ class Plant:
         return self._certify(0.0, "forward")
 
     def backward_gramian(self, rate: float) -> Gramian:
-        """L_lambda of the decay ``rate``; the plant keeps the latest."""
-        return self._backward.get(rate,
-                                  lambda: self._certify(rate, "backward"))
+        """L_lambda of the decay ``rate``, certified afresh on each call."""
+        return self._certify(rate, "backward")
 
     def _certify(self, rate: float, flow: str) -> Gramian:
         W = gramian(self.mm, self.horizon, rate, flow)

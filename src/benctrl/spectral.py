@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memo import read_only
+from .errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,7 +46,7 @@ class TorusFunction:
             scale = max(1.0, np.abs(c).max()) if c.size else 1.0
             defect = np.abs(c - sym).max() / scale
             if defect > REALITY_TOL:
-                raise ValueError(
+                raise ConfigurationError(
                     f"real_flag set but Hermitian-symmetry defect {defect:.3e} "
                     f"exceeds {REALITY_TOL:.0e}"
                 )

@@ -128,18 +128,21 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class Horizon:
-    """What a spectrum and a horizon T determine, each formed on first use.
+    """What a spectrum and a horizon T determine, each formed on first use,
+    among them the family of duals of the exponentials e^{i nu t} over the
+    distinct eigenvalues nu.
 
-    ``kernel[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt`` for the distinct
-    eigenvalues nu; its rows at the representatives are ``gram``, the Gram
-    matrix Gamma of the e^{i nu t}.  ``plant(mm)`` is what an m-matrix adds;
+    ``kernel[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt``; its rows at the
+    representatives are ``gram``, the Gram matrix Gamma of the e^{i nu t}.
+    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i nu_m t}: the rows
+    of Gamma^{-1}, one per cluster.  ``plant(mm)`` is what an m-matrix adds;
     the horizon keeps the latest.  It holds the spectrum's arrays, not the
     spectrum, so the two make no reference cycle.  Arrays are read-only.
     """
 
     T: float
     n: int
-    lambdas: np.ndarray            # lambda_k of the rows, index k+n
+    mode_lambdas: np.ndarray       # lambda_k of the rows, index k+n
     slot: np.ndarray               # column of row k's cluster, index k+n
     rows: np.ndarray               # row of cluster c's representative
     mirror: np.ndarray             # cluster of cluster c's negated members
@@ -149,12 +152,16 @@ class Horizon:
     def weighted_kernel(self, rate: float) -> np.ndarray:
         """``kernel`` under the weight e^{-2*rate*t}, evaluated afresh on
         the rows k >= 0: row -k is row k conjugated at the mirror clusters."""
-        n = self.n
+        n, lam = self.n, self.mode_lambdas
         matrix = np.empty((2 * n + 1, len(self.rows)), complex)
-        matrix[n:] = exp_kernel(self.lambdas[n:], self.lambdas[self.rows],
-                                self.T, rate)
+        matrix[n:] = exp_kernel(lam[n:], lam[self.rows], self.T, rate)
         np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
         return matrix
+
+    @functools.cached_property
+    def lambdas(self) -> np.ndarray:
+        """The distinct eigenvalues nu, one per cluster."""
+        return read_only(self.mode_lambdas[self.rows])
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -167,17 +174,17 @@ class Horizon:
     @functools.cached_property
     def phases(self) -> tuple:
         """(e^{i lambda_k T}, e^{-i lambda_k T}) of the rows, read-only."""
-        return read_only(np.exp(1j * self.lambdas * self.T),
-                         np.exp(-1j * self.lambdas * self.T))
+        return read_only(np.exp(1j * self.mode_lambdas * self.T),
+                         np.exp(-1j * self.mode_lambdas * self.T))
 
     @functools.cached_property
-    def family(self) -> BiorthogonalFamily:
-        """The duals of the exponentials.  One real ``eigh`` of Gamma's real
-        form M gives cond(Gamma) = max|w| / min|w| and Gamma^{-1} = Q M^{-1}
+    def _duals(self) -> tuple:
+        """(D^H, cond, degenerate).  One real ``eigh`` of Gamma's real form
+        M gives cond(Gamma) = max|w| / min|w| and Gamma^{-1} = Q M^{-1}
         Q^H, refined once against Gamma.  Beyond ``GRAM_COND_LIMIT`` the
         family is degenerate: least-squares duals from the eigenpairs
         ``np.linalg.pinv`` would keep, |w| > LSTSQ_RCOND max|w|."""
-        lam, gram = self.lambdas[self.rows], self.gram
+        lam, gram = self.lambdas, self.gram
         # the real form needs the mirror as reversal; ascending lambda is one
         perm = None if np.all(np.diff(self.mirror) == -1) else np.argsort(lam)
         w, V = np.linalg.eigh(real_form(gram if perm is None
@@ -194,37 +201,12 @@ class Horizon:
             x[np.ix_(perm, perm)] = x.copy()
         if not degenerate:
             x += x @ (np.eye(len(lam)) - gram @ x)
-        return BiorthogonalFamily(self.T, lam, self.kernel, gram, self.slot,
-                                  self.rows, x, cond, degenerate)
+        return read_only(x), cond, degenerate
 
-    def plant(self, mm):
-        """The ``operators.Plant`` of the m-matrix ``mm`` at this horizon."""
-        from .operators import Plant    # operators builds on this module
-        return self._plant.get(mm, lambda: Plant(weakref.proxy(self), mm))
-
-
-@dataclass(frozen=True)
-class BiorthogonalFamily:
-    """Dual family of the exponentials e^{i nu t} over distinct eigenvalues.
-
-    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i nu_m t}: the
-    rows of Gamma^{-1}, one per cluster; the family holds D^H and the arrays
-    of its Horizon.  What its controls read is formed on first use.  The
-    arrays are read-only.
-    """
-
-    T: float
-    lambdas: np.ndarray          # distinct eigenvalues, one per cluster
-    kernel: np.ndarray
-    gram: np.ndarray             # Gamma[k, m] = int_0^T e^{i(nu_k-nu_m)t} dt
-    slot: np.ndarray
-    rows: np.ndarray
-    duals_h: np.ndarray          # D^H
-    cond: float
-    degenerate: bool = False     # rank-revealing fallback was used
-
-    def __post_init__(self):
-        read_only(self.lambdas, self.duals_h)
+    duals_h = property(lambda self: self._duals[0], doc="D^H")
+    cond = property(lambda self: self._duals[1], doc="cond(Gamma)")
+    degenerate = property(lambda self: self._duals[2],
+                          doc="whether the duals are least-squares ones")
 
     @functools.cached_property
     def dual_coeffs(self) -> np.ndarray:
@@ -251,6 +233,11 @@ class BiorthogonalFamily:
         L2(0, T), so mode j of a control has |h_j|^2 slot_norms[slot j]."""
         P = self.dual_moments[np.ix_(self.rows, self.rows)]
         return read_only((P.conj() * self.duals_h).sum(axis=0).real)
+
+    def plant(self, mm):
+        """The ``operators.Plant`` of the m-matrix ``mm`` at this horizon."""
+        from .operators import Plant    # operators builds on this module
+        return self._plant.get(mm, lambda: Plant(weakref.proxy(self), mm))
 
 
 def _representative(group):

@@ -139,7 +139,24 @@ class TestScenario:
         ("control", "u0", {"type": "random", "norm": "big"},
          "u0 norm must be a finite number"),
         ("control", "bump", {"coefficients": [[0, "x", 0]]},
-         "bump coefficients must be a list of [k, re, im]")])
+         "bump coefficients must be a list of [k, re, im]"),
+        ("control", "bump", {"coefficients": [[0, 0.1, 0]]},
+         "ghat(0) must equal 1/(2pi)"),
+        ("control", "bump", {"kind": "nope"}, "bump kind must be one of"),
+        ("control", "bump", {"width": 7}, "bump width must lie in (0, 2pi)"),
+        ("control", "u0", {"type": "coeffs", "real": True,
+                           "data": [[1, 1, 0]]}, "Hermitian-symmetry defect"),
+        ("control", "u0", {"type": "coeffs", "real": "yes",
+                           "data": [[1, 1, 0]]},
+         "u0 real must be true or false"),
+        ("control", "bump", {"center": "x"},
+         "bump center and width must be finite numbers"),
+        ("control", "bump", {"width": None},
+         "bump center and width must be finite numbers"),
+        ("control", "u1", {"type": "random", "norm": -1},
+         "u1 norm must be a finite number >= 0"),
+        ("control", "T", [[1], [1, 2]],
+         "setting an array element with a sequence")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"
@@ -373,12 +390,21 @@ class TestStabilizeCommand:
 
     def test_decay_fit_failure_exits_3(self, tmp_path, capsys):
         # a long horizon drives all but two norms below the noise floor
+        out = tmp_path / "out"
         assert main(["stabilize", "--law", "gramian", "--lambda", "1",
                      "--n", "8", "--t-final", "1000",
-                     "--outdir", str(tmp_path)]) == 3
+                     "--outdir", str(out)]) == 3
         assert "samples above the noise floor" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-        assert not (tmp_path / "decay.csv").exists()
+        assert not out.exists()
+
+    def test_singular_observability_leaves_no_partial_bundle(self, tmp_path,
+                                                            capsys):
+        # delta(T) is computed before decay.csv is written
+        out = tmp_path / "out"
+        assert main(["stabilize", "--n", "16", "--alpha", "1", "--T", "0.001",
+                     "--outdir", str(out)]) == 3
+        assert "Gramian singular" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestObservabilityCommand:
@@ -391,6 +417,15 @@ class TestObservabilityCommand:
         deltas = [p["delta"] for p in report["pairs"]]
         assert all(d > 0 for d in deltas)
         assert deltas == sorted(deltas)
+
+    def test_singular_gramian_exits_3_without_a_directory(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main(["observability", "--n", "16", "--alpha", "1",
+                     "--T-list", "0.001", "--outdir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestReproducibility:

@@ -175,6 +175,31 @@ class TestHorizonKernel:
             horizon.kernel,
             spectrum_mod.analyze(8, 7 / 3, 0.3).horizon(1.0).kernel)
 
+    def test_a_control_on_an_earlier_horizon_keeps_it(self, monkeypatch):
+        # the family is its horizon, so a control assembled on one the
+        # spectrum no longer keeps looks nothing up: no eigh, no eviction
+        spectrum_mod.analyze.cache_clear()
+        n = 16
+        spec = spectrum_mod.analyze(n, 1.0)
+        early = build_biorthogonal(spec, 1.0)
+        late = build_biorthogonal(spec, 5.0)
+        h = np.random.default_rng(0).standard_normal(2 * n + 1) + 0j
+        h[n] = 0.0
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: calls.append(a) or eigh(*a))
+        signal = assemble_control(h, early, spec)
+        assert signal.horizon is early and signal.amplitudes is h
+        # its (2n+1)^2 path agrees with the one its coefficients take
+        mm = m_matrix(build_bump(kmax=2 * n), n)
+        bare = ControlSignal(n, 1.0, signal.lambdas, signal.exp_coeffs)
+        a, b = (verify_moments(sig, np.zeros(2 * n + 1), spec, mm)["moments"]
+                for sig in (signal, bare))
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        assert calls == []
+        assert spec.horizon(5.0) is late
+
     @pytest.mark.parametrize("kw", [
         dict(alpha=7 / 3, mu=0.3, T=5.0, s=1.0, seed=2),
         dict(alpha=1.0, T=1.0, s=0.0, seed=7),
