@@ -7,12 +7,18 @@ generator, and reports are canonical JSON (sorted keys, shortest round-trip
 float repr, no timestamps), so identical scenario + seed reproduces
 byte-identical reports.
 
+Every scenario value is read by the one reader for its kind: ``_number``,
+``_choice``, ``_typed`` (objects, lists, strings), ``_rows``, and
+``_read_state``/``_read_bump`` for the state and bump objects, which the
+code that builds a state or bump reads as well.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -38,27 +44,123 @@ SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("spectrum", "simulate", "control", "stabilize", "observability")
 
+STATE_TYPES = ("random", "zero", "preset", "coeffs")
+
+#: the coefficients fhat(k), placed by k, of each preset state
+PRESETS = {"cos": {-1: 0.5, 1: 0.5}, "sin": {-1: 0.5j, 1: -0.5j}}
+
+#: the JSON name of each type of value that is neither number nor choice
+JSON_NAME = {dict: "an object", list: "a list", str: "a string"}
+
 #: relative H^s distance from u1 within which a control route reaches it
 TERMINAL_TOL = 1e-8
 
 
-def _parse_number(value):
-    """Accept floats or exact-rational strings like '7/3'.
+# -- scenario readers --------------------------------------------------------
 
-    Text that is not a finite number raises ConfigurationError.
+
+def _number(key: str, value, low=-math.inf, *, positive=False,
+            integer=False, rational=False):
+    """``value`` read as the number ``key`` of a scenario, its type kept.
+
+    A number is an int or a float, never a bool, and an ``integer`` an int.
+    It must be finite, at least ``low`` and, if ``positive``, above 0.  With
+    ``rational`` a Fraction passes and text is parsed: '7/3' and digits to a
+    Fraction, other text to a float.
     """
-    if not isinstance(value, str):
-        return value
+    if rational and isinstance(value, str):
+        try:
+            value = Fraction(value) if "/" in value or value.isdigit() \
+                else float(value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigurationError(f"{key} is not a number: {value!r}")
+    kinds = (int,) if integer else (int, float, Fraction) if rational \
+        else (int, float)
+    if type(value) not in kinds:
+        noun = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{key} must be {noun}: {value!r}")
+    if not abs(value) <= sys.float_info.max:     # nan, inf or past a float
+        raise ConfigurationError(f"{key} must be finite: {value!r}")
+    if positive and value <= 0 or value < low:
+        bound = "positive" if positive else f">= {low}"
+        raise ConfigurationError(f"{key} must be {bound}: {value!r}")
+    return value
+
+
+def _choice(key: str, value, choices: tuple):
+    """The one of ``choices`` (strings or booleans) that ``value`` is, of
+    the same type: 1 is not true, and "false" is not false."""
+    if not any(type(value) is type(c) and value == c for c in choices):
+        raise ConfigurationError(f"unknown {key} {value!r}: {key} must be "
+                                 + " or ".join(map(json.dumps, choices)))
+    return value
+
+
+def _typed(key: str, value, kind: type):
+    """ConfigurationError unless ``value`` is a ``kind`` of JSON_NAME."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{key} must be {JSON_NAME[kind]}: {value!r}")
+
+
+@contextlib.contextmanager
+def _reading(key: str, what: str):
+    """Re-raise a ConfigurationError as ``'{key} must be {what}: ...'``."""
     try:
-        if "/" in value or value.isdigit():
-            number = Fraction(value)
-        else:
-            number = float(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"not a number: {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigurationError(f"not a finite number: {value!r}")
-    return number
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key} must be {what}: {exc}") from None
+
+
+def _rows(key: str, rows, n: int | None = None) -> dict:
+    """{k: re + 1j*im} of a list of [k, re, im] rows, placed by k: each k an
+    integer with |k| <= n (by default half the number of rows) that no
+    other row has, re and im finite numbers."""
+    with _reading(key, "a list of [k, re, im] rows, k in band, no k twice"):
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == 3 for row in rows):
+            raise ConfigurationError(f"got {rows!r}")
+        band = len(rows) // 2 if n is None else n
+        placed = {_number("k", k, -band, integer=True):
+                  _number("re", re) + 1j * _number("im", im)
+                  for k, re, im in rows}
+        if len(placed) < len(rows) or max(placed, default=0) > band:
+            raise ConfigurationError(f"a k repeats or exceeds {band}")
+        return placed
+
+
+def _placed(rows: dict, n: int) -> np.ndarray:
+    """The coefficients c[k + n], k = -n..n, of placed rows; 0 elsewhere."""
+    return np.array([rows.get(k, 0) for k in range(-n, n + 1)], dtype=complex)
+
+
+def _read_state(key: str, cfg, n: int):
+    """The state object ``cfg`` of order n, read with its defaults: the norm
+    of a random state, else (placed rows, real) of its coefficients."""
+    _typed(key, cfg, dict)
+    kind = _choice("state type", cfg.get("type", "random"), STATE_TYPES)
+    if kind == "random":
+        with _reading(f"{key} norm", "a finite number >= 0"):
+            return _number("norm", cfg.get("norm", 1.0), 0)
+    if kind == "coeffs":
+        return (_rows(f"{key} data", cfg.get("data"), n),
+                _choice(f"{key} real", cfg.get("real", False), (True, False)))
+    if kind == "preset":
+        return PRESETS[_choice("preset", cfg.get("name", "cos"),
+                               tuple(PRESETS))], True
+    return {}, True
+
+
+def _read_bump(cfg):
+    """The bump object ``cfg``, read with its defaults: the localizer its
+    coefficient rows give, or the (kind, center, width) of a profile."""
+    _typed("bump", cfg, dict)
+    if "coefficients" in cfg:
+        rows = _rows("bump coefficients", cfg["coefficients"])
+        return bump_from_coefficients(_placed(rows, len(rows) // 2))
+    with _reading("bump center and width", "finite numbers"):
+        return (cfg.get("kind", "raised_cosine"),
+                float(_number("center", cfg.get("center", np.pi))),
+                float(_number("width", cfg.get("width", np.pi / 2))))
 
 
 @dataclass
@@ -73,8 +175,7 @@ class Scenario:
     T: float = 1.0
     s: float = 0.0
     bump: dict = field(default_factory=lambda: {
-        "kind": "raised_cosine", "center": float(np.pi),
-        "width": float(np.pi / 2)})
+        "kind": "raised_cosine", "center": np.pi, "width": np.pi / 2})
     u0: dict = field(default_factory=lambda: {"type": "random", "norm": 1.0})
     u1: dict = field(default_factory=lambda: {"type": "random", "norm": 1.0})
     law: str = "simple"            # stabilize: simple | gramian
@@ -87,53 +188,36 @@ class Scenario:
     outdir: str = "out"
 
     def validate(self):
-        for key in ("seed", "n", "n_sim", "n_times"):
-            value = getattr(self, key)
-            if type(value) is not int and (key != "n_sim" or value is not None):
-                raise ConfigurationError(f"{key} must be an integer: {value!r}")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
-        for key in ("T", "s", "decay_lambda", "t_final", "T_list"):
-            value = getattr(self, key)      # t_final may be None
-            if not all(map(math.isfinite, np.ravel(value or 0.0))):
-                raise ConfigurationError(f"{key} must be finite: {value!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if float(self.alpha) <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.T <= 0:
-            raise ConfigurationError("T must be positive")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
-        if self.s < 0:
-            raise ConfigurationError("s must be >= 0")
-        if self.n_sim is not None and self.n_sim < self.n:
-            raise ConfigurationError("n_sim must be >= n")
-        if self.law not in ("simple", "gramian"):
-            raise ConfigurationError("law must be 'simple' or 'gramian'")
-        if self.law == "gramian" and self.decay_lambda <= 0:
-            raise ConfigurationError("decay_lambda must be positive")
-        if self.t_final is not None and self.t_final <= 0:
-            raise ConfigurationError("t_final must be positive")
-        if self.n_times < 1:
-            raise ConfigurationError("n_times must be >= 1")
-        if self.experiment == "stabilize" and self.n_times < 10:
-            raise ConfigurationError(
-                "n_times must be >= 10: the decay fit needs 10 samples")
-        if not self.T_list or min(self.T_list) <= 0:
-            raise ConfigurationError("T_list must be a list of positive "
-                                     f"numbers: {list(self.T_list)!r}")
+        """Read every field through its reader, in place: rational text is
+        parsed and T_list becomes a tuple of floats.  States and the bump
+        are read, not drawn or profiled."""
+        self.experiment = _choice("experiment", self.experiment, EXPERIMENTS)
+        self.alpha = _number("alpha", self.alpha, positive=True, rational=True)
+        self.mu = _number("mu", self.mu, rational=True)
+        self.n = _number("n", self.n, 1, integer=True)
+        if self.n_sim is not None:
+            self.n_sim = _number("n_sim", self.n_sim, self.n, integer=True)
+        self.T = _number("T", self.T, positive=True)
+        self.s = _number("s", self.s, 0)
+        self.law = _choice("law", self.law, ("simple", "gramian"))
+        self.decay_lambda = _number("decay_lambda", self.decay_lambda,
+                                    positive=self.law == "gramian")
+        if self.t_final is not None:
+            self.t_final = _number("t_final", self.t_final, positive=True)
+        fit = 10 if self.experiment == "stabilize" else 1   # decay-fit samples
+        self.n_times = _number("n_times", self.n_times, fit, integer=True)
+        with _reading("T_list", "a list of positive numbers"):
+            if not isinstance(self.T_list, (list, tuple)) or not self.T_list:
+                raise ConfigurationError(f"got {self.T_list!r}")
+            self.T_list = tuple(float(_number("T_list", T, positive=True,
+                                              rational=True))
+                                for T in self.T_list)
+        self.strict = _choice("strict", self.strict, (True, False))
+        self.seed = _number("seed", self.seed, 0, integer=True)
+        _typed("outdir", self.outdir, str)
         for key in ("u0", "u1"):
-            _check_state(key, getattr(self, key), self.n)
-        if not isinstance(self.bump, dict):
-            raise ConfigurationError(f"bump must be an object: {self.bump!r}")
-        if "coefficients" in self.bump:
-            _check_rows("bump coefficients", self.bump["coefficients"])
-        elif not all(_is_number(self.bump.get(key, 1.0))
-                     for key in ("center", "width")):
-            raise ConfigurationError(
-                "bump center and width must be finite numbers")
+            _read_state(key, getattr(self, key), self.n)
+        _read_bump(self.bump)
         return self
 
     def canonical(self) -> dict:
@@ -143,7 +227,6 @@ class Scenario:
         d["alpha"] = str(self.alpha) if isinstance(self.alpha, Fraction) \
             else float(self.alpha)
         d["mu"] = str(self.mu) if isinstance(self.mu, Fraction) else float(self.mu)
-        d["T_list"] = list(self.T_list)
         return d
 
     def digest(self) -> str:
@@ -153,22 +236,19 @@ class Scenario:
 
 
 def load_scenario(path=None, overrides=None) -> Scenario:
+    """The validated scenario of the JSON object in ``path`` (if given)
+    with ``overrides`` over it."""
     data = {}
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
-    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        _typed("scenario", data, dict)
+    data.update(overrides or {})
     known = {f.name for f in dataclasses.fields(Scenario)}
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("alpha", "mu"):
-        if key in data:
-            data[key] = _parse_number(data[key])
-    if "T_list" in data:
-        if not isinstance(data["T_list"], list):
-            raise ConfigurationError(f"T_list must be a list: {data['T_list']!r}")
-        data["T_list"] = tuple(float(_parse_number(v)) for v in data["T_list"])
+    _typed("T_list", data.get("T_list", []), list)     # a tuple is no JSON
     return Scenario(**data).validate()
 
 
@@ -194,65 +274,20 @@ def random_state(seed, n: int, s: float, norm: float = 1.0) -> TorusFunction:
     return f.with_coeffs(f.coeffs * (norm / current))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _check_rows(key: str, rows, n: float = math.inf):
-    """ConfigurationError unless ``rows`` is a list of [k, re, im] with an
-    integer |k| <= n and finite numbers re, im."""
-    if not isinstance(rows, list) or not all(
-            isinstance(row, list) and len(row) == 3 and type(row[0]) is int
-            and abs(row[0]) <= n and all(map(_is_number, row[1:]))
-            for row in rows):
-        raise ConfigurationError(f"{key} must be a list of [k, re, im] rows "
-                                 "with integer k in the band, finite re, im")
-
-
-def _check_state(key: str, cfg, n: int):
-    """ConfigurationError unless ``cfg`` describes a state of order n."""
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"{key} must be an object: {cfg!r}")
-    kind, norm = cfg.get("type", "random"), cfg.get("norm", 1.0)
-    if kind == "random" and not (_is_number(norm) and norm >= 0):
-        raise ConfigurationError(f"{key} norm must be a finite number >= 0")
-    if kind == "preset" and cfg.get("name", "cos") not in ("cos", "sin"):
-        raise ConfigurationError(f"unknown preset {cfg['name']!r}")
-    if kind == "coeffs":
-        _check_rows(f"{key} data", cfg.get("data"), n)
-        if not isinstance(cfg.get("real", False), bool):
-            raise ConfigurationError(f"{key} real must be true or false")
-    if kind not in ("random", "zero", "preset", "coeffs"):
-        raise ConfigurationError(f"unknown state type {kind!r}")
-
-
 def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
-    """The state a validated ``cfg`` describes (``_check_state``)."""
-    kind = cfg.get("type", "random")
-    if kind == "random":
-        return random_state(seed, n, s, float(cfg.get("norm", 1.0)))
-    if kind == "zero":
-        return TorusFunction.zero(n)
-    c = np.zeros(2 * n + 1, dtype=complex)
-    if kind == "preset":
-        c[n - 1], c[n + 1] = (0.5, 0.5) if cfg.get("name", "cos") == "cos" \
-            else (0.5j, -0.5j)
-        return TorusFunction(n, c, real_flag=True)
-    for k, re, im in cfg["data"]:
-        c[k + n] = re + 1j * im
-    return TorusFunction(n, c, real_flag=cfg.get("real", False))
+    """The state object ``cfg`` of order n (``_read_state``), drawn from
+    ``seed`` if it is random."""
+    read = _read_state("state", cfg, n)
+    if not isinstance(read, tuple):              # a random state's norm
+        return random_state(seed, n, s, float(read))
+    rows, real = read
+    return TorusFunction(n, _placed(rows, n), real_flag=real)
 
 
 def _build_bump(scn: Scenario, kmax: int):
     """The scenario's localizer, profiled to ``kmax`` unless given by coefficients."""
-    cfg = scn.bump
-    if "coefficients" in cfg:
-        ghat = np.array([re + 1j * im for _, re, im in cfg["coefficients"]])
-        return bump_from_coefficients(ghat)
-    return build_bump(kind=cfg.get("kind", "raised_cosine"),
-                      center=float(cfg.get("center", np.pi)),
-                      width=float(cfg.get("width", np.pi / 2)),
-                      kmax=kmax)
+    read = _read_bump(scn.bump)
+    return build_bump(*read, kmax=kmax) if isinstance(read, tuple) else read
 
 
 # -- report/CSV emission -----------------------------------------------------
@@ -411,7 +446,7 @@ def _run_observability(scn: Scenario, outdir: Path) -> dict:
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
     return {"experiment": "observability", "pairs": [
-        {"T": float(T), "delta": stab.observability_constant(mm, spec, float(T))[0]}
+        {"T": T, "delta": stab.observability_constant(mm, spec, T)[0]}
         for T in scn.T_list]}
 
 
@@ -463,7 +498,7 @@ def _load_and_run(load, where: str = "") -> int:
     """``run`` the scenario ``load()`` returns; exit 2 if it is invalid."""
     try:
         scn = load()
-    except (ConfigurationError, OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:      # a ConfigurationError included
         print(f"validation error{where}: {exc}", file=sys.stderr)
         return 2
     return run(scn)
@@ -471,13 +506,13 @@ def _load_and_run(load, where: str = "") -> int:
 
 def _sweep_case(base: dict, item, index: int) -> Scenario:
     """Sweep case ``index``: ``item`` over ``base`` in its own outdir."""
-    if not isinstance(item, dict):
-        raise ConfigurationError(f"a sweep case must be an object: {item!r}")
-    outdir = Path(base.get("outdir", "out")) / f"case_{index:03d}"
-    merged = {**base, **item, "outdir": str(outdir)}
+    _typed("a sweep case", item, dict)
+    scn = load_scenario(None, {**base, **item,
+                               "outdir": base.get("outdir", "out")})
     if "seed" not in item:
-        merged["seed"] = int(base.get("seed", 0)) + index
-    return load_scenario(None, merged)
+        scn.seed += index
+    scn.outdir = str(Path(scn.outdir) / f"case_{index:03d}")
+    return scn
 
 
 def _run_sweep_entry(args):
@@ -493,6 +528,8 @@ def run_sweep(path, workers: int | None = None) -> int:
     invalid case exits 2 without stopping the others; the sweep returns the
     largest exit code.
     """
+    if workers is not None:
+        _number("--workers", workers, 1, integer=True)
     with open(path) as fh:
         data = json.load(fh)
     cases = data.pop("sweep", None) if isinstance(data, dict) else None
@@ -527,7 +564,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         add_common(p)
         if name == "stabilize":
-            p.add_argument("--law", choices=("simple", "gramian"))
+            p.add_argument("--law")
             p.add_argument("--lambda", dest="decay_lambda", type=float)
             p.add_argument("--t-final", dest="t_final", type=float)
         if name == "observability":

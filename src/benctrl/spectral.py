@@ -99,9 +99,13 @@ class TorusFunction:
 @functools.lru_cache(maxsize=64)
 def hs_weights(n: int, s: float) -> np.ndarray:
     """H^s weights (1+|k|^2)^s for k = -n..n, read-only and memoized, by
-    libm's scalar pow: numpy's vectorized one rounds differently by CPU."""
-    return read_only(
-        np.array([(1.0 + k * k) ** float(s) for k in range(-n, n + 1)]))
+    libm's scalar pow: numpy's vectorized one rounds differently by CPU.
+    Weights past the float range raise ConfigurationError."""
+    try:
+        return read_only(
+            np.array([(1.0 + k * k) ** float(s) for k in range(-n, n + 1)]))
+    except OverflowError:
+        raise ConfigurationError(f"(1+n^2)^s overflow: n={n}, s={s}") from None
 
 
 def sobolev_norm(f: TorusFunction, s: float) -> float:

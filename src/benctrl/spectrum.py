@@ -395,13 +395,14 @@ def from_real(X: np.ndarray) -> np.ndarray:
 
 
 def spectrum_report(spec: Spectrum) -> dict:
-    """JSON-ready summary used by the `spectrum` CLI subcommand."""
+    """JSON-ready summary used by the `spectrum` CLI subcommand; the gap of
+    a one-cluster spectrum, inf, is written as null (JSON has no inf)."""
     return {
         "alpha": spec.alpha,
         "mu": spec.mu,
         "n": spec.n,
         "lambdas": [float(v) for v in spec.lambdas],
         "clusters": [list(map(int, g)) for g in spec.clusters],
-        "gamma": spec.gap_gamma,
+        "gamma": spec.gap_gamma if math.isfinite(spec.gap_gamma) else None,
         "window_bound": spec.window_bound,
     }

@@ -131,7 +131,7 @@ class TestScenario:
         ("simulate", "n", 4.0, "n must be an integer"),
         ("control", "n_sim", 12.5, "n_sim must be an integer"),
         ("observability", "T_list", ["x"], "not a number: 'x'"),
-        ("control", "T", "x", "must be real number"),
+        ("control", "T", "x", "T must be a finite number"),
         ("control", "u0", "random", "u0 must be an object"),
         ("control", "u0", {"type": "coeffs"}, "u0 data must be a list"),
         ("control", "u1", {"type": "coeffs", "data": [[1, "a", 0]]},
@@ -155,8 +155,25 @@ class TestScenario:
          "bump center and width must be finite numbers"),
         ("control", "u1", {"type": "random", "norm": -1},
          "u1 norm must be a finite number >= 0"),
-        ("control", "T", [[1], [1, 2]],
-         "setting an array element with a sequence")])
+        ("control", "T", [[1], [1, 2]], "T must be a finite number"),
+        ("control", "T", True, "T must be a finite number"),
+        ("simulate", "s", True, "s must be a finite number"),
+        ("spectrum", "alpha", True, "alpha must be a finite number"),
+        ("spectrum", "mu", True, "mu must be a finite number"),
+        ("spectrum", "mu", [1], "mu must be a finite number"),
+        ("spectrum", "mu", None, "mu must be a finite number"),
+        ("spectrum", "alpha", float("inf"), "alpha must be finite"),
+        ("spectrum", "mu", float("inf"), "mu must be finite"),
+        ("control", "strict", "false", "strict must be true or false"),
+        ("control", "T", None, "T must be a finite number"),
+        ("stabilize", "decay_lambda", "2",
+         "decay_lambda must be a finite number"),
+        ("control", "u0", {"type": "random", "norm": True},
+         "u0 norm must be a finite number"),
+        # rows are placed by k: seventeen rows all labelled k=0 collide
+        ("control", "bump", {"coefficients": [
+            [0, z.real, z.imag] for z in operators.build_bump(kmax=8).ghat]},
+         "bump coefficients must be a list of [k, re, im]")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"
@@ -167,6 +184,23 @@ class TestScenario:
         assert "validation error" in err and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "scenario must be an object"),
+        ('"x"', "scenario must be an object"),
+        ("null", "scenario must be an object"),
+        ('{"n": 4, "alpha": 1e999}', "alpha must be finite"),
+        ('{"n": 4, "mu": 1e999}', "mu must be finite"),
+        ('{"n": 4, "outdir": 5}', "outdir must be a string")])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    text, message):
+        monkeypatch.chdir(tmp_path)             # the default outdir is out/
+        Path("scn.json").write_text(text)
+        assert main(["spectrum", "--scenario", "scn.json"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["scn.json"]
 
     @pytest.mark.parametrize("argv,message", [
         (["control", "--T", "nan"], "T must be finite"),
@@ -220,6 +254,19 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--alpha", "-1", "--n", "4",
                      "--outdir", str(tmp_path)]) == 2
 
+    def test_one_cluster_gap_is_written_as_null(self, tmp_path):
+        # the spectrum of n=1, alpha=1 is one cluster, so gamma is inf
+        assert main(["spectrum", "--alpha", "1", "--n", "1",
+                     "--outdir", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["clusters"] == [[-1, 0, 1]]
+        assert report["gamma"] is None
+
     @pytest.mark.parametrize("alpha", ["abc", "1/0", "nan", "7/x"])
     def test_unparsable_alpha_exits_2(self, tmp_path, capsys, alpha):
         assert main(["spectrum", "--alpha", alpha, "--n", "8",
@@ -229,6 +276,15 @@ class TestSpectrumCommand:
 
 
 class TestSimulateCommand:
+    def test_weights_past_the_float_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", "8", "--s", "400",
+                     "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "n=8" in err and "s=400" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_norms_are_those_of_the_free_flow(self, tmp_path):
         assert main(["simulate", "--alpha", "7/3", "--mu", "0.3", "--n", "8",
                      "--T", "3.0", "--s", "1.5", "--seed", "4",
@@ -495,6 +551,18 @@ class TestSweep:
         path.write_text(json.dumps(content))
         assert main(["sweep", str(path)]) == 2
         assert "needs a non-empty 'sweep' list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys, workers):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"experiment": "spectrum", "n": 6,
+                                    "outdir": str(tmp_path / "out"),
+                                    "sweep": [{}]}))
+        assert main(["sweep", str(path), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: --workers must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_cases_draw_distinct_states(self, tmp_path, monkeypatch):
         drawn = []

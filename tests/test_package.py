@@ -22,18 +22,24 @@ def test_all_lists_every_public_name_once():
                        "spectrum", "stabilization"}
 
 
-def test_import_loads_neither_scipy_nor_the_process_pool():
+def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
     """Start-up pays for numpy and the standard library only: scipy loads
-    with the expm fallback, the process pool with a sweep."""
+    with the expm fallback, the process pool with a sweep.  A ``spectrum``
+    run draws no random state and profiles no bump, so it loads neither
+    ``numpy.random`` nor ``numpy.fft``."""
     src = Path(benctrl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, benctrl, benctrl.cli; print(sorted(m for m in "
-             "('scipy', 'concurrent.futures.process') if m in sys.modules))")
+    loaded = ("print(sorted(m for m in ('scipy', 'concurrent.futures.process',"
+              " 'numpy.random', 'numpy.fft') if m in sys.modules))")
+    spectrum = ("benctrl.cli.main(['spectrum', '--alpha', '7/3', '--n', '8',"
+                f" '--outdir', {str(tmp_path)!r}])")
+    probe = f"import sys, benctrl, benctrl.cli; {loaded}; {spectrum}; {loaded}"
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", str(tmp_path / "report.json"),
+                                        "[]"]
 
 
 def test_no_module_reads_another_objects_private_attribute():

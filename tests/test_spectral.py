@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from benctrl.errors import ConfigurationError
 from benctrl.spectral import (TorusFunction, hs_weights, mean, sobolev_norm,
                               write_csv)
 
@@ -108,3 +109,8 @@ class TestHsWeights:
         assert hs_weights(7, 0.7) is w
         with pytest.raises(ValueError):
             w[0] = 1.0
+
+    def test_past_the_float_range_is_a_configuration_error(self):
+        # 65^400 ~ 1e725: libm's pow overflows at k = 8
+        with pytest.raises(ConfigurationError, match="n=8, s=400"):
+            hs_weights(8, 400)
