@@ -25,8 +25,10 @@ def phi(z, T: float) -> np.ndarray:
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     w = z * T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.exp(w) - 1.0) / z
+    num = np.exp(w) - 1.0
+    # a denormal z overflows the complex quotient: the series replaces it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = num / z
     tiny = np.flatnonzero(np.abs(w) < SERIES_THRESHOLD)
     ws = w.flat[tiny]
     out.flat[tiny] = T * (1.0 + ws / 2.0 + ws**2 / 6.0 + ws**3 / 24.0 + ws**4 / 120.0)

@@ -299,6 +299,30 @@ def _artifact(outdir: Path, name: str) -> Path:
     return outdir / name
 
 
+def _non_finite(value, path: str = "") -> str | None:
+    """Where the first NaN or infinity in a JSON-ready value sits, if any."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found = _non_finite(item, f"{path}.{key}" if isinstance(key, str)
+                            else f"{path}[{key}]")
+        if found:
+            return found
+    return None
+
+
+def _json_text(name: str, payload, **options) -> str:
+    """Canonical JSON text of the artifact ``name``, which JSON's lack of
+    NaN and infinity makes a numerical failure naming the field."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **options)
+    except ValueError:
+        raise BenctrlError(f"{name} field {_non_finite(payload).lstrip('.')}"
+                           " is not finite") from None
+
+
 def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
@@ -308,10 +332,10 @@ def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
         "scenario_hash": scn.digest(),
         "seed": scn.seed,
     }
+    text = _json_text("report.json", payload, indent=2)
     path = _artifact(outdir, "report.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -381,9 +405,9 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
             range(-scn.n, scn.n + 1),
             np.stack([E.real, E.imag], axis=-1).tolist())],
     }
+    text = _json_text("control_coeffs.json", coeff_payload)
     with open(_artifact(outdir, "control_coeffs.json"), "w") as fh:
-        # json.dump never uses the C encoder; json.dumps writes the same bytes
-        fh.write(json.dumps(coeff_payload, sort_keys=True))
+        fh.write(text)
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
@@ -474,18 +498,19 @@ def run(scn: Scenario) -> int:
 
     The output directory is made only when an artifact is written.  A
     control run that reaches u1 by neither route still writes its report
-    and exits 3.
+    and exits 3; a JSON artifact holding NaN or infinity is not written,
+    and the run exits 3.
     """
     outdir = Path(scn.outdir)
     try:
         payload = _RUNNERS[scn.experiment](scn, outdir)
+        path = _write_report(outdir, payload, scn)
     except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except BenctrlError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    path = _write_report(outdir, payload, scn)
     print(path)
     missed = _missed_target(scn, payload)
     if missed:

@@ -76,12 +76,14 @@ class Spectrum:
     ``clusters`` partitions the wavenumbers -n..n into groups of equal
     eigenvalue; each group is sorted and carries a representative index
     (the member of smallest |k|, which is 0 whenever 0 belongs to the
-    group).  ``slot[k+n]`` is the index into ``clusters`` of the group that
-    holds wavenumber k: the one map from modes to clusters that every
-    cluster-aware computation reads; ``mirror[c]`` is the cluster of the
-    negated members of cluster c, ``rep_rows[c]`` the row of its
-    representative.  ``gap_gamma`` is the minimum spacing between distinct
-    eigenvalues at this truncation.
+    group).  Clusters are ordered by representative, so of N clusters c
+    holds the negated members of N-1-c, as row k+n mirrors to n-k.
+    ``slot[k+n]`` is the index into ``clusters`` of the group that holds
+    wavenumber k: the one map from modes to clusters that every
+    cluster-aware computation reads; ``rep_rows[c]`` is the row of cluster
+    c's representative.  ``gap_gamma`` is the minimum spacing between
+    distinct eigenvalues at this truncation.  ``analyze`` builds it, its
+    arrays read-only.
     """
 
     alpha: float
@@ -94,19 +96,9 @@ class Spectrum:
     gap_gamma: float
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
-    mirror: np.ndarray = field(init=False, repr=False, compare=False)
-    rep_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rep_rows: np.ndarray = field(repr=False, compare=False)
     _horizon: Latest = field(default_factory=Latest, init=False, repr=False,
                              compare=False)
-
-    def __post_init__(self):
-        lam = np.ascontiguousarray(np.asarray(self.lambdas, dtype=float))
-        slot = np.array(self.slot, dtype=np.intp)
-        mirror = slot[np.subtract(self.n, self.representatives)]
-        for name, arr in dict(lambdas=lam, slot=slot, mirror=mirror,
-                              rep_rows=np.add(self.representatives, self.n)
-                              ).items():
-            object.__setattr__(self, name, read_only(arr))
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -122,8 +114,7 @@ class Spectrum:
             raise ConfigurationError("horizon T must be positive")
         T = float(T)
         return self._horizon.get(T, lambda: Horizon(
-            T, self.n, self.lambdas, self.slot, self.rep_rows, self.mirror,
-            self.clusters))
+            T, self.n, self.lambdas, self.slot, self.rep_rows, self.clusters))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +136,17 @@ class Horizon:
     mode_lambdas: np.ndarray       # lambda_k of the rows, index k+n
     slot: np.ndarray               # column of row k's cluster, index k+n
     rows: np.ndarray               # row of cluster c's representative
-    mirror: np.ndarray             # cluster of cluster c's negated members
     clusters: tuple
     _plant: Latest = field(default_factory=Latest, init=False, repr=False)
 
     def weighted_kernel(self, rate: float) -> np.ndarray:
         """``kernel`` under the weight e^{-2*rate*t}, evaluated afresh on
-        the rows k >= 0: row -k is row k conjugated at the mirror clusters."""
+        the rows k >= 0: row -k is row k conjugated, its columns reversed
+        (cluster c mirrors to N-1-c)."""
         n, lam = self.n, self.mode_lambdas
         matrix = np.empty((2 * n + 1, len(self.rows)), complex)
         matrix[n:] = exp_kernel(lam[n:], lam[self.rows], self.T, rate)
-        np.conjugate(matrix[:n:-1, self.mirror], out=matrix[:n])
+        np.conjugate(matrix[:n:-1, ::-1], out=matrix[:n])
         return matrix
 
     @functools.cached_property
@@ -184,11 +175,7 @@ class Horizon:
         Q^H, refined once against Gamma.  Beyond ``GRAM_COND_LIMIT`` the
         family is degenerate: least-squares duals from the eigenpairs
         ``np.linalg.pinv`` would keep, |w| > LSTSQ_RCOND max|w|."""
-        lam, gram = self.lambdas, self.gram
-        # the real form needs the mirror as reversal; ascending lambda is one
-        perm = None if np.all(np.diff(self.mirror) == -1) else np.argsort(lam)
-        w, V = np.linalg.eigh(real_form(gram if perm is None
-                                        else gram[np.ix_(perm, perm)]))
+        w, V = np.linalg.eigh(real_form(self.gram))
         mag = np.abs(w)
         cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf
         degenerate = cond > GRAM_COND_LIMIT
@@ -197,10 +184,8 @@ class Horizon:
             keep = mag > LSTSQ_RCOND * mag.max()
             w, V = w[keep], V[:, keep]
         x = from_real(from_real(V @ (V / w).T).conj().T)
-        if perm is not None:
-            x[np.ix_(perm, perm)] = x.copy()
         if not degenerate:
-            x += x @ (np.eye(len(lam)) - gram @ x)
+            x += x @ (np.eye(len(x)) - self.gram @ x)
         return read_only(x), cond, degenerate
 
     duals_h = property(lambda self: self._duals[0], doc="D^H")
@@ -243,7 +228,8 @@ class Horizon:
 def _representative(group):
     """Cluster representative: smallest |k| (ties cannot occur outside the
     zero cluster, where 0 itself wins).  Mirror clusters then get mirrored
-    representatives, which keeps real-valued synthesis exactly symmetric."""
+    representatives, so ordering clusters by representative reverses them
+    under k -> -k, and real-valued synthesis stays exactly symmetric."""
     return min(group, key=lambda k: (abs(k), k))
 
 
@@ -255,8 +241,9 @@ def clusters(n: int, alpha, mu=0):
     are exact rationals the sweep runs on the integer keys d*lambda_k, with
     d the common denominator of alpha and mu, at tolerance 0 (Python
     integers, so large denominators cannot overflow); otherwise on the float
-    eigenvalues at tol = CLUSTER_RTOL.  A group of size > 3
-    contradicts the cubic dispersion shape and raises ClusterSizeError.
+    eigenvalues at tol = CLUSTER_RTOL.  Groups are sorted and listed by
+    representative.  A group of size > 3 contradicts the cubic dispersion
+    shape and raises ClusterSizeError.
     """
     exact = isinstance(alpha, Rational) and isinstance(mu, Rational)
     if exact:
@@ -275,7 +262,8 @@ def clusters(n: int, alpha, mu=0):
     breaks = np.abs(np.diff(v)) > tol * np.maximum(scale[1:], scale[:-1])
     ks = (order - n).tolist()
     cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(ks)]
-    groups = sorted(tuple(sorted(ks[a:b])) for a, b in zip(cuts, cuts[1:]))
+    groups = sorted((tuple(sorted(ks[a:b])) for a, b in zip(cuts, cuts[1:])),
+                    key=_representative)
     for g in groups:
         if len(g) > 3:
             raise ClusterSizeError(
@@ -307,10 +295,13 @@ def _spectrum(n: int, alpha, mu) -> tuple:
     groups, exact = clusters(n, alpha, mu)
     lam = eigenvalues(n, alpha, mu)
     reps = tuple(_representative(g) for g in groups)
+    rows = read_only(np.add(reps, n))
     slot = np.empty(2 * n + 1, dtype=np.intp)
     for ci, grp in enumerate(groups):
         for k in grp:
             slot[k + n] = ci
+    gaps = np.sort(np.diff(np.sort(lam[rows])))
+    dmin = float(gaps[0]) if len(gaps) else float("inf")
     spec = Spectrum(
         alpha=float(alpha),
         mu=float(mu),
@@ -318,25 +309,20 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         lambdas=lam,
         clusters=tuple(groups),
         representatives=reps,
-        slot=slot,
-        gap_gamma=float("nan"),
+        slot=read_only(slot),
+        gap_gamma=dmin,
         window_bound=window_bound(alpha),
         exact=exact,
+        rep_rows=rows,
     )
-    object.__setattr__(spec, "gap_gamma", gap_gamma(spec) if len(groups) >= 2
-                       else float("inf"))
     # flag nearly-degenerate pairs that were *not* clustered: the smallest
     # gap is compared against the next gap scale (the gap the spectrum would
     # have without the offending pair)
-    gaps = np.diff(np.sort(spec.distinct_lambdas()))
-    if len(gaps) > 1:
-        dmin = gaps.min()
-        larger = gaps[gaps > 2.0 * dmin]
-        ref = larger.min() if len(larger) else dmin
-        if 0 < dmin < NEAR_CLUSTER_FRACTION * ref:
-            return spec, (f"eigenvalue pair at distance {dmin:.3e} << "
-                          f"neighbouring gap {ref:.3e}: ill-conditioned Gram "
-                          "matrix expected")
+    larger = gaps[gaps > 2.0 * dmin]
+    if len(larger) and 0 < dmin < NEAR_CLUSTER_FRACTION * larger[0]:
+        return spec, (f"eigenvalue pair at distance {dmin:.3e} << "
+                      f"neighbouring gap {larger[0]:.3e}: ill-conditioned "
+                      "Gram matrix expected")
     return spec, None
 
 
@@ -346,21 +332,22 @@ analyze.cache_clear = _spectrum.cache_clear
 def gap_gamma(spec: Spectrum) -> float:
     """Minimum |lambda_k - lambda_m| over distinct eigenvalues.
 
-    Computed by brute force over all distinct eigenvalues at the truncation.
-    (That the minimum is already attained by clusters meeting indices in
-    [-1-W, W+1], W = window_bound, is checked by the tests.)
+    ``analyze`` takes it by brute force from the sorted gaps of all distinct
+    eigenvalues at the truncation.  (That the minimum is already attained
+    by clusters meeting indices in [-1-W, W+1], W = window_bound, is
+    checked by the tests.)
     """
-    dist = spec.distinct_lambdas()
-    if len(dist) < 2:
+    if len(spec.clusters) < 2:
         raise ValueError("need at least two distinct eigenvalues")
-    return float(np.diff(np.sort(dist)).min())
+    return spec.gap_gamma
 
 
-def require_mirror(a, what: str):
-    """ConfigurationError unless max|a - conj(flip(a))| <= MIRROR_RTOL max|a|:
-    ghat(-k) = conj ghat(k), or A[::-1, ::-1] = conj(A) to rounding."""
+def require_mirror(a, what: str, cond: float = 1.0):
+    """ConfigurationError unless max|a - conj(flip(a))| <= MIRROR_RTOL cond
+    max|a|: ghat(-k) = conj ghat(k), or A[::-1, ::-1] = conj(A) to the
+    rounding of a solve of condition number ``cond`` that formed ``a``."""
     defect = np.abs(a - np.flip(a).conj()).max()
-    if defect > MIRROR_RTOL * np.abs(a).max():
+    if defect > MIRROR_RTOL * cond * np.abs(a).max():
         raise ConfigurationError(f"{what} not mirror-symmetric: {defect:.3e}")
 
 
@@ -395,14 +382,15 @@ def from_real(X: np.ndarray) -> np.ndarray:
 
 
 def spectrum_report(spec: Spectrum) -> dict:
-    """JSON-ready summary used by the `spectrum` CLI subcommand; the gap of
-    a one-cluster spectrum, inf, is written as null (JSON has no inf)."""
+    """JSON-ready summary used by the `spectrum` CLI subcommand: clusters
+    sorted by smallest member, and the gap of a one-cluster spectrum, inf,
+    written as null (JSON has no inf)."""
     return {
         "alpha": spec.alpha,
         "mu": spec.mu,
         "n": spec.n,
         "lambdas": [float(v) for v in spec.lambdas],
-        "clusters": [list(map(int, g)) for g in spec.clusters],
+        "clusters": [list(map(int, g)) for g in sorted(spec.clusters)],
         "gamma": spec.gap_gamma if math.isfinite(spec.gap_gamma) else None,
         "window_bound": spec.window_bound,
     }

@@ -59,7 +59,8 @@ class FeedbackLaw:
 
     ``matrix`` is K (the state equation is u' = A_mu u - K u);
     ``closed_loop`` is A_mu - K.  Mode 0 is invariant with zero dynamics
-    under both laws.
+    under both laws.  ``gain_cond`` is the condition number of the solve
+    that formed K, cond(L_lambda) for the Gramian law.
     """
 
     kind: str                  # "simple" | "gramian"
@@ -67,6 +68,7 @@ class FeedbackLaw:
     matrix: np.ndarray
     closed_loop: np.ndarray
     spectrum: Spectrum
+    gain_cond: float = 1.0
 
     @functools.cached_property
     def eigensystem(self) -> Eigensystem:
@@ -76,11 +78,12 @@ class FeedbackLaw:
         which over the simple law's horizon of about 3e4 moves an amplitude
         by 4e-8; the two-sided Rayleigh quotient diag(V^-1 B V) is accurate
         to second order in that error.  Above ``EIG_COND_LIMIT`` for cond(V) =
-        cond(X), V^-1 = X^-1 Q^H is not formed.  A non-mirror B is an error.
+        cond(X), V^-1 = X^-1 Q^H is not formed.  A B not mirror-symmetric to
+        the rounding of K's solve is an error.
         """
         nz = self.spectrum.wavenumbers != 0
         block = self.closed_loop[np.ix_(nz, nz)]
-        require_mirror(block, "closed loop")
+        require_mirror(block, "closed loop", self.gain_cond)
         w, X = np.linalg.eig(real_form(self.closed_loop)[:-1, :-1])
         cond = float(np.linalg.cond(X))
         V = from_real(X)
@@ -130,7 +133,8 @@ def feedback_gramian(L: Gramian, mm: MMatrix,
     nz = spec.wavenumbers != 0
     K = np.zeros_like(gg)
     K[np.ix_(nz, nz)] = L.solve(gg)[np.ix_(nz, nz)].conj().T
-    return FeedbackLaw("gramian", L.rate, K, _generator(spec) - K, spec)
+    return FeedbackLaw("gramian", L.rate, K, _generator(spec) - K, spec,
+                       L.cond)
 
 
 def spectral_abscissa(law: FeedbackLaw) -> float:

@@ -6,7 +6,8 @@ entries by applying G pointwise on a uniform grid, the energy derivative by
 a centred difference; the Duhamel integral of a control at 50 digits by
 mpmath, and so the L2([0,T]; H^s) norm of a control; the decay-rate fit
 by one ``np.polyfit`` per suffix window; phi(z, T) = int_0^T e^{zt} dt with
-the quotient and the series each evaluated on its own entries only.
+the quotient and the series each evaluated on its own entries only; the
+cluster partition by grouping the exact Fraction eigenvalues.
 ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
 ``gramian_direct`` assemble, each on its own, the Gram matrices and
 Gramians the library reads off one shared horizon kernel.
@@ -22,9 +23,18 @@ from benctrl._closedform import SERIES_THRESHOLD
 from benctrl.errors import DecayFitError
 from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
-from benctrl.spectrum import eigenvalues
+from benctrl.spectrum import eigenvalue, eigenvalues
 from benctrl.stabilization import (FIT_R2, NORM_FLOOR, DecayFit,
                                    FeedbackLaw, simulate_closed_loop)
+
+
+def brute_force_clusters(n, alpha, mu):
+    """Wavenumbers -n..n grouped by their Fraction eigenvalue, the groups
+    sorted by smallest member."""
+    by_value = {}
+    for k in range(-n, n + 1):
+        by_value.setdefault(eigenvalue(k, alpha, mu), []).append(k)
+    return sorted(tuple(g) for g in by_value.values())
 
 
 @lru_cache(maxsize=8)

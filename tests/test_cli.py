@@ -17,7 +17,7 @@ import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
-from benctrl.errors import ConfigurationError
+from benctrl.errors import BenctrlError, ConfigurationError
 from benctrl.moment_control import ControlSignal
 from benctrl.operators import apply_G, evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
@@ -429,6 +429,16 @@ class TestStabilizeCommand:
         decay = (tmp_path / "decay.csv").read_text().splitlines()
         assert decay[0] == "t,L2_norm,Hs_norm"
 
+    def test_short_window_gramian_law(self, tmp_path):
+        # cond(L_lambda) ~1e6 at T=0.1: the solve for the gain leaves K
+        # mirror-symmetric only to ~1e-10 of its size, which is rounding
+        code = main(["stabilize", "--law", "gramian", "--lambda", "1.0",
+                     "--alpha", "1", "--n", "8", "--T", "0.1",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["spectral_abscissa"] <= -1.0
+
     def test_simple_law(self, tmp_path):
         code = main(["stabilize", "--law", "simple", "--alpha", "1.0",
                      "--n", "8", "--seed", "4", "--outdir", str(tmp_path)])
@@ -503,6 +513,39 @@ class TestReproducibility:
         raw = (out1 / "report.json").read_bytes()
         assert raw == (out2 / "report.json").read_bytes()
         assert 1.0 <= json.loads(raw)["closed_loop_cond_V"] <= EIG_COND_LIMIT
+
+
+class TestNonFiniteResults:
+    """Strict JSON has no NaN or infinity: a result past the float range is
+    a numerical failure, and its JSON artifact is not written."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("experiment,n,norms,field", [
+        ("simulate", 4, {"u0": 1e308}, "norm_drift"),
+        ("stabilize", 8, {"u0": 1e300}, "fitted_rate"),
+        ("control", 8, {"u0": 1e300, "u1": 1e300}, "terminal_residual")])
+    def test_huge_state_exits_3_without_a_report(self, tmp_path, capsys,
+                                                  experiment, n, norms,
+                                                  field):
+        scn = {"experiment": experiment, "n": n,
+               "outdir": str(tmp_path / "out"),
+               **{key: {"type": "random", "norm": norm}
+                  for key, norm in norms.items()}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn))
+        assert main([experiment, "--scenario", str(path)]) == 3
+        assert (f"numerical failure: report.json field {field} is not "
+                "finite") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_the_field_is_named_by_its_path(self):
+        payload = {"b": 1.0, "a": [0.5, {"c": [2.0, -np.inf]}]}
+        with pytest.raises(BenctrlError,
+                           match=r"^x.json field a\[1\].c\[1\] is not finite$"):
+            cli._json_text("x.json", payload)
+        payload["a"][1]["c"][1] = 3.0
+        assert cli._json_text("x.json", payload, indent=2) == \
+            json.dumps(payload, sort_keys=True, indent=2)
 
 
 class TestSweep:

@@ -1,12 +1,14 @@
 """Mirror symmetry: k -> -k conjugates every matrix the toolkit factors.
 
 Each factorization runs on the real form M = Q^H A Q (``spectrum.real_form``)
-and maps back through ``spectrum.from_real``.  These tests hold the real
-route to the complex one it replaces: the same eigenvalues, eigenpairs with
-the same residuals, and duals as biorthogonal as before.
+and maps back through ``spectrum.from_real``, which needs k -> -k to be an
+index reversal on clusters as on modes.  These tests hold the real route to
+the complex one it replaces: the same eigenvalues, eigenpairs with the same
+residuals, and duals as biorthogonal as before.
 """
 
 import itertools
+import json
 import warnings
 from fractions import Fraction
 
@@ -15,20 +17,23 @@ import pytest
 
 import benctrl.spectrum as spectrum_mod
 from benctrl._closedform import exp_kernel
+from benctrl.cli import TERMINAL_TOL, main
 from benctrl.errors import ConfigurationError
 from benctrl.moment_control import build_biorthogonal, controllability_gramian
 from benctrl.operators import build_bump, m_matrix
 from benctrl.spectrum import LSTSQ_RCOND, from_real, real_form, require_mirror
 from benctrl.stabilization import (build_L_lambda, feedback_gramian,
                                    feedback_simple)
-from oracles import phi_masked
+from oracles import brute_force_clusters, phi_masked
 
 GRID = list(itertools.product((0.1, 1.0, 7 / 3), (0.0, 0.3), (8, 32)))
 
-#: spectra whose cluster order does not mirror by reversal: alpha=9/5 puts
-#: -1 with 2 and -2 with 1; alpha=12, mu=41/2 clusters {1, 5} and {2, 3}
+#: spectra whose clusters, listed by smallest member, do not mirror by
+#: reversal: alpha=9/5 puts -1 with 2 and -2 with 1; alpha=12, mu=41/2
+#: clusters {1, 5, 6} and {2, 3, 7}; alpha=12, mu=0 puts 0 with -12 and 12
 UNORDERED = [(Fraction(9, 5), Fraction(0), 8),
-             (Fraction(12), Fraction(41, 2), 8)]
+             (Fraction(12), Fraction(41, 2), 8),
+             (Fraction(12), Fraction(0), 16)]
 
 
 def mirror_symmetric(N, seed):
@@ -86,23 +91,36 @@ class TestTransform:
         with pytest.raises(ConfigurationError, match="A not mirror-symmetric"):
             require_mirror(A + 1e-9 * np.eye(6, k=1), "A")
 
+    def test_require_mirror_allows_the_rounding_of_a_solve(self):
+        A = mirror_symmetric(6, 1) + 1e-9 * np.eye(6, k=1)
+        require_mirror(A, "A", cond=1e4)
+        with pytest.raises(ConfigurationError, match="A not mirror-symmetric"):
+            require_mirror(A, "A", cond=1e2)
+
+
+def reverses(groups) -> bool:
+    """Whether group c holds the negated members of group N-1-c."""
+    return all(tuple(sorted(-k for k in g)) == m
+               for g, m in zip(groups, groups[::-1]))
+
 
 class TestMirrorMap:
     @pytest.mark.parametrize("alpha,mu,n", GRID + UNORDERED)
     def test_involution_with_one_fixed_cluster(self, alpha, mu, n):
+        # k -> -k reverses the clusters: the middle one, the zero cluster,
+        # is the only one fixed
         spec = spectrum_mod.analyze(n, alpha, mu)
-        m = spec.mirror
-        assert not m.flags.writeable
-        assert np.array_equal(m[m], np.arange(len(m)))
-        fixed = np.flatnonzero(m == np.arange(len(m)))
-        assert fixed.tolist() == [spec.slot[n]]
-        for c, group in enumerate(spec.clusters):
-            assert spec.clusters[m[c]] == tuple(sorted(-k for k in group))
+        N = len(spec.clusters)
+        assert N % 2 == 1 and spec.slot[n] == N // 2
+        assert reverses(spec.clusters)
+        assert not spec.rep_rows.flags.writeable
+        assert np.array_equal(spec.rep_rows[::-1], 2 * n - spec.rep_rows)
 
-    def test_the_unordered_spectra_need_a_permutation(self):
+    def test_the_unordered_spectra_reverse_in_representative_order(self):
         for alpha, mu, n in UNORDERED:
-            m = spectrum_mod.analyze(n, alpha, mu).mirror
-            assert not np.all(np.diff(m) == -1)
+            spec = spectrum_mod.analyze(n, alpha, mu)
+            assert reverses(spec.clusters)
+            assert not reverses(sorted(spec.clusters))
 
     @pytest.mark.parametrize("alpha,mu,n", GRID + UNORDERED)
     def test_half_kernel_is_bit_identical(self, alpha, mu, n):
@@ -138,8 +156,7 @@ class TestFactorizations:
     def test_gram_eigenvalues(self, alpha, mu, n):
         spec = spectrum_mod.analyze(n, alpha, mu)
         gram = spec.horizon(1.0).gram
-        order = np.argsort(spec.distinct_lambdas())
-        got = np.linalg.eigvalsh(real_form(gram[np.ix_(order, order)]))
+        got = np.linalg.eigvalsh(real_form(gram))
         want = np.linalg.eigvalsh(gram)
         assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(gram, 2)
 
@@ -255,8 +272,6 @@ class TestDuals:
         with pytest.warns(RuntimeWarning, match="rank-revealing"):
             family = build_biorthogonal(spec, T, on_singular="lstsq")
         assert family.degenerate
-        # the mirror of these spectra is the reversal: no permutation
-        assert np.all(np.diff(spec.mirror) == -1)
         M = real_form(family.gram)
         w = np.linalg.eigvalsh(M)
         sing = np.linalg.svd(M, compute_uv=False)
@@ -271,3 +286,24 @@ class TestDuals:
         got = family.duals_h
         bound = np.finfo(float).eps / LSTSQ_RCOND
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+class TestUnorderedEndToEnd:
+    """The spectra of ``UNORDERED`` through ``benctrl`` at n=16."""
+
+    @pytest.mark.parametrize("alpha,mu", [case[:2] for case in UNORDERED])
+    def test_spectrum_reports_clusters_by_smallest_member(self, tmp_path,
+                                                          alpha, mu):
+        assert main(["spectrum", "--alpha", str(alpha), "--mu", str(mu),
+                     "--n", "16", "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["clusters"] == [
+            list(g) for g in brute_force_clusters(16, alpha, mu)]
+
+    @pytest.mark.parametrize("alpha,mu", [case[:2] for case in UNORDERED])
+    def test_control_reaches_u1_by_both_routes(self, tmp_path, alpha, mu):
+        assert main(["control", "--alpha", str(alpha), "--mu", str(mu),
+                     "--n", "16", "--T", "1", "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["terminal_residual"] <= TERMINAL_TOL
+        assert report["hum"]["terminal_residual"] <= TERMINAL_TOL

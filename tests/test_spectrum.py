@@ -8,6 +8,7 @@ import pytest
 
 import benctrl.spectrum as sp
 from benctrl.errors import ClusterSizeError
+from oracles import brute_force_clusters
 
 
 def brute_force_gap(n, alpha, mu=0.0):
@@ -81,14 +82,6 @@ class TestClusters:
             groups, _ = sp.clusters(64, a)
             assert max(len(g) for g in groups) <= 3
             a += Fraction(1, 4)
-
-
-def brute_force_clusters(n, alpha, mu):
-    """Independent oracle: group wavenumbers by their Fraction eigenvalue."""
-    by_value = {}
-    for k in range(-n, n + 1):
-        by_value.setdefault(sp.eigenvalue(k, alpha, mu), []).append(k)
-    return sorted(tuple(g) for g in by_value.values())
 
 
 #: 10^13+37 times 3 * n^3 exceeds 2^63 at n=256: keys need unbounded integers
