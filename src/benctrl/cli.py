@@ -7,10 +7,14 @@ generator, and reports are canonical JSON (sorted keys, shortest round-trip
 float repr, no timestamps), so identical scenario + seed reproduces
 byte-identical reports.
 
-Every scenario value is read by the one reader for its kind: ``_number``,
-``_choice``, ``_typed`` (objects, lists, strings), ``_rows``, and
-``_read_state``/``_read_bump`` for the state and bump objects, which the
-code that builds a state or bump reads as well.
+Every scenario value is read once, by the one reader for its kind:
+``_number``, ``_choice``, ``_typed`` (objects, lists, strings), ``_rows``,
+and ``_read_state``/``_read_bump`` for the state and bump objects, whose
+results ``Scenario.validate`` keeps for the code that builds a state or bump.
+
+A run computes first and writes last: every artifact is formatted and
+checked before the output directory is made, so a run that fails writes
+nothing.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -37,8 +41,8 @@ from . import spectrum as spectrum_mod
 from . import stabilization as stab
 from .errors import BenctrlError, ConfigurationError
 from .operators import apply_G, build_bump, bump_from_coefficients, m_matrix
-from .spectral import (TWO_PI, TorusFunction, hs_weights, mean, sobolev_norm,
-                       write_csv)
+from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights, mean,
+                       sobolev_norm)
 
 SCHEMA_VERSION = 1
 
@@ -187,10 +191,15 @@ class Scenario:
     seed: int = 0
     outdir: str = "out"
 
+    #: what validate read of u0, u1 and bump (``_read_state``,
+    #: ``_read_bump``); not a field, so not part of the scenario's hash
+    parsed = None
+
     def validate(self):
         """Read every field through its reader, in place: rational text is
         parsed and T_list becomes a tuple of floats.  States and the bump
-        are read, not drawn or profiled."""
+        are read, not drawn or profiled, and what was read of them is kept
+        in ``parsed``."""
         self.experiment = _choice("experiment", self.experiment, EXPERIMENTS)
         self.alpha = _number("alpha", self.alpha, positive=True, rational=True)
         self.mu = _number("mu", self.mu, rational=True)
@@ -215,9 +224,9 @@ class Scenario:
         self.strict = _choice("strict", self.strict, (True, False))
         self.seed = _number("seed", self.seed, 0, integer=True)
         _typed("outdir", self.outdir, str)
-        for key in ("u0", "u1"):
-            _read_state(key, getattr(self, key), self.n)
-        _read_bump(self.bump)
+        self.parsed = {"u0": _read_state("u0", self.u0, self.n),
+                       "u1": _read_state("u1", self.u1, self.n),
+                       "bump": _read_bump(self.bump)}
         return self
 
     def canonical(self) -> dict:
@@ -274,29 +283,24 @@ def random_state(seed, n: int, s: float, norm: float = 1.0) -> TorusFunction:
     return f.with_coeffs(f.coeffs * (norm / current))
 
 
-def _state_from_config(cfg: dict, n: int, s: float, seed) -> TorusFunction:
-    """The state object ``cfg`` of order n (``_read_state``), drawn from
-    ``seed`` if it is random."""
-    read = _read_state("state", cfg, n)
+def _build_state(scn: Scenario, key: str, seed) -> TorusFunction:
+    """The validated scenario's state ``key``, drawn from ``seed`` if it is
+    random."""
+    read = scn.parsed[key]
     if not isinstance(read, tuple):              # a random state's norm
-        return random_state(seed, n, s, float(read))
+        return random_state(seed, scn.n, scn.s, float(read))
     rows, real = read
-    return TorusFunction(n, _placed(rows, n), real_flag=real)
+    return TorusFunction(scn.n, _placed(rows, scn.n), real_flag=real)
 
 
 def _build_bump(scn: Scenario, kmax: int):
-    """The scenario's localizer, profiled to ``kmax`` unless given by coefficients."""
-    read = _read_bump(scn.bump)
+    """The validated scenario's localizer, profiled to ``kmax`` unless given
+    by coefficients."""
+    read = scn.parsed["bump"]
     return build_bump(*read, kmax=kmax) if isinstance(read, tuple) else read
 
 
 # -- report/CSV emission -----------------------------------------------------
-
-
-def _artifact(outdir: Path, name: str) -> Path:
-    """outdir / name; the first artifact of a run makes the directory."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
 
 
 def _non_finite(value, path: str = "") -> str | None:
@@ -323,7 +327,8 @@ def _json_text(name: str, payload, **options) -> str:
                            " is not finite") from None
 
 
-def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
+def _report_text(payload: dict, scn: Scenario) -> str:
+    """report.json: the runner's payload with the schema and provenance."""
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     payload["provenance"] = {
@@ -332,23 +337,23 @@ def _write_report(outdir: Path, payload: dict, scn: Scenario) -> Path:
         "scenario_hash": scn.digest(),
         "seed": scn.seed,
     }
-    text = _json_text("report.json", payload, indent=2)
-    path = _artifact(outdir, "report.json")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return path
+    return _json_text("report.json", payload, indent=2) + "\n"
 
 
 # -- experiments -------------------------------------------------------------
 
 
-def _run_spectrum(scn: Scenario, outdir: Path) -> dict:
+# Each runner returns its report payload and its other artifacts by file
+# name: CSV text, or the payload of a JSON file.  ``run`` writes them.
+
+
+def _run_spectrum(scn: Scenario) -> tuple:
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
-    return spectrum_mod.spectrum_report(spec)
+    return spectrum_mod.spectrum_report(spec), {}
 
 
-def _run_simulate(scn: Scenario, outdir: Path) -> dict:
-    u0 = _state_from_config(scn.u0, scn.n, scn.s, scn.seed)
+def _run_simulate(scn: Scenario) -> tuple:
+    u0 = _build_state(scn, "u0", scn.seed)
     t_final = scn.t_final if scn.t_final is not None else scn.T
     times = np.linspace(0.0, t_final, scn.n_times)
     lam = spectrum_mod.eigenvalues(scn.n, scn.alpha, scn.mu)
@@ -356,23 +361,21 @@ def _run_simulate(scn: Scenario, outdir: Path) -> dict:
     power = np.abs(traj) ** 2
     l2, hs = (np.sqrt(TWO_PI * np.sum(hs_weights(scn.n, s) * power, axis=1))
               for s in (0.0, scn.s))
-    write_csv(_artifact(outdir, "norms.csv"), "t,L2_norm,Hs_norm",
-              zip(times, l2, hs))
     return {
         "experiment": "simulate",
         "t_final": float(times[-1]),
         "norm_drift": abs(hs[-1] - sobolev_norm(u0, scn.s)),
         "mean_drift": abs(traj[-1, scn.n] - u0.coeffs[scn.n]),
-    }
+    }, {"norms.csv": csv_text("t,L2_norm,Hs_norm", zip(times, l2, hs))}
 
 
-def _run_control(scn: Scenario, outdir: Path) -> dict:
+def _run_control(scn: Scenario) -> tuple:
     # one profile for the spillover band n_sim + n and the m-matrix's |k| <= 2n
     fine = scn.n_sim and scn.n_sim > scn.n and "coefficients" not in scn.bump
     bump = _build_bump(scn, scn.n_sim + scn.n if fine else 2 * scn.n)
-    u0 = _state_from_config(scn.u0, scn.n, scn.s, scn.seed)
+    u0 = _build_state(scn, "u0", scn.seed)
     # u1 draws from its own stream: seed + 1 is the next sweep case's u0
-    u1 = _state_from_config(scn.u1, scn.n, scn.s, [scn.seed, 1])
+    u1 = _build_state(scn, "u1", [scn.seed, 1])
     # the shared mean rides along in mode 0 (feedback/control never touch it);
     # recorded so downstream tools can re-add it after mean-zero analysis
     mu0 = complex(mean(u0))
@@ -400,20 +403,17 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
     # per-mode coefficient JSON + sampled control CSV
     E = result.signal.exp_coeffs
     coeff_payload = {
-        "lambdas": [float(v) for v in result.signal.lambdas],
+        "lambdas": result.signal.lambdas.tolist(),
         "modes": [{"k": k, "coeffs": c} for k, c in zip(
             range(-scn.n, scn.n + 1),
             np.stack([E.real, E.imag], axis=-1).tolist())],
     }
-    text = _json_text("control_coeffs.json", coeff_payload)
-    with open(_artifact(outdir, "control_coeffs.json"), "w") as fh:
-        fh.write(text)
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
-    write_csv(_artifact(outdir, "control_samples.csv"), "t,x,h_re,h_im",
-              np.stack([*np.meshgrid(ts, xs, indexing="ij"), vals.real,
-                        vals.imag], axis=-1).reshape(-1, 4))
+    samples = csv_text("t,x,h_re,h_im", np.stack(
+        [*np.meshgrid(ts, xs, indexing="ij"), vals.real, vals.imag],
+        axis=-1).reshape(-1, 4))
     return {
         "experiment": "control",
         "terminal_residual": result.terminal_residual,
@@ -429,10 +429,11 @@ def _run_control(scn: Scenario, outdir: Path) -> dict:
                 "reached": hum_res <= TERMINAL_TOL,
                 "control_norm": hum_signal.l2_hs_norm(0.0),
                 "cond_W": hum_info["cond_W"]},
-    }
+    }, {"control_coeffs.json": coeff_payload,
+        "control_samples.csv": samples}
 
 
-def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
+def _run_stabilize(scn: Scenario) -> tuple:
     bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
@@ -442,15 +443,13 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
         L = stab.build_L_lambda(mm, spec, scn.decay_lambda, scn.T)
         law = stab.feedback_gramian(L, mm, spec)
     absc = stab.spectral_abscissa(law)
-    u0 = _state_from_config(scn.u0, scn.n, scn.s, scn.seed)
+    u0 = _build_state(scn, "u0", scn.seed)
     t_final = scn.t_final if scn.t_final is not None else \
         min(12.0 / max(abs(absc), 1e-6), 1e6)
     times = np.linspace(0.0, t_final, scn.n_times)
     hist = stab.norm_history(u0, law, times, s_values=(0.0, scn.s))
     fitobj = stab.estimate_decay_rate(hist["times"], hist[0.0])
     delta, _ = stab.observability_constant(mm, spec, scn.T)
-    write_csv(_artifact(outdir, "decay.csv"), "t,L2_norm,Hs_norm",
-              zip(hist["times"], hist[0.0], hist[scn.s]))
     return {
         "experiment": "stabilize",
         "law": scn.law,
@@ -462,16 +461,17 @@ def _run_stabilize(scn: Scenario, outdir: Path) -> dict:
         "closed_loop_cond_V": law.eigensystem.cond,
         "delta": delta,
         "t_final": float(t_final),
-    }
+    }, {"decay.csv": csv_text("t,L2_norm,Hs_norm",
+                              zip(hist["times"], hist[0.0], hist[scn.s]))}
 
 
-def _run_observability(scn: Scenario, outdir: Path) -> dict:
+def _run_observability(scn: Scenario) -> tuple:
     bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
     mm = m_matrix(bump, scn.n)
     return {"experiment": "observability", "pairs": [
         {"T": T, "delta": stab.observability_constant(mm, spec, T)[0]}
-        for T in scn.T_list]}
+        for T in scn.T_list]}, {}
 
 
 _RUNNERS = {
@@ -496,22 +496,30 @@ def _missed_target(scn: Scenario, payload: dict) -> str | None:
 def run(scn: Scenario) -> int:
     """Dispatch a validated scenario; returns the process exit code.
 
-    The output directory is made only when an artifact is written.  A
-    control run that reaches u1 by neither route still writes its report
-    and exits 3; a JSON artifact holding NaN or infinity is not written,
-    and the run exits 3.
+    Every artifact is formatted and checked before the output directory is
+    made and all of them are written, so a run that fails writes none: a
+    JSON artifact holding NaN or infinity is a numerical failure (exit 3).
+    A control run that reaches u1 by neither route still writes every
+    artifact and exits 3.
     """
-    outdir = Path(scn.outdir)
     try:
-        payload = _RUNNERS[scn.experiment](scn, outdir)
-        path = _write_report(outdir, payload, scn)
+        payload, artifacts = _RUNNERS[scn.experiment](scn)
+        texts = {name: value if isinstance(value, str)
+                 else _json_text(name, value)
+                 for name, value in artifacts.items()}
+        texts["report.json"] = _report_text(payload, scn)
     except ConfigurationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except BenctrlError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    print(path)
+    outdir = Path(scn.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(outdir / name, "w") as fh:
+            fh.write(text)
+    print(outdir / "report.json")
     missed = _missed_target(scn, payload)
     if missed:
         print(f"numerical failure: {missed}", file=sys.stderr)

@@ -119,11 +119,23 @@ def mean(f: TorusFunction) -> complex:
     return complex(f.coeffs[f.n])
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write a header line and one line per row of floats (shortest repr);
-    ``rows`` is a 2-D array or an iterable of equal-length rows."""
+def csv_text(header: str, rows) -> str:
+    """A header line and one line per row of floats, each written as the
+    shortest repr of its float; ``rows`` is a 2-D array or an iterable of
+    equal-length rows.  Each distinct value of a column is formatted once,
+    keyed by its bits, so -0.0 and 0.0 keep their own text."""
     table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
-                       dtype=float).tolist()
+                       dtype=float)
+    columns = []
+    for column in table.T:
+        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(float).tolist())), object)
+        columns.append(texts[index].tolist())
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``csv_text(header, rows)`` to ``path``."""
+    text = csv_text(header, rows)
     with open(path, "w") as fh:
-        fh.write("".join([header + "\n"] + [
-            ",".join(map(repr, row)) + "\n" for row in table]))
+        fh.write(text)

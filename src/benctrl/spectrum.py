@@ -15,6 +15,7 @@ and g real, so k -> -k conjugates each matrix factored (``real_form``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 import weakref
@@ -225,12 +226,15 @@ class Horizon:
         return self._plant.get(mm, lambda: Plant(weakref.proxy(self), mm))
 
 
-def _representative(group):
-    """Cluster representative: smallest |k| (ties cannot occur outside the
-    zero cluster, where 0 itself wins).  Mirror clusters then get mirrored
-    representatives, so ordering clusters by representative reverses them
-    under k -> -k, and real-valued synthesis stays exactly symmetric."""
-    return min(group, key=lambda k: (abs(k), k))
+def _rep_keys(ks: np.ndarray, n: int) -> np.ndarray:
+    """(2n+1)|k| + k+n of wavenumbers |k| <= n, which orders them as (|k|,
+    k): a cluster's least key is its representative, the member of least
+    |k| (ties cannot occur outside the zero cluster, where 0 itself wins),
+    and that key modulo 2n+1 is the representative's row k+n.  Mirror
+    clusters then get mirrored representatives, so ordering clusters by
+    representative reverses them under k -> -k, and real-valued synthesis
+    stays exactly symmetric."""
+    return (2 * n + 1) * np.abs(ks) + (ks + n)
 
 
 def clusters(n: int, alpha, mu=0):
@@ -240,10 +244,10 @@ def clusters(n: int, alpha, mu=0):
     neighbours differ by more than tol*max(1, |lambda|).  When alpha and mu
     are exact rationals the sweep runs on the integer keys d*lambda_k, with
     d the common denominator of alpha and mu, at tolerance 0 (Python
-    integers, so large denominators cannot overflow); otherwise on the float
-    eigenvalues at tol = CLUSTER_RTOL.  Groups are sorted and listed by
-    representative.  A group of size > 3 contradicts the cubic dispersion
-    shape and raises ClusterSizeError.
+    integers in an object array, so large denominators cannot overflow);
+    otherwise on the float eigenvalues at tol = CLUSTER_RTOL.  Groups are
+    sorted and listed by representative (``_rep_keys``).  A group of size
+    > 3 contradicts the cubic dispersion shape and raises ClusterSizeError.
     """
     exact = isinstance(alpha, Rational) and isinstance(mu, Rational)
     if exact:
@@ -252,24 +256,31 @@ def clusters(n: int, alpha, mu=0):
         m2 = 2 * mu.numerator * (d // mu.denominator)
         values = np.array([d * k**3 + m2 * k - a * k * abs(k)
                            for k in range(-n, n + 1)], dtype=object)
-        tol = 0
     else:
         values = eigenvalues(n, alpha, mu)
-        tol = CLUSTER_RTOL
     order = np.argsort(values, kind="stable")
     v = values[order]
-    scale = np.maximum(1.0, np.abs(v))   # a gap's larger end: mirror-blind
-    breaks = np.abs(np.diff(v)) > tol * np.maximum(scale[1:], scale[:-1])
-    ks = (order - n).tolist()
-    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(ks)]
-    groups = sorted((tuple(sorted(ks[a:b])) for a, b in zip(cuts, cuts[1:])),
-                    key=_representative)
-    for g in groups:
-        if len(g) > 3:
-            raise ClusterSizeError(
-                f"cluster {g} of size {len(g)} at alpha={alpha}, mu={mu} "
-                "(at most 3 indices may share an eigenvalue)"
-            )
+    if exact:
+        breaks = v[1:] != v[:-1]
+    else:
+        scale = np.maximum(1.0, np.abs(v))   # a gap's larger end: mirror-blind
+        breaks = np.abs(np.diff(v)) > CLUSTER_RTOL * np.maximum(scale[1:],
+                                                                scale[:-1])
+    ks = order - n
+    first = np.concatenate([[True], breaks])     # the first of each group
+    rows = np.minimum.reduceat(_rep_keys(ks, n), np.flatnonzero(first)) \
+        % (2 * n + 1)
+    cluster = np.argsort(np.argsort(rows))[np.cumsum(first) - 1]
+    members = ks[np.lexsort((ks, cluster))].tolist()
+    sizes = np.bincount(cluster)
+    cuts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    groups = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if sizes.max() > 3:
+        g = groups[np.argmax(sizes > 3)]
+        raise ClusterSizeError(
+            f"cluster {g} of size {len(g)} at alpha={alpha}, mu={mu} "
+            "(at most 3 indices may share an eigenvalue)"
+        )
     return groups, exact
 
 
@@ -294,12 +305,14 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         raise ValueError("alpha must be positive")
     groups, exact = clusters(n, alpha, mu)
     lam = eigenvalues(n, alpha, mu)
-    reps = tuple(_representative(g) for g in groups)
-    rows = read_only(np.add(reps, n))
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    members = np.fromiter(itertools.chain.from_iterable(groups), np.intp,
+                          2 * n + 1)
+    starts = np.cumsum(sizes) - sizes
+    rows = read_only(np.minimum.reduceat(_rep_keys(members, n), starts)
+                     % (2 * n + 1))
     slot = np.empty(2 * n + 1, dtype=np.intp)
-    for ci, grp in enumerate(groups):
-        for k in grp:
-            slot[k + n] = ci
+    slot[members + n] = np.repeat(np.arange(len(groups)), sizes)
     gaps = np.sort(np.diff(np.sort(lam[rows])))
     dmin = float(gaps[0]) if len(gaps) else float("inf")
     spec = Spectrum(
@@ -308,7 +321,7 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         n=n,
         lambdas=lam,
         clusters=tuple(groups),
-        representatives=reps,
+        representatives=tuple((rows - n).tolist()),
         slot=read_only(slot),
         gap_gamma=dmin,
         window_bound=window_bound(alpha),
@@ -389,8 +402,8 @@ def spectrum_report(spec: Spectrum) -> dict:
         "alpha": spec.alpha,
         "mu": spec.mu,
         "n": spec.n,
-        "lambdas": [float(v) for v in spec.lambdas],
-        "clusters": [list(map(int, g)) for g in sorted(spec.clusters)],
+        "lambdas": spec.lambdas.tolist(),
+        "clusters": [list(g) for g in sorted(spec.clusters)],
         "gamma": spec.gap_gamma if math.isfinite(spec.gap_gamma) else None,
         "window_bound": spec.window_bound,
     }

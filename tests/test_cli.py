@@ -61,14 +61,16 @@ class TestRandomState:
 
 class TestStates:
     def test_zero(self):
-        f = cli._state_from_config({"type": "zero"}, 4, 0.0, 0)
+        scn = Scenario(n=4, u0={"type": "zero"}).validate()
+        f = cli._build_state(scn, "u0", 0)
         assert np.array_equal(f.coeffs, np.zeros(9))
         assert f.real_flag
 
     @pytest.mark.parametrize("name,plus,minus", [("cos", 0.5, 0.5),
                                                  ("sin", -0.5j, 0.5j)])
     def test_presets(self, name, plus, minus):
-        f = cli._state_from_config({"type": "preset", "name": name}, 3, 0.0, 0)
+        scn = Scenario(n=3, u0={"type": "preset", "name": name}).validate()
+        f = cli._build_state(scn, "u0", 0)
         expect = np.zeros(7, dtype=complex)
         expect[3 + 1], expect[3 - 1] = plus, minus
         assert np.array_equal(f.coeffs, expect)
@@ -384,6 +386,8 @@ class TestControlCommand:
                          "--outdir", str(tmp_path)])
         assert code == 3
         assert "neither route reached" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "control_coeffs.json", "control_samples.csv", "report.json"]
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["reached"] is False
         assert report["hum"]["reached"] is False
@@ -414,6 +418,35 @@ class TestControlCommand:
         assert main(["control", *args, "--outdir", str(tmp_path / "c")]) == 0
         assert main(["stabilize", *args, "--outdir", str(tmp_path / "s")]) == 0
         assert len(calls) == 1
+
+    def test_each_coefficient_list_is_read_once(self, tmp_path, monkeypatch):
+        """Validation reads the rows of u0, u1 and the bump, and the run
+        builds from what it read, which is no part of the scenario's hash:
+        the hash is the one it was before validation kept them."""
+        n = 4
+        state = {"type": "coeffs", "real": True,
+                 "data": [[k, 0.1 * abs(k), -0.3 * k / (1 + abs(k))]
+                          for k in range(-n, n + 1) if k]}
+        target = {**state, "data": [[0, 0.0, 0.0], [1, 0.5, 0.0],
+                                    [-1, 0.5, 0.0]]}
+        bump = {"coefficients": [[k, 0.5 / np.pi ** (1 + abs(k)), 0.0]
+                                 for k in range(-2 * n, 2 * n + 1)]}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({
+            "experiment": "control", "alpha": "7/3", "n": n, "bump": bump,
+            "u0": state, "u1": target, "outdir": str(tmp_path / "out")}))
+        calls = []
+        rows = cli._rows
+
+        def counting(key, *args):
+            calls.append(key)
+            return rows(key, *args)
+
+        monkeypatch.setattr(cli, "_rows", counting)
+        assert main(["control", "--scenario", str(path)]) == 0
+        assert calls == ["u0 data", "u1 data", "bump coefficients"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["provenance"]["scenario_hash"] == "36ed470edb43fea4"
 
 
 class TestStabilizeCommand:
@@ -465,7 +498,7 @@ class TestStabilizeCommand:
 
     def test_singular_observability_leaves_no_partial_bundle(self, tmp_path,
                                                             capsys):
-        # delta(T) is computed before decay.csv is written
+        # decay.csv is checked with the report, and written only with it
         out = tmp_path / "out"
         assert main(["stabilize", "--n", "16", "--alpha", "1", "--T", "0.001",
                      "--outdir", str(out)]) == 3
@@ -536,7 +569,7 @@ class TestNonFiniteResults:
         assert main([experiment, "--scenario", str(path)]) == 3
         assert (f"numerical failure: report.json field {field} is not "
                 "finite") in capsys.readouterr().err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_the_field_is_named_by_its_path(self):
         payload = {"b": 1.0, "a": [0.5, {"c": [2.0, -np.inf]}]}
@@ -647,8 +680,8 @@ class TestOversampledDiagnostic:
         assert main(["control", "--scenario", str(path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         scn = load_scenario(path)
-        u0 = cli._state_from_config(scn.u0, scn.n, scn.s, scn.seed)
-        u1 = cli._state_from_config(scn.u1, scn.n, scn.s, [scn.seed, 1])
+        u0 = cli._build_state(scn, "u0", scn.seed)
+        u1 = cli._build_state(scn, "u1", [scn.seed, 1])
         problem = mc.ControlProblem(scn.alpha, scn.mu, scn.T, scn.s, scn.n,
                                     cli._build_bump(scn, 2 * scn.n), u0, u1)
         signal = mc.synthesize_control(problem, on_singular="lstsq").signal

@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import benctrl
+import benctrl.cli
 
 
 def test_all_lists_every_public_name_once():
@@ -56,3 +57,24 @@ def test_no_module_reads_another_objects_private_attribute():
                 reads.append(f"{path.name}:{node.lineno}: "
                              f"{ast.unparse(node)}")
     assert reads == []
+
+
+def test_only_run_writes_a_runs_files():
+    """A runner computes and formats; ``cli.run`` checks every artifact,
+    then makes the output directory and writes them all, so no runner
+    opens, makes or writes a file."""
+    runners = {runner.__name__ for runner in benctrl.cli._RUNNERS.values()}
+    tree = ast.parse(Path(benctrl.cli.__file__).read_text())
+    bodies = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name in runners]
+    assert {node.name for node in bodies} == runners
+    writes = []
+    for body in bodies:
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name in ("open", "write_csv", "mkdir", "_artifact"):
+                    writes.append(f"{body.name}:{node.lineno}: {name}")
+    assert writes == []

@@ -75,9 +75,17 @@ class TestWireFormats:
                   1 / 3, -2.5e-17, 7]
         table = np.array(values).reshape(-1, 2)
         narrow = np.array([[0.1, -1e-8], [3.3, 2 ** -30]], dtype=np.float32)
+        # the control_samples layout: every t and x repeats, the values
+        # beside them are distinct, some of them -0.0, 0.0, nan and +-inf
+        ts, xs = np.linspace(0.0, 0.3, 4), np.linspace(0.0, 2 * np.pi, 6)
+        h = np.arange(48.0).reshape(2, 24) / 7 - 3
+        h[0, :6] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324]
+        h[1, :3] = [0.0, -0.0, -np.nan]
+        grid = np.stack([*np.meshgrid(ts, xs, indexing="ij"),
+                         *h.reshape(2, 4, 6)], axis=-1).reshape(-1, 4)
         path = tmp_path / "t.csv"
         for make in (lambda: table, lambda: iter(table.tolist()),
-                     lambda: zip(*table.T), lambda: narrow,
+                     lambda: zip(*table.T), lambda: grid, lambda: narrow,
                      lambda: (tuple(r) for r in narrow),
                      lambda: [(7, True), (2 ** 60 + 1, -0)], lambda: []):
             write_csv(path, "a,b", make())

@@ -73,8 +73,12 @@ class TestClusters:
         # no alpha in (0, 10] yields size > 3 up to n=64; verify the guard
         # with an artificial tolerance so wide it merges everything
         monkeypatch.setattr(sp, "CLUSTER_RTOL", 1e9)
-        with pytest.raises(ClusterSizeError):
+        everything = tuple(range(-8, 9))
+        with pytest.raises(ClusterSizeError) as info:
             sp.clusters(8, 0.5)
+        assert str(info.value) == (
+            f"cluster {everything} of size 17 at alpha=0.5, mu=0 "
+            "(at most 3 indices may share an eigenvalue)")
 
     def test_grid_scan_max_size_three(self):
         a = Fraction(2, 20)
@@ -108,6 +112,33 @@ class TestExactSweep:
         # mu breaks the alpha=1 triple only by 2*mu, which floats would merge
         if alpha == 1:
             assert (-1,) in groups and (0,) in groups and (1,) in groups
+
+    @pytest.mark.parametrize("alpha, mu, rational", [
+        (Fraction(7, 3), Fraction(0), Fraction(7, 3)),
+        (Fraction(9, 5), Fraction(0), Fraction(9, 5)),     # pairs {-2, 1}
+        (Fraction(12), Fraction(41, 2), Fraction(12)),     # triples
+        (7 / 3, 0.0, Fraction(7, 3))])
+    def test_the_cli_size_follows_the_per_group_rule(self, alpha, mu,
+                                                     rational):
+        """At the spectrum experiment's n = 512 the groups are those of the
+        Fraction eigenvalues, each sorted and listed by representative,
+        the member of least (|k|, k); rep_rows and slot follow them."""
+        n = 512
+
+        def representative(group):
+            return min(group, key=lambda k: (abs(k), k))
+
+        expect = sorted(brute_force_clusters(n, rational, Fraction(mu)),
+                        key=representative)
+        groups, _ = sp.clusters(n, alpha, mu)
+        assert groups == expect
+        spec = sp.analyze(n, alpha, mu)
+        assert spec.clusters == tuple(expect)
+        reps = [representative(g) for g in expect]
+        assert spec.representatives == tuple(reps)
+        assert spec.rep_rows.tolist() == [k + n for k in reps]
+        slot = {k: c for c, g in enumerate(expect) for k in g}
+        assert spec.slot.tolist() == [slot[k] for k in range(-n, n + 1)]
 
     @pytest.mark.parametrize("alpha, mu", [(Fraction(1), Fraction(0)),
                                            (Fraction(7, 3), Fraction(3, 10)),
