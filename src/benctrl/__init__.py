@@ -21,7 +21,7 @@ from .moment_control import (ControlProblem, ControlSignal, SynthesisResult,
 from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
                         gramian, m_matrix)
-from .spectral import TorusFunction, hs_weights, mean, sobolev_norm, write_csv
+from .spectral import TorusFunction, hs_weights, mean, sobolev_norm
 from .spectrum import (Horizon, Spectrum, clusters, eigenvalue,
                        eigenvalues, gap_gamma)
 from .spectrum import analyze as analyze_spectrum
@@ -49,7 +49,7 @@ __all__ = [
     "bump_from_coefficients", "evolve_free", "gg_star_matrix", "gramian",
     "m_matrix",
     # spectral
-    "TorusFunction", "hs_weights", "mean", "sobolev_norm", "write_csv",
+    "TorusFunction", "hs_weights", "mean", "sobolev_norm",
     # spectrum
     "Horizon", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
     "eigenvalues", "gap_gamma", "spectrum_report", "window_bound",

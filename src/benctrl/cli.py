@@ -394,8 +394,7 @@ def _run_control(scn: Scenario) -> tuple:
         spillover = 0.0
         for t in np.linspace(0.0, scn.T, 9):
             h_t = result.signal.at_time(float(t))
-            gh, dropped = apply_G(bump, h_t, out_n=scn.n,
-                                  return_spillover=True)
+            gh, dropped = apply_G(bump, h_t, return_spillover=True)
             base = sobolev_norm(gh, 0.0)
             if base > 0:
                 spillover = max(spillover, dropped / base)

@@ -208,9 +208,9 @@ def assemble_control(h: np.ndarray, family: Horizon,
                      spec: Spectrum) -> ControlSignal:
     """h(x,t) = sum_j h_j conj(q_j)(t) psi_j(x) in exponential-coefficient form.
 
-    conj(q_j) = sum_m conj(dual_coeffs[j, m]) e^{-i lam_m t}, so mode j's
-    row is h_j times the horizon's ``mode_duals`` row j.  The signal keeps
-    the horizon and h.
+    conj(q_j) = sum_m conj(D[j, m]) e^{-i lam_m t}, D^H the horizon's
+    ``duals_h``, so mode j's row is h_j times the horizon's ``mode_duals``
+    row j.  The signal keeps the horizon and h.
     """
     h = np.asarray(h, complex)
     return ControlSignal(spec.n, family.T, family.lambdas,
@@ -308,9 +308,9 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     rest[:, triples] += gstar[:, N + p:] * x[N + p:]
     E[:, pairs] += rest
     E *= horizon.phases[0][horizon.rows]
-    signal = ControlSignal(problem.n, problem.T, spec.distinct_lambdas(), E,
+    signal = ControlSignal(problem.n, problem.T, horizon.lambdas, E,
                            horizon=horizon, amplitudes=eta, gramian=W)
-    return signal, {"cond_W": W.cond, "min_eig_W": W.min_eig_meanzero}
+    return signal, {"cond_W": W.cond}
 
 
 @dataclass(frozen=True)

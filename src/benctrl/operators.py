@@ -151,21 +151,17 @@ class MMatrix:
     """Matrix of G in the orthonormal psi basis, m[j,k] = <G psi_j, psi_k>.
 
     ``entries[j+n, k+n]`` holds m[j,k]; ``beta`` is the minimum diagonal
-    entry off mode 0 and ``delta_min`` the minimum of
-    delta_k = ||G psi_k||^2 = sum_j |m[k,j]|^2 over k != 0.  Matrices
-    compare by identity, as keys of ``Horizon.plant``.
+    entry off mode 0.  Matrices compare by identity, as keys of
+    ``Horizon.plant``.
     """
 
     n: int
     entries: np.ndarray
     beta: float
-    delta_min: float
-    delta_k: np.ndarray
 
     def __post_init__(self):
-        for name in ("entries", "delta_k"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            object.__setattr__(self, name, read_only(arr))
+        object.__setattr__(self, "entries", read_only(
+            np.ascontiguousarray(self.entries)))
 
     @property
     def operator(self) -> np.ndarray:
@@ -201,9 +197,7 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
         raise ConfigurationError(
             f"m[k,k] reaches {beta:.3e} <= 0 at this truncation; the "
             "localizer is too oscillatory for n={n}".format(n=n))
-    delta_k = np.sum(np.abs(entries) ** 2, axis=1)
-    delta_min = float(delta_k[off0].min())
-    return MMatrix(n, entries, beta, delta_min, delta_k)
+    return MMatrix(n, entries, beta)
 
 
 @latest(lambda bump, n: (bump.ghat.tobytes(), n))
@@ -215,27 +209,24 @@ def _widening(bump: BumpProfile, n: int) -> np.ndarray:
                      - TWO_PI * bump.ghat_at(K) * bump.ghat_at(-J))
 
 
-def apply_G(bump: BumpProfile, h: TorusFunction, out_n: int | None = None,
+def apply_G(bump: BumpProfile, h: TorusFunction,
             return_spillover: bool = False):
-    """G(h) = g*(h - int g h), truncated to out_n (default: h.n).
+    """G(h) = g*(h - int g h), truncated to h's band |k| <= h.n.
 
     The product with g widens the band; coefficients are computed exactly for
-    all modes |k| <= bump.kmax - h.n and the l2 mass beyond the output band
-    is available as the spillover diagnostic.  The output has zero mean
+    all modes |k| <= bump.kmax - h.n and the l2 mass beyond h's band is
+    available as the spillover diagnostic.  The output has zero mean
     exactly up to rounding.
     """
-    if out_n is None:
-        out_n = h.n
-    reach = bump.kmax - h.n
-    if out_n > reach:
+    n, reach = h.n, bump.kmax - h.n
+    if n > reach:
         raise ConfigurationError(
-            f"cannot produce modes up to {out_n}: bump band supports {reach}")
-    wide = _widening(bump, h.n) @ h.coeffs
-    out = wide[reach - out_n: reach + out_n + 1]
-    result = TorusFunction(out_n, out, real_flag=h.real_flag)
+            f"cannot produce modes up to {n}: bump band supports {reach}")
+    wide = _widening(bump, n) @ h.coeffs
+    out = wide[reach - n: reach + n + 1]
+    result = TorusFunction(n, out, real_flag=h.real_flag)
     if return_spillover:
-        dropped = np.concatenate([wide[:reach - out_n],
-                                  wide[reach + out_n + 1:]])
+        dropped = np.concatenate([wide[:reach - n], wide[reach + n + 1:]])
         return result, float(np.sqrt(TWO_PI * np.sum(np.abs(dropped) ** 2)))
     return result
 
@@ -277,17 +268,15 @@ class Gramian:
 
     ``eigvals`` (ascending) and the columns of ``eigvecs`` are the
     eigenpairs of the mean-zero block, from one ``eigh`` of its real form
-    (eigvecs = Q X, ``spectrum.real_form``); ``cond`` and ``min_eig_meanzero``
-    are read off them.  Mode 0 is always in the kernel, since G annihilates
-    constants.  ``mmatrix`` is the m-matrix of the G it integrates; all
-    arrays are read-only.
+    (eigvecs = Q X, ``spectrum.real_form``); ``cond`` is read off them.  G
+    annihilates constants, so mode 0 is always in the kernel.  ``mmatrix``
+    is the m-matrix of the G it integrates; all arrays are read-only.
     """
 
     rate: float
     T: float
     matrix: np.ndarray
     cond: float
-    min_eig_meanzero: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
     mmatrix: MMatrix = field(repr=False, compare=False)
@@ -389,8 +378,8 @@ class Plant:
             raise ObservabilityError(
                 f"Gramian singular on mean-zero modes (min eigenvalue "
                 f"{vals[0]:.3e}) at rate={rate}, T={h.T}, n={h.n}")
-        return Gramian(rate, h.T, W, float(vals[-1] / vals[0]),
-                       float(vals[0]), vals, spect.from_real(vecs), self.mm)
+        return Gramian(rate, h.T, W, float(vals[-1] / vals[0]), vals,
+                       spect.from_real(vecs), self.mm)
 
 
 # -- free propagators --------------------------------------------------------

@@ -132,10 +132,3 @@ def csv_text(header: str, rows) -> str:
         texts = np.array(list(map(repr, bits.view(float).tolist())), object)
         columns.append(texts[index].tolist())
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write ``csv_text(header, rows)`` to ``path``."""
-    text = csv_text(header, rows)
-    with open(path, "w") as fh:
-        fh.write(text)

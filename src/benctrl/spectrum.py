@@ -15,7 +15,6 @@ and g real, so k -> -k conjugates each matrix factored (``real_form``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 import weakref
@@ -58,9 +57,15 @@ def eigenvalue(k: int, alpha, mu=0):
 
 @latest(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu))
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
-    """Float array of lambda_k for k = -n..n, read-only; the latest is kept."""
+    """Float array of lambda_k for k = -n..n, read-only; the latest is kept.
+    Eigenvalues past the float range raise ConfigurationError."""
     k = np.arange(-n, n + 1, dtype=float)
-    return read_only(k**3 + 2.0 * float(mu) * k - float(alpha) * k * np.abs(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = k**3 + 2.0 * float(mu) * k - float(alpha) * k * np.abs(k)
+    if not np.isfinite(lam).all():
+        raise ConfigurationError(
+            f"eigenvalues past the float range: n={n}, alpha={alpha}, mu={mu}")
+    return read_only(lam)
 
 
 def window_bound(alpha) -> int:
@@ -92,7 +97,6 @@ class Spectrum:
     n: int
     lambdas: np.ndarray            # float lambda_k, index k+n
     clusters: tuple                # tuple of tuples of wavenumbers
-    representatives: tuple         # one wavenumber per cluster, same order
     slot: np.ndarray               # cluster index of wavenumber k, index k+n
     gap_gamma: float
     window_bound: int
@@ -104,10 +108,6 @@ class Spectrum:
     @property
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1)
-
-    def distinct_lambdas(self) -> np.ndarray:
-        """One eigenvalue per cluster (its representative's), in cluster order."""
-        return self.lambdas[self.rep_rows]
 
     def horizon(self, T: float) -> Horizon:
         """The Horizon at T > 0; the spectrum keeps the latest."""
@@ -126,10 +126,10 @@ class Horizon:
 
     ``kernel[k+n, m] = int_0^T e^{i(lambda_k - nu_m)t} dt``; its rows at the
     representatives are ``gram``, the Gram matrix Gamma of the e^{i nu t}.
-    D = ``dual_coeffs`` expresses q_j = sum_m D[j, m] e^{i nu_m t}: the rows
-    of Gamma^{-1}, one per cluster.  ``plant(mm)`` is what an m-matrix adds;
-    the horizon keeps the latest.  It holds the spectrum's arrays, not the
-    spectrum, so the two make no reference cycle.  Arrays are read-only.
+    D, with D^H = ``duals_h``, gives q_j = sum_m D[j, m] e^{i nu_m t}: the
+    rows of Gamma^{-1}, one per cluster.  ``plant(mm)`` is what an m-matrix
+    adds; the horizon keeps the latest.  It holds the spectrum's arrays, not
+    the spectrum, so the two make no reference cycle.  Arrays are read-only.
     """
 
     T: float
@@ -195,11 +195,6 @@ class Horizon:
                           doc="whether the duals are least-squares ones")
 
     @functools.cached_property
-    def dual_coeffs(self) -> np.ndarray:
-        """D, the coefficients of the duals q_j by row, read-only."""
-        return read_only(self.duals_h.conj().T)
-
-    @functools.cached_property
     def dual_moments(self) -> np.ndarray:
         """(K D^H)[k, slot j] = int_0^T e^{i lambda_k t} conj(q_{slot j})(t) dt,
         for the kernel K: it turns the Duhamel sum of every control of the
@@ -249,6 +244,13 @@ def clusters(n: int, alpha, mu=0):
     sorted and listed by representative (``_rep_keys``).  A group of size
     > 3 contradicts the cubic dispersion shape and raises ClusterSizeError.
     """
+    return _partition(n, alpha, mu)[:2]
+
+
+def _partition(n: int, alpha, mu):
+    """(groups, exact, rows, slot): ``clusters``' two items, the rows k+n
+    of the representatives in cluster order, and the cluster of each
+    wavenumber k at index k+n."""
     exact = isinstance(alpha, Rational) and isinstance(mu, Rational)
     if exact:
         d = math.lcm(alpha.denominator, mu.denominator)
@@ -281,7 +283,7 @@ def clusters(n: int, alpha, mu=0):
             f"cluster {g} of size {len(g)} at alpha={alpha}, mu={mu} "
             "(at most 3 indices may share an eigenvalue)"
         )
-    return groups, exact
+    return groups, exact, np.sort(rows), cluster[np.argsort(order)]
 
 
 def analyze(n: int, alpha, mu=0) -> Spectrum:
@@ -303,16 +305,8 @@ def _spectrum(n: int, alpha, mu) -> tuple:
     """The Spectrum and its near-cluster warning, None if there is none."""
     if float(alpha) <= 0:
         raise ValueError("alpha must be positive")
-    groups, exact = clusters(n, alpha, mu)
     lam = eigenvalues(n, alpha, mu)
-    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
-    members = np.fromiter(itertools.chain.from_iterable(groups), np.intp,
-                          2 * n + 1)
-    starts = np.cumsum(sizes) - sizes
-    rows = read_only(np.minimum.reduceat(_rep_keys(members, n), starts)
-                     % (2 * n + 1))
-    slot = np.empty(2 * n + 1, dtype=np.intp)
-    slot[members + n] = np.repeat(np.arange(len(groups)), sizes)
+    groups, exact, rows, slot = _partition(n, alpha, mu)
     gaps = np.sort(np.diff(np.sort(lam[rows])))
     dmin = float(gaps[0]) if len(gaps) else float("inf")
     spec = Spectrum(
@@ -321,12 +315,11 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         n=n,
         lambdas=lam,
         clusters=tuple(groups),
-        representatives=tuple((rows - n).tolist()),
         slot=read_only(slot),
         gap_gamma=dmin,
         window_bound=window_bound(alpha),
         exact=exact,
-        rep_rows=rows,
+        rep_rows=read_only(rows),
     )
     # flag nearly-degenerate pairs that were *not* clustered: the smallest
     # gap is compared against the next gap scale (the gap the spectrum would

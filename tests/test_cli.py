@@ -24,6 +24,16 @@ from benctrl.stabilization import EIG_COND_LIMIT
 from benctrl.spectral import TorusFunction, mean, sobolev_norm
 
 
+def run_fresh(*args):
+    """``benctrl`` run with ``args`` in a fresh Python process."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "benctrl.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 class TestRandomState:
     def test_deterministic(self):
         a = random_state(42, 12, 1.0)
@@ -406,13 +416,13 @@ class TestControlCommand:
         # control keeps the parsed Fraction, so stabilize at the same
         # parameters reuses the spectrum control analyzed
         calls = []
-        clusters = spectrum_mod.clusters
+        partition = spectrum_mod._partition
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return clusters(*args, **kwargs)
+            return partition(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum_mod, "clusters", counting)
+        monkeypatch.setattr(spectrum_mod, "_partition", counting)
         spectrum_mod.analyze.cache_clear()
         args = ["--alpha", "7/3", "--n", "8", "--T", "1.0", "--seed", "3"]
         assert main(["control", *args, "--outdir", str(tmp_path / "c")]) == 0
@@ -571,6 +581,20 @@ class TestNonFiniteResults:
                 "finite") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--alpha", "1e308"], ["simulate", "--alpha", "1e308"],
+        ["control", "--alpha", "1e308"], ["spectrum", "--mu", "1e308"]])
+    def test_eigenvalues_past_the_float_range_exit_2(self, tmp_path, args):
+        """lambda_k past the float range is a validation error, raised
+        before any overflow warns and before any directory is made."""
+        out = tmp_path / "out"
+        proc = run_fresh(*args, "--n", "8", "--outdir", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "validation error: eigenvalues past the float range" \
+            in proc.stderr
+        assert "Warning:" not in proc.stderr
+        assert not out.exists()
+
     def test_the_field_is_named_by_its_path(self):
         payload = {"b": 1.0, "a": [0.5, {"c": [2.0, -np.inf]}]}
         with pytest.raises(BenctrlError,
@@ -689,7 +713,7 @@ class TestOversampledDiagnostic:
         oracle = 0.0
         for t in np.linspace(0.0, scn.T, 9):
             operators._widening.cache_clear()
-            gh, dropped = apply_G(fine, signal.at_time(float(t)), out_n=scn.n,
+            gh, dropped = apply_G(fine, signal.at_time(float(t)),
                                   return_spillover=True)
             oracle = max(oracle, dropped / sobolev_norm(gh, 0.0))
         assert report["spillover_beyond_n"] == oracle
@@ -744,18 +768,12 @@ class TestSharedParser:
 
     def test_reports_match_fresh_processes(self, tmp_path):
         common = ["--n", "8", "--seed", "5"]
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
         for i, args in enumerate(self.RUNS):
             here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main([*args, *common, "--outdir", str(here)]) == 0
-            proc = subprocess.run(
-                [sys.executable, "-m", "benctrl.cli", *args, *common,
-                 "--outdir", str(fresh)],
-                env=env, capture_output=True, text=True, timeout=120)
+            proc = run_fresh(*args, *common, "--outdir", str(fresh))
             assert proc.returncode == 0, proc.stderr
             assert (here / "report.json").read_bytes() == \
                 (fresh / "report.json").read_bytes()

@@ -9,7 +9,9 @@
     than the moment control wherever that one reaches u1;
 (d) the observability constant delta(T) does not decrease in T;
 (e) the Gramian feedback of rate lambda places the closed loop's spectral
-    abscissa at or below -lambda.
+    abscissa at or below -lambda;
+(f) the simple feedback keeps the energy identity
+    d/dt(1/2||u||^2) = -||Gu||^2 to rounding, for a drawn localizer.
 """
 
 from fractions import Fraction
@@ -34,6 +36,9 @@ MUS = st.sampled_from([Fraction(0), Fraction(41, 2)]) \
     | st.fractions(0, 25, max_denominator=4)
 NS = st.integers(1, 16)
 TS = st.floats(0.1, 5.0)
+#: a localizer's kind, width and where its support (0.01-inset) sits
+BUMPS = st.tuples(st.sampled_from(["raised_cosine", "smooth_exp_bump"]),
+                  st.floats(0.3, 6.0), st.floats(0.0, 1.0))
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -111,3 +116,22 @@ def test_gramian_law_decays_at_the_prescribed_rate(alpha, mu, n, T, lam):
     law = stab.feedback_gramian(stab.build_L_lambda(mm, spec, lam, T), mm,
                                 spec)
     assert stab.spectral_abscissa(law) <= -lam
+
+
+@PROPERTY
+@given(ALPHAS, MUS, NS, BUMPS, TS, st.integers(0, 2**32 - 1))
+def test_simple_law_keeps_the_energy_identity(alpha, mu, n, bump, t, seed):
+    kind, width, where = bump
+    center = 0.01 + width / 2 + where * (2 * np.pi - width - 0.02)
+    mm = m_matrix(build_bump(kind, center, width, kmax=2 * n), n)
+    spec = spectrum_mod.analyze(n, alpha, mu)
+    law = stab.feedback_simple(mm, spec)
+    u0 = random_state(seed, n, 0.0)
+    times = (0.0, t / 2, t)
+    # Re<Au, u> vanishes exactly but not in floats: each mode's product is
+    # off by about eps |lambda_k| |u_k|^2, each entry of Ku by eps ||K||_inf
+    # |u|; drawn defects reach 0.64 of this unit, ||Gu||^2 over 1e6 of it
+    power = stab.norm_history(u0, law, times)[0.0] ** 2
+    unit = EPS * (np.abs(spec.lambdas).max()
+                  + np.abs(mm.gg_star).sum(axis=1).max()) * power
+    assert np.all(stab.energy_identity_defect(u0, law, times) <= 4 * unit)

@@ -129,7 +129,8 @@ class TestMirrorMap:
             horizon = spec.horizon(T)
             got = horizon.kernel if rate == 0 else \
                 horizon.weighted_kernel(rate)
-            want = exp_kernel(spec.lambdas, spec.distinct_lambdas(), T, rate)
+            want = exp_kernel(spec.lambdas, spec.lambdas[spec.rep_rows], T,
+                              rate)
             assert np.array_equal(got.view(float), want.view(float))
 
 
@@ -201,7 +202,7 @@ class TestDuals:
     def test_as_biorthogonal_as_the_complex_solve(self, alpha, mu, T):
         spec = spectrum_mod.analyze(16, alpha, mu)
         family = build_biorthogonal(spec, T)
-        gram, dh = family.gram, family.dual_coeffs.conj().T
+        gram, dh = family.gram, family.duals_h
         eye = np.eye(len(gram))
         # the complex route: LU of Gamma itself, one refinement step
         x = np.linalg.solve(gram, eye.astype(complex))
@@ -212,14 +213,13 @@ class TestDuals:
         unit = np.finfo(float).eps * (np.abs(gram) @ np.abs(dh)).max()
         defect = np.abs(gram @ dh - eye).max()
         assert defect <= 2 * max(complex_defect, unit)
-        assert family.dual_coeffs.flags.f_contiguous
 
     @pytest.mark.parametrize("alpha,mu,n", UNORDERED)
     def test_permuted_clusters(self, alpha, mu, n):
         spec = spectrum_mod.analyze(n, alpha, mu)
         family = build_biorthogonal(spec, 1.0)
         eye = np.eye(len(family.gram))
-        defect = np.abs(family.gram @ family.dual_coeffs.conj().T - eye).max()
+        defect = np.abs(family.gram @ family.duals_h - eye).max()
         assert defect <= 1e-12 * family.cond
 
     @staticmethod

@@ -179,7 +179,7 @@ class TestApplyG:
     def test_band_limit_guard(self):
         bump = build_bump(kmax=8)
         with pytest.raises(ConfigurationError):
-            apply_G(bump, random_function(6, seed=0), out_n=6)
+            apply_G(bump, random_function(6, seed=0))
 
 
 class TestMMatrix:
@@ -207,12 +207,6 @@ class TestMMatrix:
         assert mm.entries[9, 9].real == pytest.approx(expect, rel=1e-12)
         assert expect > 0
         assert 0 < mm.beta <= expect
-
-    def test_delta_floor(self):
-        mm = m_matrix(build_bump(kmax=16), 8)
-        ks = np.arange(-8, 9)
-        assert mm.delta_min > 0
-        assert np.all(mm.delta_k[ks != 0] >= mm.delta_min)
 
     def test_closed_form_vs_quadrature(self):
         bump = build_bump(kmax=32)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from benctrl.errors import ConfigurationError
-from benctrl.spectral import (TorusFunction, hs_weights, mean, sobolev_norm,
-                              write_csv)
+from benctrl.spectral import (TorusFunction, csv_text, hs_weights, mean,
+                              sobolev_norm)
 
 
 class TestSobolevNorm:
@@ -57,10 +57,9 @@ class TestRealFlag:
 
 
 class TestWireFormats:
-    def test_csv_columns(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        write_csv(path, "x,value", [(0.0, 1 / 3), (np.pi, -2.5e-17)])
-        lines = path.read_text().splitlines()
+    def test_csv_columns(self):
+        lines = csv_text("x,value",
+                         [(0.0, 1 / 3), (np.pi, -2.5e-17)]).splitlines()
         assert lines == ["x,value", f"0.0,{1 / 3!r}", f"{np.pi!r},-2.5e-17"]
         assert float(lines[1].split(",")[1]) == 1 / 3
 
@@ -70,7 +69,7 @@ class TestWireFormats:
         return header + "\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
-    def test_csv_bytes_are_the_per_value_reprs(self, tmp_path):
+    def test_csv_bytes_are_the_per_value_reprs(self):
         values = [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.nan, np.inf, -np.inf,
                   1 / 3, -2.5e-17, 7]
         table = np.array(values).reshape(-1, 2)
@@ -83,26 +82,22 @@ class TestWireFormats:
         h[1, :3] = [0.0, -0.0, -np.nan]
         grid = np.stack([*np.meshgrid(ts, xs, indexing="ij"),
                          *h.reshape(2, 4, 6)], axis=-1).reshape(-1, 4)
-        path = tmp_path / "t.csv"
         for make in (lambda: table, lambda: iter(table.tolist()),
                      lambda: zip(*table.T), lambda: grid, lambda: narrow,
                      lambda: (tuple(r) for r in narrow),
                      lambda: [(7, True), (2 ** 60 + 1, -0)], lambda: []):
-            write_csv(path, "a,b", make())
-            assert path.read_text() == self.old_csv("a,b", make())
+            assert csv_text("a,b", make()) == self.old_csv("a,b", make())
 
-    def test_complex_entries_fail_as_before(self, tmp_path):
-        path = tmp_path / "t.csv"
+    def test_complex_entries_fail_as_before(self):
         with pytest.raises(TypeError):
-            write_csv(path, "a", [(1 + 2j,)])
+            csv_text("a", [(1 + 2j,)])
         rows = [(np.complex128(1 + 2j),)]
         with pytest.warns(np.exceptions.ComplexWarning):
-            write_csv(path, "a", rows)
-        assert path.read_text() == "a\n1.0\n"
+            assert csv_text("a", rows) == "a\n1.0\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.exceptions.ComplexWarning):
-                write_csv(path, "a", rows)
+                csv_text("a", rows)
 
 
 class TestHsWeights:

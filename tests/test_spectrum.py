@@ -135,7 +135,6 @@ class TestExactSweep:
         spec = sp.analyze(n, alpha, mu)
         assert spec.clusters == tuple(expect)
         reps = [representative(g) for g in expect]
-        assert spec.representatives == tuple(reps)
         assert spec.rep_rows.tolist() == [k + n for k in reps]
         slot = {k: c for c, g in enumerate(expect) for k in g}
         assert spec.slot.tolist() == [slot[k] for k in range(-n, n + 1)]
@@ -154,10 +153,10 @@ class TestExactSweep:
 class TestSpectrumAnalysis:
     def test_representatives_mirror(self):
         spec = sp.analyze(8, Fraction(7, 3))
-        rep = dict(zip(spec.clusters, spec.representatives))
+        rep = dict(zip(spec.clusters, spec.rep_rows - 8))
         assert rep[(1, 2)] == 1 and rep[(-2, -1)] == -1
         spec1 = sp.analyze(8, 1.0)
-        assert dict(zip(spec1.clusters, spec1.representatives))[(-1, 0, 1)] == 0
+        assert dict(zip(spec1.clusters, spec1.rep_rows - 8))[(-1, 0, 1)] == 0
 
     def test_gap_alpha_one(self):
         spec = sp.analyze(8, 1.0)
@@ -212,7 +211,7 @@ class TestSpectrumAnalysis:
         assert n >= w + 1
         inside = [i for i, grp in enumerate(spec.clusters)
                   if any(-1 - w <= k <= w + 1 for k in grp)]
-        window = np.sort(spec.distinct_lambdas()[inside])
+        window = np.sort(spec.lambdas[spec.rep_rows][inside])
         assert np.diff(window).min() == pytest.approx(spec.gap_gamma,
                                                       rel=1e-12, abs=0.0)
 

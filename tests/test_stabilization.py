@@ -67,7 +67,7 @@ class TestLLambda:
     def test_positive_definite_on_mean_zero(self):
         spec, mm = setup(n=16)
         L = build_L_lambda(mm, spec, 2.0, 1.0)
-        assert L.min_eig_meanzero > 0
+        assert L.eigvals[0] > 0
         assert L.cond < 1e12
 
     def test_validation(self):
