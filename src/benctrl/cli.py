@@ -16,7 +16,9 @@ A run computes first and writes last: every artifact is formatted and
 checked before the output directory is made, so a run that fails writes
 nothing.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.  One
+function, ``_exit_code``, turns every failure of a run or sweep into its
+code and its one line on stderr.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .operators import apply_G, build_bump, bump_from_coefficients, m_matrix
 from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights, mean,
                        sobolev_norm)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXPERIMENTS = ("spectrum", "simulate", "control", "stabilize", "observability")
 
@@ -432,10 +434,15 @@ def _run_control(scn: Scenario) -> tuple:
         "control_samples.csv": samples}
 
 
-def _run_stabilize(scn: Scenario) -> tuple:
+def _plant(scn: Scenario) -> tuple:
+    """The spectrum and the m-matrix of the order-2n bump."""
     bump = _build_bump(scn, 2 * scn.n)
     spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
-    mm = m_matrix(bump, scn.n)
+    return spec, m_matrix(bump, scn.n)
+
+
+def _run_stabilize(scn: Scenario) -> tuple:
+    spec, mm = _plant(scn)
     if scn.law == "simple":
         law = stab.feedback_simple(mm, spec)
     else:
@@ -465,9 +472,7 @@ def _run_stabilize(scn: Scenario) -> tuple:
 
 
 def _run_observability(scn: Scenario) -> tuple:
-    bump = _build_bump(scn, 2 * scn.n)
-    spec = spectrum_mod.analyze(scn.n, scn.alpha, scn.mu)
-    mm = m_matrix(bump, scn.n)
+    spec, mm = _plant(scn)
     return {"experiment": "observability", "pairs": [
         {"T": T, "delta": stab.observability_constant(mm, spec, T)[0]}
         for T in scn.T_list]}, {}
@@ -493,26 +498,19 @@ def _missed_target(scn: Scenario, payload: dict) -> str | None:
 
 
 def run(scn: Scenario) -> int:
-    """Dispatch a validated scenario; returns the process exit code.
+    """Run a validated scenario, write its artifacts and return 0.
 
     Every artifact is formatted and checked before the output directory is
     made and all of them are written, so a run that fails writes none: a
-    JSON artifact holding NaN or infinity is a numerical failure (exit 3).
-    A control run that reaches u1 by neither route still writes every
-    artifact and exits 3.
+    JSON artifact holding NaN or infinity is a numerical failure.  A control
+    run that reaches u1 by neither route still writes every artifact, then
+    raises BenctrlError.
     """
-    try:
-        payload, artifacts = _RUNNERS[scn.experiment](scn)
-        texts = {name: value if isinstance(value, str)
-                 else _json_text(name, value)
-                 for name, value in artifacts.items()}
-        texts["report.json"] = _report_text(payload, scn)
-    except ConfigurationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except BenctrlError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    payload, artifacts = _RUNNERS[scn.experiment](scn)
+    texts = {name: value if isinstance(value, str)
+             else _json_text(name, value)
+             for name, value in artifacts.items()}
+    texts["report.json"] = _report_text(payload, scn)
     outdir = Path(scn.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
@@ -521,19 +519,24 @@ def run(scn: Scenario) -> int:
     print(outdir / "report.json")
     missed = _missed_target(scn, payload)
     if missed:
-        print(f"numerical failure: {missed}", file=sys.stderr)
-        return 3
+        raise BenctrlError(missed)
     return 0
 
 
-def _load_and_run(load, where: str = "") -> int:
-    """``run`` the scenario ``load()`` returns; exit 2 if it is invalid."""
+def _exit_code(step, where: str = ""):
+    """What ``step()`` returns, or the exit code of its failure after one
+    line on stderr: 3 for a numerical failure (a BenctrlError other than a
+    ConfigurationError), 2 for a validation error (a ConfigurationError, or
+    a file that cannot be read or decoded, or an output path that cannot be
+    made: an OSError or any other ValueError)."""
     try:
-        scn = load()
-    except (OSError, ValueError) as exc:      # a ConfigurationError included
-        print(f"validation error{where}: {exc}", file=sys.stderr)
-        return 2
-    return run(scn)
+        return step()
+    except (BenctrlError, OSError, ValueError) as exc:
+        numerical = isinstance(exc, BenctrlError) and \
+            not isinstance(exc, ConfigurationError)
+        kind = "numerical failure" if numerical else "validation error"
+        print(f"{kind}{where}: {exc}", file=sys.stderr)
+        return 3 if numerical else 2
 
 
 def _sweep_case(base: dict, item, index: int) -> Scenario:
@@ -548,17 +551,16 @@ def _sweep_case(base: dict, item, index: int) -> Scenario:
 
 
 def _run_sweep_entry(args):
-    return _load_and_run(functools.partial(_sweep_case, *args),
-                         f" in case {args[2]}")
+    return _exit_code(lambda: run(_sweep_case(*args)), f" in case {args[2]}")
 
 
 def run_sweep(path, workers: int | None = None) -> int:
     """Fan independent scenarios out across processes.
 
     The sweep file holds a base scenario plus a ``sweep`` list of overrides;
-    case i runs with seed base_seed + i unless the override pins one.  An
-    invalid case exits 2 without stopping the others; the sweep returns the
-    largest exit code.
+    case i runs with seed base_seed + i unless the override pins one.  A
+    case that fails exits with its code without stopping the others, and
+    its stderr line names it; the sweep returns the largest exit code.
     """
     if workers is not None:
         _number("--workers", workers, 1, integer=True)
@@ -581,26 +583,16 @@ def _parser() -> argparse.ArgumentParser:
         description="spectral control toolkit for the linearized Benjamin "
                     "equation on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", help="JSON scenario file")
-        p.add_argument("--alpha", type=str)
-        p.add_argument("--mu", type=str)
-        p.add_argument("--n", type=int)
-        p.add_argument("--T", type=float)
-        p.add_argument("--s", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--outdir", type=str)
-
-    for name in EXPERIMENTS:
+    for name in EXPERIMENTS:            # every experiment takes every flag
         p = sub.add_parser(name)
-        add_common(p)
-        if name == "stabilize":
-            p.add_argument("--law")
-            p.add_argument("--lambda", dest="decay_lambda", type=float)
-            p.add_argument("--t-final", dest="t_final", type=float)
-        if name == "observability":
-            p.add_argument("--T-list", dest="T_list", type=float, nargs="+")
+        p.add_argument("--scenario", help="JSON scenario file")
+        for flag, kind in (("alpha", str), ("mu", str), ("n", int),
+                           ("T", float), ("s", float), ("seed", int),
+                           ("outdir", str), ("law", str)):
+            p.add_argument(f"--{flag}", type=kind)
+        p.add_argument("--lambda", dest="decay_lambda", type=float)
+        p.add_argument("--t-final", dest="t_final", type=float)
+        p.add_argument("--T-list", dest="T_list", type=float, nargs="+")
 
     p = sub.add_parser("sweep")
     p.add_argument("scenario", help="JSON sweep file")
@@ -611,17 +603,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "sweep":
-        try:
-            return run_sweep(args.scenario, args.workers)
-        except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return 2
-
+        return _exit_code(lambda: run_sweep(args.scenario, args.workers))
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "scenario") and v is not None}
     overrides["experiment"] = args.command
-    return _load_and_run(
-        functools.partial(load_scenario, args.scenario, overrides))
+    return _exit_code(lambda: run(load_scenario(args.scenario, overrides)))
 
 
 if __name__ == "__main__":

@@ -191,17 +191,19 @@ class ControlSignal:
         return float(np.sqrt(max(total, 0.0)))
 
     def hermitian_defect(self) -> float:
-        """Relative deviation of h(., t) from real-valuedness.
+        """Relative deviation of h(., t) from real-valuedness, exact.
 
-        Real h requires v_{-j}(t) = conj(v_j(t)); in exponential coefficients
-        that pairs slot m with the slot carrying -lambda_m.  Measured on a
-        31-point time grid against the signal's own magnitude.
+        Real h requires v_{-j}(t) = conj(v_j(t)) at every t.  The slots are
+        in mirror order (slot m carries -lambda of slot N-1-m), so that is
+        E = conj(flip(E)) for E = exp_coeffs, and the defect is
+        max|E - conj(flip(E))| / max|E|.  Slots out of mirror order raise
+        ConfigurationError.
         """
-        times = np.linspace(0.0, self.T, 31)
-        v = self.mode_values(times)
-        defect = np.abs(v - np.conj(v[::-1, :])).max()
-        scale = max(np.abs(v).max(), 1e-300)
-        return float(defect / scale)
+        if not np.array_equal(self.lambdas, -self.lambdas[::-1]):
+            raise ConfigurationError("signal slots not in mirror order")
+        E = self.exp_coeffs
+        defect = np.abs(E - np.flip(E).conj()).max()
+        return float(defect / max(np.abs(E).max(), 1e-300))
 
 
 def assemble_control(h: np.ndarray, family: Horizon,

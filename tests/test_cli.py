@@ -259,7 +259,7 @@ class TestSpectrumCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert [1, 2] in report["clusters"]
         assert [-2, -1] in report["clusters"]
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["provenance"]["toolkit"] == "benctrl"
 
     def test_invalid_alpha_exits_2(self, tmp_path):
@@ -285,6 +285,18 @@ class TestSpectrumCommand:
                      "--outdir", str(tmp_path)]) == 2
         assert "validation error" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("below", [None, "sub"])
+    def test_an_unusable_outdir_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, below):
+        # the output path is an existing file, or a path under one
+        blocker = tmp_path / "F"
+        blocker.write_text("x")
+        out = blocker / below if below else blocker
+        assert main(["spectrum", "--n", "4", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["F"] and blocker.read_text() == "x"
 
 
 class TestSimulateCommand:
@@ -322,6 +334,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path)]) == 2
         assert "n_times must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_t_final_is_a_flag(self, tmp_path):
+        assert main(["simulate", "--n", "8", "--t-final", "2",
+                     "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["t_final"] == 2.0
+        rows = np.loadtxt(tmp_path / "norms.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] == 2.0
 
 
 class TestControlCommand:
@@ -403,6 +423,14 @@ class TestControlCommand:
         assert report["hum"]["reached"] is False
         assert report["terminal_residual"] > 1e-8
         assert report["hum"]["terminal_residual"] > 1e-8
+
+    def test_run_writes_a_missed_target_then_raises(self, tmp_path):
+        scn = load_scenario(None, {"experiment": "control", "n": 8,
+                                   "T": 0.01, "outdir": str(tmp_path)})
+        with pytest.warns(RuntimeWarning, match="rank-revealing"), \
+                pytest.raises(BenctrlError, match="^neither route reached"):
+            run(scn)
+        assert (tmp_path / "report.json").exists()
 
     def test_strict_mode_singular_gram_exits_3(self, tmp_path):
         scn = {"experiment": "control", "alpha": 0.1, "n": 16, "T": 0.05,
@@ -642,6 +670,22 @@ class TestSweep:
             in err and "Traceback" not in err
         assert (tmp_path / "case_000" / "report.json").exists()
         assert not (tmp_path / "case_001").exists()
+        assert (tmp_path / "case_002" / "report.json").exists()
+
+    def test_each_case_exits_with_its_own_code_named(self, tmp_path, capfd):
+        # case 0 fails numerically, and case 1 cannot make its directory
+        (tmp_path / "case_001").write_text("")
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "experiment": "observability", "n": 16, "outdir": str(tmp_path),
+            "sweep": [{"T_list": [0.001]}, {"T_list": [1.0]},
+                      {"T_list": [0.5]}]}))
+        assert main(["sweep", str(path), "--workers", "2"]) == 3
+        err = capfd.readouterr().err
+        assert "numerical failure in case 0: " in err
+        assert "validation error in case 1: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "case_000").exists()
         assert (tmp_path / "case_002" / "report.json").exists()
 
     @pytest.mark.parametrize("content", [[{"alpha": 1.0}], {"sweep": 5},

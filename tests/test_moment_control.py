@@ -936,6 +936,44 @@ class TestProperties:
         assert res.signal.hermitian_defect() <= 1e-12
 
 
+class TestHermitianDefect:
+    """The realness defect is exact on the exponential coefficients."""
+
+    LAMBDAS = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])     # mirror order
+
+    def _real_signal(self, n=2):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((2 * n + 1, 5)) \
+            + 1j * rng.standard_normal((2 * n + 1, 5))
+        E = (A + np.flip(A).conj()) / 2                  # E = conj(flip(E))
+        return ControlSignal(n, 1.0, self.LAMBDAS, E)
+
+    def test_a_shifted_entry_reports_its_shift(self):
+        signal = self._real_signal()
+        assert signal.hermitian_defect() == 0.0
+        E = signal.exp_coeffs.copy()
+        delta = 1e-7
+        E[1, 3] += 1j * delta
+        shifted = dataclasses.replace(signal, exp_coeffs=E)
+        assert shifted.hermitian_defect() == pytest.approx(
+            delta / np.abs(E).max(), rel=1e-8)
+
+    def test_slots_out_of_mirror_order_raise(self):
+        signal = self._real_signal()
+        swapped = self.LAMBDAS[[1, 0, 2, 3, 4]]
+        for lambdas in (self.LAMBDAS + 0.1, swapped):
+            with pytest.raises(ConfigurationError, match="mirror order"):
+                dataclasses.replace(signal, lambdas=lambdas) \
+                    .hermitian_defect()
+
+    def test_both_routes_are_real_at_a_healthy_point(self):
+        prob = make_problem(n=16, alpha=1.0, T=1.0, seed=3)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+        assert res.signal.hermitian_defect() <= 1e-12
+        assert hum.hermitian_defect() <= 1e-12
+
+
 class TestIndependentIntegrator:
     """Cross-method oracle: adaptive ODE stepping instead of closed forms."""
 
