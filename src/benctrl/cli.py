@@ -1,10 +1,11 @@
-"""Command-line front end: scenario files, experiments, CSV/JSON emission.
+"""Command-line front end: scenario files, experiments, CSV/JSON/NPY emission.
 
 A scenario is a JSON file with explicit keys (flags override file values);
-every run writes a ``report.json`` plus experiment CSVs into the output
-directory.  All randomness flows from one 64-bit seed through NumPy's PCG64
-generator, and reports are canonical JSON (sorted keys, shortest round-trip
-float repr, no timestamps), so identical scenario + seed reproduces
+every run writes a ``report.json`` plus the experiment's CSV, JSON and
+``.npy`` files into the output directory.  All randomness flows from one
+64-bit seed through NumPy's PCG64 generator, and reports are canonical JSON
+(sorted keys, shortest round-trip float repr, no timestamps, one line
+written by ``json``'s C encoder), so identical scenario + seed reproduces
 byte-identical reports.
 
 Every scenario value is read once, by the one reader for its kind:
@@ -14,7 +15,8 @@ results ``Scenario.validate`` keeps for the code that builds a state or bump.
 
 A run computes first and writes last: every artifact is formatted and
 checked before the output directory is made, so a run that fails writes
-nothing.
+nothing.  It computes with numpy's overflow and invalid-value warnings
+off: a non-finite result is refused by name when its report is written.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  One
 function, ``_exit_code``, turns every failure of a run or sweep into its
@@ -28,6 +30,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -46,7 +49,7 @@ from .operators import apply_G, build_bump, bump_from_coefficients, m_matrix
 from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights, mean,
                        sobolev_norm)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXPERIMENTS = ("spectrum", "simulate", "control", "stabilize", "observability")
 
@@ -319,11 +322,11 @@ def _non_finite(value, path: str = "") -> str | None:
     return None
 
 
-def _json_text(name: str, payload, **options) -> str:
+def _json_text(name: str, payload) -> str:
     """Canonical JSON text of the artifact ``name``, which JSON's lack of
     NaN and infinity makes a numerical failure naming the field."""
     try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, **options)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError:
         raise BenctrlError(f"{name} field {_non_finite(payload).lstrip('.')}"
                            " is not finite") from None
@@ -339,14 +342,15 @@ def _report_text(payload: dict, scn: Scenario) -> str:
         "scenario_hash": scn.digest(),
         "seed": scn.seed,
     }
-    return _json_text("report.json", payload, indent=2) + "\n"
+    return _json_text("report.json", payload) + "\n"
 
 
 # -- experiments -------------------------------------------------------------
 
 
 # Each runner returns its report payload and its other artifacts by file
-# name: CSV text, or the payload of a JSON file.  ``run`` writes them.
+# name: CSV text, the bytes of a binary file, or the payload of a JSON
+# file.  ``run`` writes them.
 
 
 def _run_spectrum(scn: Scenario) -> tuple:
@@ -401,7 +405,7 @@ def _run_control(scn: Scenario) -> tuple:
             if base > 0:
                 spillover = max(spillover, dropped / base)
 
-    # per-mode coefficient JSON + sampled control CSV
+    # per-mode coefficient JSON + sampled control table, exact in .npy
     E = result.signal.exp_coeffs
     coeff_payload = {
         "lambdas": result.signal.lambdas.tolist(),
@@ -412,7 +416,8 @@ def _run_control(scn: Scenario) -> tuple:
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
-    samples = csv_text("t,x,h_re,h_im", np.stack(
+    samples = io.BytesIO()
+    np.save(samples, np.stack(
         [*np.meshgrid(ts, xs, indexing="ij"), vals.real, vals.imag],
         axis=-1).reshape(-1, 4))
     return {
@@ -431,7 +436,7 @@ def _run_control(scn: Scenario) -> tuple:
                 "control_norm": hum_signal.l2_hs_norm(0.0),
                 "cond_W": hum_info["cond_W"]},
     }, {"control_coeffs.json": coeff_payload,
-        "control_samples.csv": samples}
+        "control_samples.npy": samples.getvalue()}
 
 
 def _plant(scn: Scenario) -> tuple:
@@ -506,15 +511,17 @@ def run(scn: Scenario) -> int:
     run that reaches u1 by neither route still writes every artifact, then
     raises BenctrlError.
     """
-    payload, artifacts = _RUNNERS[scn.experiment](scn)
-    texts = {name: value if isinstance(value, str)
+    with np.errstate(over="ignore", invalid="ignore"):
+        payload, artifacts = _RUNNERS[scn.experiment](scn)
+    texts = {name: value if isinstance(value, (str, bytes))
              else _json_text(name, value)
              for name, value in artifacts.items()}
     texts["report.json"] = _report_text(payload, scn)
     outdir = Path(scn.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        with open(outdir / name, "w") as fh:
+        mode = "wb" if isinstance(text, bytes) else "w"
+        with open(outdir / name, mode) as fh:
             fh.write(text)
     print(outdir / "report.json")
     missed = _missed_target(scn, payload)

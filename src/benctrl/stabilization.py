@@ -17,6 +17,12 @@ cached on the law, which removes time discretization error from the decay
 measurements; V = Q X for the eigenvectors X of B's real form.  The gaps
 (about k^2) dwarf ||GG*||, so B is close to normal and V well conditioned;
 above ``EIG_COND_LIMIT`` each sample takes scipy's matrix exponential.
+
+A law depends on the parameters only, so ``build_L_lambda``,
+``feedback_simple`` and ``feedback_gramian`` keep their latest result
+(``_memo.latest``), keyed on the m-matrix by identity and on the spectrum
+by value: a repeat call returns the same law with its cached
+eigendecomposition, also after the spectrum was evicted and rebuilt.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import latest, read_only
 from .errors import ConfigurationError, DecayFitError
 from .operators import Gramian, MMatrix, gg_star_matrix
 from .spectral import TWO_PI, TorusFunction, hs_weights
@@ -88,14 +95,19 @@ class FeedbackLaw:
         cond = float(np.linalg.cond(X))
         V = from_real(X)
         if not cond <= EIG_COND_LIMIT:
-            return Eigensystem(w, V, None, cond)
+            return Eigensystem(*read_only(w, V), None, cond)
         Vinv = from_real(np.linalg.inv(X).conj().T).conj().T
         w = np.sum(Vinv * (block @ V).T, axis=1)
-        return Eigensystem(w, V, Vinv, cond)
+        return Eigensystem(*read_only(w, V, Vinv), cond)
 
 
 def _generator(spec: Spectrum) -> np.ndarray:
     return np.diag(-1j * spec.lambdas)
+
+
+def _spectrum_key(spec: Spectrum) -> tuple:
+    """A spectrum by value: an equal one rebuilt after eviction keys alike."""
+    return spec.lambdas.tobytes(), spec.slot.tobytes(), spec.exact
 
 
 def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
@@ -103,17 +115,31 @@ def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
     """L_lambda = int_0^T e^{-2*lambda*tau} U_mu(-tau) GG* U_mu(-tau)^* dtau.
 
     Assembled in closed form (the backward-flow ``gramian`` at rate lambda)
-    and certified positive definite on the mean-zero subspace.
+    and certified positive definite on the mean-zero subspace.  The latest
+    is kept; ``cache_clear()`` forgets it.
     """
     if lam <= 0:
         raise ConfigurationError("decay rate lambda must be positive")
+    return _L_lambda(mm, spec, lam, T)
+
+
+@latest(lambda mm, spec, lam, T: (mm, *_spectrum_key(spec), type(lam), lam,
+                                  float(T)))
+def _L_lambda(mm: MMatrix, spec: Spectrum, lam: float, T: float) -> Gramian:
     return spec.horizon(T).plant(mm).backward_gramian(lam)
 
 
+build_L_lambda.cache_clear = _L_lambda.cache_clear
+
+
+@latest(lambda mm, spec: (mm, *_spectrum_key(spec)))
 def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
-    """K = GG*: closed loop A_mu - GG*, strictly stable on mean-zero modes."""
+    """K = GG*: closed loop A_mu - GG*, strictly stable on mean-zero modes.
+
+    The latest law is kept, its arrays read-only."""
     gg = gg_star_matrix(mm)
-    return FeedbackLaw("simple", 0.0, gg, _generator(spec) - gg, spec)
+    return FeedbackLaw("simple", 0.0, gg, read_only(_generator(spec) - gg),
+                       spec)
 
 
 def feedback_gramian(L: Gramian, mm: MMatrix,
@@ -123,18 +149,29 @@ def feedback_gramian(L: Gramian, mm: MMatrix,
     Both factors are Hermitian, so K_lambda is the conjugate transpose of
     L_lambda^{-1} GG*, solved through the eigenpairs of the certified
     L_lambda.  Only the mean-zero block is written: row and column 0 of GG*
-    vanish only to rounding, those of K_lambda exactly.
+    vanish only to rounding, those of K_lambda exactly.  The latest law is
+    kept, keyed on L by identity, its arrays read-only; a badly conditioned
+    L warns on every call.
     """
     if L.cond > 1e12:
         warnings.warn(
             f"L_lambda condition number {L.cond:.3e} > 1e12; feedback gain "
             "accuracy degraded", RuntimeWarning)
+    return _gramian_law(L, mm, spec)[0]
+
+
+@latest(lambda L, mm, spec: (id(L), mm, *_spectrum_key(spec)))
+def _gramian_law(L: Gramian, mm: MMatrix, spec: Spectrum) -> tuple:
+    """(law, L): L is kept with its law, so its id keys no other Gramian."""
     gg = gg_star_matrix(mm)
     nz = spec.wavenumbers != 0
     K = np.zeros_like(gg)
     K[np.ix_(nz, nz)] = L.solve(gg)[np.ix_(nz, nz)].conj().T
-    return FeedbackLaw("gramian", L.rate, K, _generator(spec) - K, spec,
-                       L.cond)
+    return FeedbackLaw("gramian", L.rate, *read_only(K, _generator(spec) - K),
+                       spec, L.cond), L
+
+
+feedback_gramian.cache_clear = _gramian_law.cache_clear
 
 
 def spectral_abscissa(law: FeedbackLaw) -> float:

@@ -15,6 +15,7 @@ import benctrl.cli as cli
 import benctrl.moment_control as mc
 import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
+import benctrl.stabilization as stab
 from benctrl.cli import (Scenario, load_scenario, main, random_state, run,
                          run_sweep)
 from benctrl.errors import BenctrlError, ConfigurationError
@@ -259,7 +260,7 @@ class TestSpectrumCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert [1, 2] in report["clusters"]
         assert [-2, -1] in report["clusters"]
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["provenance"]["toolkit"] == "benctrl"
 
     def test_invalid_alpha_exits_2(self, tmp_path):
@@ -364,7 +365,7 @@ class TestControlCommand:
         assert main(["control", "--scenario", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["control_norm"] <= 1e-10
-        assert (tmp_path / "out" / "control_samples.csv").exists()
+        assert (tmp_path / "out" / "control_samples.npy").exists()
         assert (tmp_path / "out" / "control_coeffs.json").exists()
 
     def test_random_targets_report_fields(self, tmp_path):
@@ -384,12 +385,11 @@ class TestControlCommand:
         raw = (tmp_path / "control_coeffs.json").read_text()
         assert raw == json.dumps(json.loads(raw), sort_keys=True)
 
-    def test_samples_csv_is_numeric_grid(self, tmp_path):
+    def test_samples_npy_is_numeric_grid(self, tmp_path):
         assert main(["control", "--alpha", "7/3", "--n", "8", "--T", "1.0",
                      "--seed", "3", "--outdir", str(tmp_path)]) == 0
-        rows = np.loadtxt(tmp_path / "control_samples.csv", delimiter=",",
-                          skiprows=1)
-        assert rows.shape == (33 * 65, 4)
+        rows = np.load(tmp_path / "control_samples.npy", allow_pickle=False)
+        assert rows.shape == (33 * 65, 4) and rows.dtype == np.float64
         payload = json.loads((tmp_path / "control_coeffs.json").read_text())
         coeffs = np.array([[complex(*z) for z in mode["coeffs"]]
                            for mode in payload["modes"]])
@@ -417,7 +417,7 @@ class TestControlCommand:
         assert code == 3
         assert "neither route reached" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "control_coeffs.json", "control_samples.csv", "report.json"]
+            "control_coeffs.json", "control_samples.npy", "report.json"]
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["reached"] is False
         assert report["hum"]["reached"] is False
@@ -585,6 +585,31 @@ class TestReproducibility:
         assert raw == (out2 / "report.json").read_bytes()
         assert 1.0 <= json.loads(raw)["closed_loop_cond_V"] <= EIG_COND_LIMIT
 
+    # the decay fit's best-R^2 fallback warns at this order; what is
+    # checked here is that every run writes the same bytes
+    @pytest.mark.filterwarnings("ignore:no suffix window:RuntimeWarning")
+    def test_a_kept_law_writes_the_bytes_of_a_fresh_one(self, tmp_path):
+        """The second run here reads the law the first one computed; a
+        fresh process computes it again."""
+        args = ["stabilize", "--law", "gramian", "--lambda", "1.0", "--n",
+                "12", "--seed", "5"]
+        stab.build_L_lambda.cache_clear()
+        stab.feedback_gramian.cache_clear()
+        outs = [tmp_path / name for name in ("first", "kept", "fresh")]
+        for out in outs[:2]:
+            assert main(args + ["--outdir", str(out)]) == 0
+        proc = run_fresh(*args, "--outdir", str(outs[2]))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("report.json", "decay.csv"):
+            first, *others = ((out / name).read_bytes() for out in outs)
+            assert others == [first, first]
+
+    def test_report_is_one_canonical_line(self, tmp_path):
+        assert main(["spectrum", "--alpha", "7/3", "--n", "40",
+                     "--outdir", str(tmp_path)]) == 0
+        raw = (tmp_path / "report.json").read_text()
+        assert raw == json.dumps(json.loads(raw), sort_keys=True) + "\n"
+
 
 class TestNonFiniteResults:
     """Strict JSON has no NaN or infinity: a result past the float range is
@@ -609,6 +634,25 @@ class TestNonFiniteResults:
                 "finite") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment,norms,field", [
+        ("simulate", {"u0": 1e308}, "norm_drift"),
+        ("stabilize", {"u0": 1e300}, "fitted_rate"),
+        ("control", {"u0": 1e300, "u1": 1e300}, "terminal_residual")])
+    def test_the_failure_is_the_one_line_on_stderr(self, tmp_path, capsys,
+                                                    experiment, norms, field):
+        """numpy's overflow and invalid-value warnings of the run stay off
+        stderr; the refusal of the non-finite field is what it reports."""
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({key: {"type": "random", "norm": norm}
+                                    for key, norm in norms.items()}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([experiment, "--n", "4", "--scenario", str(path),
+                         "--outdir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: report.json field {field} is not finite"]
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     @pytest.mark.parametrize("args", [
         ["spectrum", "--alpha", "1e308"], ["simulate", "--alpha", "1e308"],
         ["control", "--alpha", "1e308"], ["spectrum", "--mu", "1e308"]])
@@ -629,8 +673,8 @@ class TestNonFiniteResults:
                            match=r"^x.json field a\[1\].c\[1\] is not finite$"):
             cli._json_text("x.json", payload)
         payload["a"][1]["c"][1] = 3.0
-        assert cli._json_text("x.json", payload, indent=2) == \
-            json.dumps(payload, sort_keys=True, indent=2)
+        assert cli._json_text("x.json", payload) == \
+            json.dumps(payload, sort_keys=True)
 
 
 class TestSweep:
@@ -724,6 +768,27 @@ class TestSweep:
         for i, (seed_a, a) in enumerate(drawn):
             for seed_b, b in drawn[i + 1:]:
                 assert not np.array_equal(a, b), (seed_a, seed_b)
+
+    # the decay fit's best-R^2 fallback warns at this order; what is
+    # checked here is that every run writes the same bytes
+    @pytest.mark.filterwarnings("ignore:no suffix window:RuntimeWarning")
+    def test_cases_under_one_law_match_single_runs(self, tmp_path):
+        """One worker runs the three cases, so the later two read the law
+        the first one computed."""
+        common = {"experiment": "stabilize", "law": "gramian",
+                  "decay_lambda": 1.0, "n": 12, "seed": 7}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**common, "outdir": str(tmp_path / "sw"),
+                                    "sweep": [{}, {}, {}]}))
+        assert main(["sweep", str(path), "--workers", "1"]) == 0
+        for i in range(3):
+            single = tmp_path / f"single{i}"
+            assert main(["stabilize", "--law", "gramian", "--lambda", "1.0",
+                         "--n", "12", "--seed", str(7 + i),
+                         "--outdir", str(single)]) == 0
+            for name in ("report.json", "decay.csv"):
+                assert (single / name).read_bytes() == \
+                    (tmp_path / "sw" / f"case_{i:03d}" / name).read_bytes()
 
 
 class TestOversampledDiagnostic:

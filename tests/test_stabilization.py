@@ -1,4 +1,6 @@
+import dataclasses
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -487,3 +489,97 @@ class TestGramianMemo:
         assert len(assembled) == 4
         assert len(kernels) == 4
         assert deltas == [deltas[0]] * 4
+
+
+class TestLawMemo:
+    """A law depends on the parameters only: an equal call returns the kept
+    law and its eigendecomposition without solving anything, also for a
+    spectrum rebuilt after eviction; any other parameter recomputes it."""
+
+    @staticmethod
+    def law(kind="gramian", n=16, alpha=7 / 3, mu=0, lam=1.0, T=1.0,
+            width=np.pi / 2):
+        spec = spectrum_mod.analyze(n, alpha, mu)
+        mm = m_matrix(build_bump(width=width, kmax=2 * n), n)
+        if kind == "simple":
+            return feedback_simple(mm, spec)
+        return feedback_gramian(build_L_lambda(mm, spec, lam, T), mm, spec)
+
+    @pytest.mark.parametrize("kind", ["simple", "gramian"])
+    def test_an_equal_call_solves_nothing(self, monkeypatch, kind):
+        first = self.law(kind)
+        abscissa = spectral_abscissa(first)
+        eigs = _count_calls(monkeypatch, np.linalg, "eig")
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        assert self.law(kind) is first
+        spectrum_mod.analyze.cache_clear()
+        again = self.law(kind)
+        assert again is first
+        assert spectral_abscissa(again) == abscissa
+        assert eigs == [] and eighs == []
+        es = first.eigensystem
+        for arr in (first.matrix, first.closed_loop, es.w, es.V, es.Vinv):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("kind,change", [
+        ("gramian", {"lam": 0.5}), ("gramian", {"T": 0.5}),
+        ("gramian", {"alpha": 1.0}), ("gramian", {"mu": 0.3}),
+        ("gramian", {"alpha": Fraction(7, 3)}), ("gramian", {"width": 1.0}),
+        ("simple", {"alpha": 1.0}), ("simple", {"mu": 0.3}),
+        ("simple", {"alpha": Fraction(7, 3)}), ("simple", {"width": 1.0})])
+    def test_another_parameter_recomputes(self, monkeypatch, kind, change):
+        first = self.law(kind)
+        spectral_abscissa(first)
+        eigs = _count_calls(monkeypatch, np.linalg, "eig")
+        other = self.law(kind, **change)
+        assert other is not first
+        spectral_abscissa(other)
+        assert len(eigs) == 1
+        # a rational alpha with an integer mu is clustered exactly
+        assert other.spectrum.exact == isinstance(change.get("alpha"),
+                                                  Fraction)
+
+    def test_an_ill_conditioned_L_warns_on_every_call(self):
+        spec, mm = setup(n=16)
+        L = dataclasses.replace(build_L_lambda(mm, spec, 1.0, 1.0),
+                                cond=1e13)
+        laws = []
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning,
+                              match=r"L_lambda condition number 1\.000e\+13"):
+                laws.append(feedback_gramian(L, mm, spec))
+        assert laws[1] is laws[0]
+
+
+class TestLyapunovIdentity:
+    """The Gramian law's certificate of the prescribed decay (Komornik,
+    SIAM J. Control Optim. 35, 1997): on the mean-zero block, with C the
+    closed loop, L = L_lambda, Q = GG* and R = e^{-2 lambda T} U(-T) Q
+    U(-T)^*, U(-T) = diag(e^{i lambda_k T}),
+
+        C L + L C^* + 2 lambda L = -(Q + R) <= 0,
+
+    so <L^{-1} u, u> decays at rate 2 lambda along the closed loop."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 7 / 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
+    def test_identity_and_its_sign(self, alpha, mu, lam):
+        n, T = 32, 1.0
+        spec, mm = setup(n=n, alpha=alpha, mu=mu)
+        laws = [feedback_gramian(build_L_lambda(mm, spec, lam, T), mm, spec)
+                for _ in range(2)]
+        assert laws[1] is laws[0]            # the kept law is the one checked
+        nz = spec.wavenumbers != 0
+        block = np.ix_(nz, nz)
+        C = laws[1].closed_loop[block]
+        L = build_L_lambda(mm, spec, lam, T).matrix[block]
+        Q = gg_star_matrix(mm)[block]
+        U = np.exp(1j * spec.lambdas[nz] * T)
+        R = np.exp(-2 * lam * T) * (U[:, None] * Q * U.conj()[None, :])
+        lhs = C @ L + L @ C.conj().T + 2 * lam * L
+        # measured worst: 1.92e-13 at alpha=7/3, mu=0.3, lambda=0.25
+        assert np.abs(lhs + Q + R).max() <= 1e-12 * np.abs(Q).max()
+        top = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))[-1]
+        # measured worst: 1.91e-13
+        assert top <= 1e-12 * np.abs(L).max()
