@@ -1,10 +1,13 @@
 """One-entry memos for the products that depend only on the parameters.
 
-Callers rebuild their bump, problem and spectrum on every call, so a memo is
-keyed by value, not by object, and keeps the latest entry only: a new key
-evicts the old entry before the new one is computed, so two entries never
-live at once.  A computation that raises stores nothing.  What a memo
-keeps is shared, so its arrays are made read-only (``read_only``).
+Every key follows one rule.  What callers rebuild on every call is keyed by
+value: numbers with their types, a bump's coefficients, the arguments of a
+spectrum (``Spectrum.key``).  A record that a memo returned, an m-matrix or
+an L_lambda, is keyed by identity, as every record holding arrays compares,
+and is held in the key, so its ``id`` is never handed on.  A memo keeps its
+latest entry only: a new key evicts it before the new value is computed,
+and a computation that raises stores nothing.  What a memo keeps is shared,
+so its arrays are made read-only (``read_only``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def latest(key):
     """Decorator: memoize a function on ``key(*args, **kwargs)``, one entry.
 
     The memoized function gets a ``cache_clear()`` like
-    ``functools.lru_cache``.
+    ``functools.lru_cache``, and its ``key``, for a memo that keys alike.
     """
     def decorate(fn):
         memo = Latest()
@@ -49,6 +52,7 @@ def latest(key):
             return memo.get(key(*args, **kwargs),
                             lambda: fn(*args, **kwargs))
         memoized.cache_clear = memo.clear
+        memoized.key = key
         return memoized
     return decorate
 

@@ -218,8 +218,9 @@ class Scenario:
                                     positive=self.law == "gramian")
         if self.t_final is not None:
             self.t_final = _number("t_final", self.t_final, positive=True)
-        fit = 10 if self.experiment == "stabilize" else 1   # decay-fit samples
-        self.n_times = _number("n_times", self.n_times, fit, integer=True)
+        # samples a decay fit needs, and a trajectory its start and its end
+        least = {"stabilize": 10, "simulate": 2}.get(self.experiment, 1)
+        self.n_times = _number("n_times", self.n_times, least, integer=True)
         with _reading("T_list", "a list of positive numbers"):
             if not isinstance(self.T_list, (list, tuple)) or not self.T_list:
                 raise ConfigurationError(f"got {self.T_list!r}")

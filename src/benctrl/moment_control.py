@@ -36,7 +36,7 @@ from .spectral import TorusFunction, hs_weights, sobolev_norm
 from .spectrum import GRAM_COND_LIMIT, Horizon, Spectrum, eigenvalues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
     """Steering task: from u0 to u1 in time T, measured in H^s, order n."""
 
@@ -129,7 +129,7 @@ def solve_coefficients(c: np.ndarray, mm: MMatrix, spec: Spectrum,
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """Control in coefficients-of-exponentials form.
 
@@ -147,9 +147,9 @@ class ControlSignal:
     T: float
     lambdas: np.ndarray          # distinct eigenvalues (frequency slots)
     exp_coeffs: np.ndarray       # (2n+1) x len(lambdas)
-    horizon: Horizon | None = field(default=None, repr=False, compare=False)
+    horizon: Horizon | None = field(default=None, repr=False)
     amplitudes: np.ndarray | None = None   # h_j, or eta with W eta = c
-    gramian: Gramian | None = field(default=None, repr=False, compare=False)
+    gramian: Gramian | None = field(default=None, repr=False)
 
     def mode_values(self, times) -> np.ndarray:
         """psi-coefficients of h(., t) for each t; shape (2n+1, len(times))."""
@@ -315,7 +315,7 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     return signal, {"cond_W": W.cond}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisResult:
     """Everything produced by one moment-method synthesis run."""
 

@@ -36,7 +36,7 @@ def _wrap(y):
     return (np.asarray(y, dtype=float) + np.pi) % TWO_PI - np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BumpProfile:
     """Localizer g: unit-mean, non-negative, supported on (center +/- width/2).
 
@@ -151,8 +151,7 @@ class MMatrix:
     """Matrix of G in the orthonormal psi basis, m[j,k] = <G psi_j, psi_k>.
 
     ``entries[j+n, k+n]`` holds m[j,k]; ``beta`` is the minimum diagonal
-    entry off mode 0.  Matrices compare by identity, as keys of
-    ``Horizon.plant``.
+    entry off mode 0.
     """
 
     n: int
@@ -200,7 +199,7 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     return MMatrix(n, entries, beta)
 
 
-@latest(lambda bump, n: (bump.ghat.tobytes(), n))
+@latest(m_matrix.key)
 def _widening(bump: BumpProfile, n: int) -> np.ndarray:
     """Matrix of G from modes |j| <= n to |k| <= bump.kmax - n, read-only;
     the latest is kept, so apply_G over samples of one h.n builds it once."""
@@ -262,7 +261,7 @@ def gramian(mm: MMatrix, horizon: spect.Horizon, rate: float = 0.0,
     return 0.5 * (w + w.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gramian:
     """A ``gramian`` certified positive definite on the mean-zero modes.
 
@@ -279,7 +278,7 @@ class Gramian:
     cond: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    mmatrix: MMatrix = field(repr=False, compare=False)
+    mmatrix: MMatrix = field(repr=False)
 
     def __post_init__(self):
         read_only(self.matrix, self.eigvals, self.eigvecs)

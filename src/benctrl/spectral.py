@@ -23,7 +23,7 @@ TWO_PI = 2.0 * np.pi
 REALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusFunction:
     """Band-limited periodic function, immutable after construction.
 

@@ -57,7 +57,9 @@ def eigenvalue(k: int, alpha, mu=0):
 
 @latest(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu))
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
-    """Float array of lambda_k for k = -n..n, read-only; the latest is kept.
+    """Float array of lambda_k for k = -n..n, read-only; the latest is kept,
+    keyed on the arguments with their types, a spectrum's identity:
+    ``Fraction(1) == 1.0``, yet only the rational one clusters exactly.
     Eigenvalues past the float range raise ConfigurationError."""
     k = np.arange(-n, n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -75,7 +77,7 @@ def window_bound(alpha) -> int:
     return int(np.floor(1.5 * float(alpha))) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of the truncated generator with their cluster structure.
 
@@ -89,7 +91,7 @@ class Spectrum:
     cluster-aware computation reads; ``rep_rows[c]`` is the row of cluster
     c's representative.  ``gap_gamma`` is the minimum spacing between
     distinct eigenvalues at this truncation.  ``analyze`` builds it, its
-    arrays read-only.
+    arrays read-only, from ``key = (n, type(alpha), alpha, type(mu), mu)``.
     """
 
     alpha: float
@@ -101,9 +103,9 @@ class Spectrum:
     gap_gamma: float
     window_bound: int
     exact: bool                    # clusters decided by integer arithmetic
-    rep_rows: np.ndarray = field(repr=False, compare=False)
-    _horizon: Latest = field(default_factory=Latest, init=False, repr=False,
-                             compare=False)
+    key: tuple = field(repr=False)
+    rep_rows: np.ndarray = field(repr=False)
+    _horizon: Latest = field(default_factory=Latest, init=False, repr=False)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -291,8 +293,8 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
 
     Spectra are memoized by value, one at a time: a call with the same
     arguments, of the same types, returns the same read-only Spectrum (and
-    with it the horizon it keeps), and ``cache_clear()``
-    forgets it.  The near-cluster warning is raised on every call.
+    with it the horizon it keeps), and ``cache_clear()`` forgets it.  The
+    near-cluster warning is raised on every call.
     """
     spec, near = _spectrum(n, alpha, mu)
     if near:
@@ -300,7 +302,7 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     return spec
 
 
-@latest(lambda n, alpha, mu: (n, type(alpha), alpha, type(mu), mu))
+@latest(eigenvalues.key)
 def _spectrum(n: int, alpha, mu) -> tuple:
     """The Spectrum and its near-cluster warning, None if there is none."""
     if float(alpha) <= 0:
@@ -319,6 +321,7 @@ def _spectrum(n: int, alpha, mu) -> tuple:
         gap_gamma=dmin,
         window_bound=window_bound(alpha),
         exact=exact,
+        key=eigenvalues.key(n, alpha, mu),
         rep_rows=read_only(rows),
     )
     # flag nearly-degenerate pairs that were *not* clustered: the smallest

@@ -20,8 +20,8 @@ above ``EIG_COND_LIMIT`` each sample takes scipy's matrix exponential.
 
 A law depends on the parameters only, so ``build_L_lambda``,
 ``feedback_simple`` and ``feedback_gramian`` keep their latest result
-(``_memo.latest``), keyed on the m-matrix by identity and on the spectrum
-by value: a repeat call returns the same law with its cached
+(``_memo.latest``), keyed on the m-matrix and L_lambda by identity and on
+the spectrum's ``key``: a repeat call returns the same law with its cached
 eigendecomposition, also after the spectrum was evicted and rebuilt.
 """
 
@@ -60,7 +60,7 @@ class Eigensystem(NamedTuple):
     cond: float                # 2-norm condition number of V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedbackLaw:
     """Bounded feedback on truncated coefficients with its closed loop.
 
@@ -105,11 +105,6 @@ def _generator(spec: Spectrum) -> np.ndarray:
     return np.diag(-1j * spec.lambdas)
 
 
-def _spectrum_key(spec: Spectrum) -> tuple:
-    """A spectrum by value: an equal one rebuilt after eviction keys alike."""
-    return spec.lambdas.tobytes(), spec.slot.tobytes(), spec.exact
-
-
 def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
                    T: float) -> Gramian:
     """L_lambda = int_0^T e^{-2*lambda*tau} U_mu(-tau) GG* U_mu(-tau)^* dtau.
@@ -123,8 +118,7 @@ def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
     return _L_lambda(mm, spec, lam, T)
 
 
-@latest(lambda mm, spec, lam, T: (mm, *_spectrum_key(spec), type(lam), lam,
-                                  float(T)))
+@latest(lambda mm, spec, lam, T: (mm, spec.key, type(lam), lam, float(T)))
 def _L_lambda(mm: MMatrix, spec: Spectrum, lam: float, T: float) -> Gramian:
     return spec.horizon(T).plant(mm).backward_gramian(lam)
 
@@ -132,7 +126,7 @@ def _L_lambda(mm: MMatrix, spec: Spectrum, lam: float, T: float) -> Gramian:
 build_L_lambda.cache_clear = _L_lambda.cache_clear
 
 
-@latest(lambda mm, spec: (mm, *_spectrum_key(spec)))
+@latest(lambda mm, spec: (mm, spec.key))
 def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     """K = GG*: closed loop A_mu - GG*, strictly stable on mean-zero modes.
 
@@ -150,25 +144,23 @@ def feedback_gramian(L: Gramian, mm: MMatrix,
     L_lambda^{-1} GG*, solved through the eigenpairs of the certified
     L_lambda.  Only the mean-zero block is written: row and column 0 of GG*
     vanish only to rounding, those of K_lambda exactly.  The latest law is
-    kept, keyed on L by identity, its arrays read-only; a badly conditioned
-    L warns on every call.
+    kept, its arrays read-only; a badly conditioned L warns on every call.
     """
     if L.cond > 1e12:
         warnings.warn(
             f"L_lambda condition number {L.cond:.3e} > 1e12; feedback gain "
             "accuracy degraded", RuntimeWarning)
-    return _gramian_law(L, mm, spec)[0]
+    return _gramian_law(L, mm, spec)
 
 
-@latest(lambda L, mm, spec: (id(L), mm, *_spectrum_key(spec)))
-def _gramian_law(L: Gramian, mm: MMatrix, spec: Spectrum) -> tuple:
-    """(law, L): L is kept with its law, so its id keys no other Gramian."""
+@latest(lambda L, mm, spec: (L, mm, spec.key))
+def _gramian_law(L: Gramian, mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     gg = gg_star_matrix(mm)
     nz = spec.wavenumbers != 0
     K = np.zeros_like(gg)
     K[np.ix_(nz, nz)] = L.solve(gg)[np.ix_(nz, nz)].conj().T
     return FeedbackLaw("gramian", L.rate, *read_only(K, _generator(spec) - K),
-                       spec, L.cond), L
+                       spec, L.cond)
 
 
 feedback_gramian.cache_clear = _gramian_law.cache_clear

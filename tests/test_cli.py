@@ -326,14 +326,14 @@ class TestSimulateCommand:
         assert report["norm_drift"] <= 1e-14
         assert report["mean_drift"] == 0.0
 
-    @pytest.mark.parametrize("n_times", [0, -3])
+    @pytest.mark.parametrize("n_times", [1, 0, -3])
     def test_no_samples_exits_2(self, tmp_path, capsys, n_times):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps({"experiment": "simulate", "n": 4,
                                     "n_times": n_times,
                                     "outdir": str(tmp_path / "out")}))
         assert main(["simulate", "--scenario", str(path)]) == 2
-        assert "n_times must be >= 1" in capsys.readouterr().err
+        assert "n_times must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_t_final_is_a_flag(self, tmp_path):
@@ -524,6 +524,22 @@ class TestStabilizeCommand:
         assert main(["stabilize", "--scenario", str(path)]) == 2
         assert not (tmp_path / "report.json").exists()
 
+    def test_a_law_outlives_the_runs_between(self, tmp_path, monkeypatch):
+        """The runs in between evict the spectrum the law was built on; the
+        repeat run rebuilds it, keys alike and finds the law with its
+        eigendecomposition kept."""
+        stabilize = ["stabilize", "--law", "gramian", "--lambda", "1",
+                     "--n", "16"]
+        runs = [stabilize, ["spectrum", "--n", "64"],
+                ["observability", "--n", "16", "--T-list", "0.05", "0.1",
+                 "1"]]
+        for i, args in enumerate(runs):
+            assert main(args + ["--outdir", str(tmp_path / str(i))]) == 0
+        eigs, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda *a, **k: eigs.append(a) or eig(*a, **k))
+        assert main(stabilize + ["--outdir", str(tmp_path / "again")]) == 0
+        assert eigs == []
 
     def test_decay_fit_failure_exits_3(self, tmp_path, capsys):
         # a long horizon drives all but two norms below the noise floor

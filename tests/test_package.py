@@ -1,9 +1,12 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import benctrl
 import benctrl.cli
@@ -78,3 +81,40 @@ def test_only_run_writes_a_runs_files():
                 if name in ("open", "mkdir", "_artifact"):
                     writes.append(f"{body.name}:{node.lineno}: {name}")
     assert writes == []
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One of each record that holds arrays, from one small pipeline."""
+    n = 8
+    u0, u1 = (benctrl.TorusFunction.basis(k, n) for k in (1, 2))
+    bump = benctrl.build_bump(kmax=2 * n)
+    problem = benctrl.ControlProblem(1.0, 0.0, 1.0, 0.0, n, bump, u0, u1)
+    result = benctrl.synthesize_control(problem)
+    L = benctrl.build_L_lambda(result.mmatrix, result.spectrum, 1.0, 1.0)
+    law = benctrl.feedback_gramian(L, result.mmatrix, result.spectrum)
+    return {"TorusFunction": u0, "BumpProfile": bump, "Gramian": L,
+            "FeedbackLaw": law, "ControlProblem": problem,
+            "ControlSignal": result.signal, "SynthesisResult": result,
+            "Spectrum": result.spectrum}
+
+
+@pytest.mark.parametrize("name", [
+    "TorusFunction", "BumpProfile", "Gramian", "FeedbackLaw",
+    "ControlProblem", "ControlSignal", "SynthesisResult", "Spectrum"])
+def test_records_compare_and_hash_by_identity(records, name):
+    """A memo key may hold any of them: == and hash() never raise."""
+    record = records[name]
+    twin = dataclasses.replace(record)      # equal content, another object
+    assert type(record).__name__ == name
+    assert record == record and not record != record
+    assert record != twin and not twin == record
+    assert hash(record) == hash(record) != hash(twin)
+
+
+def test_a_rebuilt_spectrum_keys_alike_and_compares_apart():
+    first = benctrl.analyze_spectrum(8, 1.0)
+    benctrl.analyze_spectrum(8, 0.7)
+    again = benctrl.analyze_spectrum(8, 1.0)
+    assert again is not first and again != first
+    assert again.key == first.key == (8, float, 1.0, int, 0)

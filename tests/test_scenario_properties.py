@@ -64,7 +64,8 @@ def _check(scn):
     _number(scn.decay_lambda, positive=scn.law == "gramian")
     if scn.t_final is not None:
         _number(scn.t_final, positive=True)
-    _number(scn.n_times, 10 if scn.experiment == "stabilize" else 1,
+    _number(scn.n_times,
+            {"stabilize": 10, "simulate": 2}.get(scn.experiment, 1),
             integer=True)
     _number(scn.seed, 0, integer=True)
     assert scn.T_list and all(type(T) is float for T in scn.T_list)
