@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum as spect
-from ._memo import latest, read_only
+from ._memo import latest, nbytes, read_only
 from .errors import (ConfigurationError, ObservabilityError,
                      SingularClusterBlockError)
 from .spectral import TWO_PI, TorusFunction
@@ -283,6 +283,13 @@ class Gramian:
     def __post_init__(self):
         read_only(self.matrix, self.eigvals, self.eigvecs)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the Gramian's arrays, ``eigvecs_h`` once formed (the
+        m-matrix left out)."""
+        return nbytes(*(value for name, value in vars(self).items()
+                        if name != "mmatrix"))
+
     @functools.cached_property
     def eigvecs_h(self) -> np.ndarray:
         """eigvecs^H, formed once per Gramian, read-only."""
@@ -315,6 +322,13 @@ class Plant:
 
     horizon: spect.Horizon = field(repr=False)     # a weakref.proxy
     mm: MMatrix
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plant formed so far, its certified
+        forward Gramian's among them (the horizon and m-matrix left out)."""
+        return nbytes(*(value for name, value in vars(self).items()
+                        if name not in ("horizon", "mm")))
 
     @functools.cached_property
     def adjoint(self) -> tuple:

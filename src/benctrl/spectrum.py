@@ -25,7 +25,7 @@ from numbers import Rational
 import numpy as np
 
 from ._closedform import exp_kernel
-from ._memo import Latest, latest, read_only
+from ._memo import Latest, latest, nbytes, read_only, stored
 from .errors import ClusterSizeError, ConfigurationError
 
 #: Relative tolerance for float clustering decisions.
@@ -91,7 +91,8 @@ class Spectrum:
     cluster-aware computation reads; ``rep_rows[c]`` is the row of cluster
     c's representative.  ``gap_gamma`` is the minimum spacing between
     distinct eigenvalues at this truncation.  ``analyze`` builds it, its
-    arrays read-only, from ``key = (n, type(alpha), alpha, type(mu), mu)``.
+    arrays read-only, from ``key = (n, type(alpha), alpha, type(mu), mu)``,
+    which also keys its horizons.
     """
 
     alpha: float
@@ -105,19 +106,28 @@ class Spectrum:
     exact: bool                    # clusters decided by integer arithmetic
     key: tuple = field(repr=False)
     rep_rows: np.ndarray = field(repr=False)
-    _horizon: Latest = field(default_factory=Latest, init=False, repr=False)
 
     @property
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.n, self.n + 1)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the spectrum's arrays (its cluster tuples left out)."""
+        return nbytes(self.lambdas, self.slot, self.rep_rows)
+
     def horizon(self, T: float) -> Horizon:
-        """The Horizon at T > 0; the spectrum keeps the latest."""
+        """The Horizon at T > 0, kept in the store on ``(key, float(T))``,
+        so a spectrum rebuilt after eviction finds its horizons again."""
         if T <= 0:
             raise ConfigurationError("horizon T must be positive")
-        T = float(T)
-        return self._horizon.get(T, lambda: Horizon(
-            T, self.n, self.lambdas, self.slot, self.rep_rows, self.clusters))
+        return _horizon(self, float(T))
+
+
+@stored(lambda spec, T: (spec.key, T))
+def _horizon(spec: Spectrum, T: float) -> Horizon:
+    return Horizon(T, spec.n, spec.lambdas, spec.slot, spec.rep_rows,
+                   spec.clusters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +141,8 @@ class Horizon:
     D, with D^H = ``duals_h``, gives q_j = sum_m D[j, m] e^{i nu_m t}: the
     rows of Gamma^{-1}, one per cluster.  ``plant(mm)`` is what an m-matrix
     adds; the horizon keeps the latest.  It holds the spectrum's arrays, not
-    the spectrum, so the two make no reference cycle.  Arrays are read-only.
+    the spectrum, so the two make no reference cycle.  Arrays are read-only;
+    ``nbytes`` counts those formed so far, its plant's among them.
     """
 
     T: float
@@ -141,6 +152,14 @@ class Horizon:
     rows: np.ndarray               # row of cluster c's representative
     clusters: tuple
     _plant: Latest = field(default_factory=Latest, init=False, repr=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the horizon holds now: its fields', those of
+        each ``cached_property`` formed so far, and its plant's (the
+        cluster tuples left out)."""
+        return nbytes(*(value for name, value in vars(self).items()
+                        if name != "clusters"))
 
     def weighted_kernel(self, rate: float) -> np.ndarray:
         """``kernel`` under the weight e^{-2*rate*t}, evaluated afresh on
@@ -291,10 +310,11 @@ def _partition(n: int, alpha, mu):
 def analyze(n: int, alpha, mu=0) -> Spectrum:
     """Build the Spectrum: eigenvalues, clusters, gap, and scan window.
 
-    Spectra are memoized by value, one at a time: a call with the same
-    arguments, of the same types, returns the same read-only Spectrum (and
-    with it the horizon it keeps), and ``cache_clear()`` forgets it.  The
-    near-cluster warning is raised on every call.
+    Spectra are memoized by value in the byte-bounded store: a call with
+    the same arguments, of the same types, returns the same read-only
+    Spectrum while the store keeps it, and ``cache_clear()`` empties the
+    store, horizons included.  The near-cluster warning is raised on every
+    call.
     """
     spec, near = _spectrum(n, alpha, mu)
     if near:
@@ -302,7 +322,7 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     return spec
 
 
-@latest(eigenvalues.key)
+@stored(eigenvalues.key)
 def _spectrum(n: int, alpha, mu) -> tuple:
     """The Spectrum and its near-cluster warning, None if there is none."""
     if float(alpha) <= 0:

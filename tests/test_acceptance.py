@@ -14,10 +14,9 @@ import pytest
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import main as cli_main
 from benctrl.cli import random_state
-from benctrl.moment_control import (ControlProblem, build_biorthogonal,
-                                    evolve_controlled, hum_control,
-                                    synthesize_control, terminal_residual,
-                                    verify_moments)
+from benctrl.moment_control import (ControlProblem, evolve_controlled,
+                                    hum_control, synthesize_control,
+                                    terminal_residual, verify_moments)
 from benctrl.operators import build_bump, evolve_free, m_matrix
 from benctrl.spectral import mean, sobolev_norm
 from benctrl.stabilization import (build_L_lambda, energy_identity_defect,
@@ -33,11 +32,6 @@ def _report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _tolerance(cond):
-    """Terminal-residual tolerance with the conditioning relaxation."""
-    return 1e-8 if cond <= 1e4 else 1e-12 * cond
-
-
 # -------------------------------------------------------------------------
 # criteria 1 and 2 share one sweep over the full parameter grid
 
@@ -48,6 +42,16 @@ GRID_MU = (0.0, 0.3)
 GRID_T = (0.05, 1.0, 5.0)
 GRID_S = (0.0, 1.0)
 TRIALS = 20
+
+#: every terminal residual is held to this, on both routes
+TERMINAL_TOL = 1e-8
+
+#: the grid points where the moment route misses u1, ROADMAP item 1: the
+#: shortest horizon at every (n, alpha, mu), where the least-squares duals
+#: stand in for a singular family, and alpha=7/3, mu=0.3, T=1, whose family
+#: of condition number about 9e13 costs the exponential basis its digits
+MOMENT_MISSES = {(n, alpha, mu, 0.05) for n in GRID_N for alpha in GRID_ALPHA
+                 for mu in GRID_MU} | {(n, 7 / 3, 0.3, 1.0) for n in GRID_N}
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +67,6 @@ def grid_trials():
                 for mu in GRID_MU:
                     spec = spectrum_mod.analyze(n, alpha, mu)
                     for T in GRID_T:
-                        fam = build_biorthogonal(spec, T, on_singular="lstsq")
                         for s in GRID_S:
                             for trial in range(TRIALS):
                                 seed = hash((n, round(alpha, 6), mu, T, s,
@@ -79,7 +82,6 @@ def grid_trials():
                                 records.append({
                                     "n": n, "alpha": alpha, "mu": mu,
                                     "T": T, "s": s,
-                                    "cond": fam.cond,
                                     "res_moment": res.terminal_residual,
                                     "res_hum": terminal_residual(
                                         prob, hum_sig, mms[n]),
@@ -90,25 +92,34 @@ def grid_trials():
     return records, elapsed
 
 
+def _point(record):
+    return record["n"], record["alpha"], record["mu"], record["T"]
+
+
 def test_criterion_01_exact_controllability(grid_trials):
     records, elapsed = grid_trials
-    worst = max(r["res_moment"] / _tolerance(r["cond"]) for r in records)
-    strict = [r for r in records if r["cond"] <= 1e4]
-    ok = worst <= 1.0 and elapsed < 60.0
+    missed = [r["res_moment"] for r in records
+              if r["res_moment"] > TERMINAL_TOL]
+    points = {_point(r) for r in records if r["res_moment"] > TERMINAL_TOL}
+    worst = max(r["res_moment"] for r in records
+                if _point(r) not in MOMENT_MISSES)
+    ok = points == MOMENT_MISSES and worst <= TERMINAL_TOL and elapsed < 60.0
     _report(1, "exact controllability", ok,
-            f"{len(records)} trials, worst residual/tolerance {worst:.3e}, "
-            f"{len(strict)} well-conditioned trials all <= 1e-8, "
+            f"{len(records)} trials, worst residual {worst:.3e} <= 1e-8 off "
+            f"the {len(MOMENT_MISSES)} points of ROADMAP item 1; "
+            f"{len(missed)} trials miss, at {len(points)} points, "
+            f"by {min(missed, default=0):.1e} to {max(missed, default=0):.1e}; "
             f"grid runtime {elapsed:.1f}s < 60s")
 
 
 def test_criterion_02_moment_vs_hum(grid_trials):
     records, _ = grid_trials
-    worst_res = max(r["res_hum"] / _tolerance(r["cond"]) for r in records)
+    worst_res = max(r["res_hum"] for r in records)
     norm_ok = all(r["norm_hum"] <= r["norm_moment"] + 1e-8 for r in records)
     margin = max(r["norm_hum"] - r["norm_moment"] for r in records)
-    ok = worst_res <= 1.0 and norm_ok
+    ok = worst_res <= TERMINAL_TOL and norm_ok
     _report(2, "moment-vs-HUM oracle agreement", ok,
-            f"worst HUM residual/tolerance {worst_res:.3e}; "
+            f"worst HUM residual {worst_res:.3e} <= 1e-8; "
             f"norm optimality margin max(hum - moment) = {margin:.3e} <= 1e-8")
 
 

@@ -620,6 +620,52 @@ class TestReproducibility:
             first, *others = ((out / name).read_bytes() for out in outs)
             assert others == [first, first]
 
+    # a benchmark bundle: five experiments at n=32, spectrum at n=512
+    BUNDLE = {
+        "spectrum": ["--n", "512"],
+        "simulate": ["--T", "5", "--s", "1"],
+        "control": ["--T", "1", "--s", "0"],
+        "stabilize": ["--T", "1", "--s", "1", "--law", "gramian",
+                      "--lambda", "1"],
+        "observability": ["--T-list", "0.05", "0.1", "0.5", "1", "2"],
+    }
+
+    @pytest.mark.filterwarnings("ignore:no suffix window:RuntimeWarning")
+    def test_a_second_bundle_reads_the_kept_plant(self, tmp_path,
+                                                  monkeypatch):
+        """The store keeps the n=32 spectrum and its five horizons across
+        the n=512 spectrum, so a second bundle in the process certifies
+        no forward Gramian and partitions no spectrum, and writes the
+        bytes of a bundle run on an empty store."""
+        calls = []
+        certify, partition = operators.Plant._certify, spectrum_mod._partition
+        monkeypatch.setattr(operators.Plant, "_certify", lambda plant, *a: (
+            calls.append(a[1]) or certify(plant, *a)))
+        monkeypatch.setattr(spectrum_mod, "_partition", lambda *a: (
+            calls.append("partition") or partition(*a)))
+
+        def bundle():
+            calls.clear()
+            for exp, extra in self.BUNDLE.items():
+                assert main([exp, "--alpha", "7/3", "--n", "32", "--seed",
+                             "11", *extra, "--outdir",
+                             str(tmp_path / exp)]) == 0
+            return {path.relative_to(tmp_path): path.read_bytes()
+                    for path in sorted(tmp_path.rglob("*.*"))}
+
+        def forget():
+            spectrum_mod.analyze.cache_clear()
+            stab.build_L_lambda.cache_clear()
+            stab.feedback_gramian.cache_clear()
+
+        forget()
+        first = bundle()
+        fresh = ["backward"] + ["forward"] * 5 + ["partition"] * 2
+        assert sorted(calls) == fresh
+        assert bundle() == first and calls == []
+        forget()
+        assert bundle() == first and sorted(calls) == fresh
+
     def test_report_is_one_canonical_line(self, tmp_path):
         assert main(["spectrum", "--alpha", "7/3", "--n", "40",
                      "--outdir", str(tmp_path)]) == 0

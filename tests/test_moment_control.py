@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import benctrl._closedform as closedform
+import benctrl._memo as _memo
 import benctrl.moment_control as moment_control
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
@@ -176,8 +177,9 @@ class TestHorizonKernel:
             spectrum_mod.analyze(8, 7 / 3, 0.3).horizon(1.0).kernel)
 
     def test_a_control_on_an_earlier_horizon_keeps_it(self, monkeypatch):
-        # the family is its horizon, so a control assembled on one the
-        # spectrum no longer keeps looks nothing up: no eigh, no eviction
+        # the family is its horizon, so a control assembled on one looks
+        # nothing up, whether the store still keeps it or not: no eigh, no
+        # eviction
         spectrum_mod.analyze.cache_clear()
         n = 16
         spec = spectrum_mod.analyze(n, 1.0)
@@ -596,37 +598,55 @@ class TestMemo:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
-    def test_a_new_key_evicts_the_old_plant(self):
+    def test_a_new_key_evicts_the_old_plant(self, monkeypatch):
+        # an n=96 horizon with its plant outgrows the store's budget, so
+        # it is gone, with its spectrum, before the next horizon is built
         clear_memos()
-        res = synthesize_control(make_problem(n=8, alpha=1.0, seed=3))
-        hum_control(res.problem, res.spectrum, res.mmatrix)
-        old = weakref.ref(res.spectrum)
-        del res
-        synthesize_control(make_problem(n=8, alpha=0.7, seed=3))
+        prob = make_problem(n=96, alpha=1.0, seed=3)
+        res = synthesize_control(prob)
+        hum_control(prob, res.spectrum, res.mmatrix)
+        horizon = res.spectrum.horizon(prob.T)
+        assert horizon.nbytes > _memo.BUDGET
+        kept = [weakref.ref(obj) for obj in (
+            res.spectrum, horizon, horizon.plant(res.mmatrix))]
+        del res, horizon
         gc.collect()
-        assert old() is None
+        assert all(ref() is not None for ref in kept)
+        seen = []
+        built = spectrum_mod.Horizon
+
+        def spy(*args):
+            seen.append([ref() for ref in kept])
+            return built(*args)
+
+        monkeypatch.setattr(spectrum_mod, "Horizon", spy)
+        synthesize_control(make_problem(n=96, alpha=0.7, seed=3))
+        assert seen == [[None] * 3]
 
     def test_an_evicted_horizon_is_freed_without_the_cycle_collector(self):
         # no object refers back to the one that keeps it (a horizon holds
-        # the spectrum's arrays, a plant its horizon weakly), so dropping
-        # the last reference frees a horizon or spectrum with all it keeps
+        # the spectrum's arrays, a plant its horizon weakly), so the store
+        # dropping an n=96 horizon frees it with all it keeps, and
+        # emptying the store frees a spectrum
         clear_memos()
         gc.collect()
         gc.disable()
         try:
-            prob = make_problem(n=8, alpha=1.0, seed=3)
+            prob = make_problem(n=96, alpha=1.0, seed=3)
             res = synthesize_control(prob)
             hum_control(prob, res.spectrum, res.mmatrix)
             spec = res.spectrum
             kept = [weakref.ref(obj) for obj in (
                 spec.horizon(prob.T), res.family,
+                spec.horizon(prob.T).plant(res.mmatrix),
                 controllability_gramian(res.mmatrix, spec, prob.T))]
             del res
+            assert all(ref() is not None for ref in kept)
             spec.horizon(0.5)
-            assert [ref() for ref in kept] == [None] * 3
+            assert [ref() for ref in kept] == [None] * 4
             old = weakref.ref(spec)
             del spec
-            spectrum_mod.analyze(8, 0.7)
+            spectrum_mod.analyze.cache_clear()
             assert old() is None
         finally:
             gc.enable()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -6,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import benctrl._memo as _memo
 import benctrl.spectrum as sp
 from benctrl.errors import ClusterSizeError
+from benctrl.operators import build_bump, m_matrix
 from oracles import brute_force_clusters
 
 
@@ -251,16 +254,95 @@ class TestMemo:
                 sp.analyze(8, -1.0)
 
     def test_a_new_key_evicts_the_old_spectrum(self):
+        # at the budget: an n=96 horizon with what a control and HUM fill
+        # in it and its plant holds more than BUDGET bytes, so the next miss
+        # drops it and the spectrum older than it
         sp.analyze.cache_clear()
-        spec = sp.analyze(8, 1.0)
-        spec.horizon(1.0).kernel
+        n = 96
+        spec = sp.analyze(n, 1.0)
+        mm = m_matrix(build_bump(kmax=2 * n), n)
+        horizon = spec.horizon(1.0)
+        plant = horizon.plant(mm)
+        horizon.slot_norms, plant.weighted_moments
+        plant.forward_gramian.eigvecs_h
+        assert horizon.nbytes > _memo.BUDGET
+        del horizon, plant
         old = weakref.ref(spec)
         del spec
         gc.collect()
-        assert old() is not None          # still the memo's entry
-        sp.analyze(8, 0.7)
+        assert old() is not None          # still the store's entry
+        sp.analyze(n, 0.7)
         gc.collect()
         assert old() is None
+
+    def test_the_least_recently_used_entry_goes_first_at_the_budget(self):
+        store = _memo.Store(300)
+        computed = []
+
+        def get(key):
+            return store.get(key, lambda: computed.append(key)
+                             or np.zeros(100, np.uint8))
+
+        for key in "abc":
+            get(key)
+        get("a")                          # now the most recently used
+        get("d")                          # 300 bytes fit: nothing goes
+        get("e")                          # 400 > 300: b, the oldest, goes
+        for key in "acde":
+            get(key)
+        assert computed == list("abcde")
+        get("b")                          # 400 > 300: a goes
+        get("a")
+        assert computed == list("abcdeba")
+
+    def test_a_horizon_is_counted_at_its_filled_size(self, monkeypatch):
+        sp.analyze.cache_clear()
+        spec = sp.analyze(8, 1.0)
+        horizon = spec.horizon(1.0)
+        empty = horizon.nbytes
+        assert empty == spec.nbytes       # the spectrum's arrays, shared
+        # the budget holds the two as stored, not the horizon once filled
+        monkeypatch.setattr(_memo.STORE, "budget", 2 * empty)
+        horizon.kernel, horizon.duals_h
+        mm = m_matrix(build_bump(kmax=16), 8)
+        W = horizon.plant(mm).forward_gramian
+        assert horizon.nbytes >= empty + horizon.kernel.nbytes \
+            + horizon.duals_h.nbytes + W.matrix.nbytes + W.eigvecs.nbytes
+        assert sp.analyze(8, 1.0) is spec          # now newer than horizon
+        old = weakref.ref(horizon)
+        del horizon, W
+        spec.horizon(0.5)
+        assert old() is None
+        assert sp.analyze(8, 1.0) is spec
+
+    def test_the_newest_entry_is_kept_beyond_the_budget(self, monkeypatch):
+        sp.analyze.cache_clear()
+        monkeypatch.setattr(_memo.STORE, "budget", 0)
+        spec = sp.analyze(8, 1.0)
+        assert sp.analyze(8, 1.0) is spec
+        horizon = spec.horizon(1.0)       # a miss: the spectrum goes
+        assert spec.horizon(1.0) is horizon
+        assert sp.analyze(8, 1.0) is not spec
+
+    def test_a_rebuilt_spectrum_finds_its_horizons(self):
+        # horizons are keyed on the spectrum's key and T, by value
+        sp.analyze.cache_clear()
+        spec = sp.analyze(8, 7 / 3, 0.3)
+        horizon = spec.horizon(1.0)
+        twin = dataclasses.replace(spec)
+        assert twin is not spec and twin.horizon(1) is horizon
+        assert sp.analyze(8, Fraction(7, 3), 0.3).horizon(1.0) \
+            is not horizon
+
+    def test_cache_clear_empties_the_store(self):
+        spec = sp.analyze(8, 1.0)
+        horizon = spec.horizon(1.0)
+        assert sp.analyze(8, 1.0) is spec and spec.horizon(1.0) is horizon
+        sp.analyze.cache_clear()
+        again = sp.analyze(8, 1.0)
+        assert again is not spec
+        assert spec.horizon(1.0) is not horizon      # found by key
+        assert again.horizon(1.0) is spec.horizon(1.0)
 
 
 class TestGridInvariant:
