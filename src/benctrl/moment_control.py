@@ -22,6 +22,7 @@ minimal-L2-norm control and serves as the oracle for the moment route.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,8 +51,8 @@ class ControlProblem:
     u1: TorusFunction
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ConfigurationError("horizon T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ConfigurationError("horizon T must be positive and finite")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
         if self.s < 0:
@@ -180,7 +181,7 @@ class ControlSignal:
             return float(np.sqrt(max(
                 np.vdot(h, self.gramian.matrix @ h).real, 0.0)))
         if self.gramian is None and h is not None:
-            slot_norms = self.horizon.slot_norms[self.horizon.slot]
+            slot_norms = self.horizon.slot_norms[self.horizon.spec.slot]
             quad = (h.real ** 2 + h.imag ** 2) * slot_norms
         else:
             gram = self.horizon.gram if self.horizon is not None else \
@@ -234,8 +235,8 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     """
     horizon, h = signal.horizon, signal.amplitudes
     at_horizon = horizon is not None and t == horizon.T and (
-        lam is horizon.mode_lambdas
-        or np.array_equal(lam, horizon.mode_lambdas))
+        lam is horizon.spec.lambdas
+        or np.array_equal(lam, horizon.spec.lambdas))
     if at_horizon and signal.gramian is not None \
             and signal.gramian.mmatrix is mm:
         return signal.gramian.matrix @ h
@@ -309,7 +310,7 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     rest = gstar[:, N:N + p] * x[N:N + p]
     rest[:, triples] += gstar[:, N + p:] * x[N + p:]
     E[:, pairs] += rest
-    E *= horizon.phases[0][horizon.rows]
+    E *= horizon.phases[0][spec.rep_rows]
     signal = ControlSignal(problem.n, problem.T, horizon.lambdas, E,
                            horizon=horizon, amplitudes=eta, gramian=W)
     return signal, {"cond_W": W.cond}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectrum as spect
-from ._memo import latest, nbytes, read_only
+from ._memo import Store, nbytes, read_only, stored
 from .errors import (ConfigurationError, ObservabilityError,
                      SingularClusterBlockError)
 from .spectral import TWO_PI, TorusFunction
@@ -86,8 +86,8 @@ class BumpProfile:
         return raw * self.scale
 
 
-@latest(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
-        tuple((type(v), v) for v in (kind, center, width, kmax)))
+@stored(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
+        tuple((type(v), v) for v in (kind, center, width, kmax)), Store())
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                width: float = np.pi / 2, kmax: int = 64) -> BumpProfile:
     """Construct a localizer and profile its Fourier coefficients.
@@ -130,9 +130,9 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                        float(np.abs(tail).sum()), scale)
 
 
-def bump_from_coefficients(ghat, kind: str = "custom", center: float = np.pi,
-                           width: float = np.pi) -> BumpProfile:
-    """Wrap an explicit coefficient list (index -kmax..kmax) of a real g."""
+def bump_from_coefficients(ghat) -> BumpProfile:
+    """Wrap an explicit coefficient list (index -kmax..kmax) of a real g,
+    a ``"custom"`` bump, which cannot be sampled."""
     ghat = np.asarray(ghat, dtype=complex)
     if ghat.ndim != 1 or ghat.size % 2 == 0:
         raise ConfigurationError("coefficient list must have odd length")
@@ -140,7 +140,7 @@ def bump_from_coefficients(ghat, kind: str = "custom", center: float = np.pi,
     if not np.isclose(ghat[kmax].real, 1.0 / TWO_PI, rtol=1e-12, atol=1e-14):
         raise ConfigurationError("ghat(0) must equal 1/(2pi) (unit integral)")
     spect.require_mirror(ghat, "localizer coefficients (g must be real)")
-    return BumpProfile(kind, center, width, kmax, ghat, 0.0, 1.0)
+    return BumpProfile("custom", np.pi, np.pi, kmax, ghat, 0.0, 1.0)
 
 
 # -- the m-matrix ----------------------------------------------------------
@@ -176,7 +176,7 @@ class MMatrix:
         return read_only(0.5 * (out + out.conj().T))
 
 
-@latest(lambda bump, n: (bump.ghat.tobytes(), n))
+@stored(lambda bump, n: (bump.ghat.tobytes(), n), Store())
 def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     """Assemble m[j,k] = ghat(k-j) - 2*pi*ghat(-j)*ghat(k) for |j|,|k| <= n.
 
@@ -199,7 +199,7 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     return MMatrix(n, entries, beta)
 
 
-@latest(m_matrix.key)
+@stored(m_matrix.key, Store())
 def _widening(bump: BumpProfile, n: int) -> np.ndarray:
     """Matrix of G from modes |j| <= n to |k| <= bump.kmax - n, read-only;
     the latest is kept, so apply_G over samples of one h.n builds it once."""
@@ -252,7 +252,7 @@ def gramian(mm: MMatrix, horizon: spect.Horizon, rate: float = 0.0,
     eigenvectors conjugate.)
     """
     K = horizon.kernel if rate == 0 else horizon.weighted_kernel(rate)
-    K = K[:, horizon.slot]
+    K = K[:, horizon.spec.slot]
     if flow == "forward":
         K = K.conj()
     elif flow != "backward":
@@ -285,10 +285,8 @@ class Gramian:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the Gramian's arrays, ``eigvecs_h`` once formed (the
-        m-matrix left out)."""
-        return nbytes(*(value for name, value in vars(self).items()
-                        if name != "mmatrix"))
+        """Bytes of the Gramian's arrays, ``eigvecs_h`` once formed."""
+        return nbytes(*vars(self).values())
 
     @functools.cached_property
     def eigvecs_h(self) -> np.ndarray:
@@ -317,8 +315,9 @@ class Gramian:
 class Plant:
     """What an m-matrix adds at one horizon, each formed on first use; a
     failed computation raises on every call.  A plant is reached as
-    ``Horizon.plant(mm)`` and refers to its horizon weakly, so the two make
-    no reference cycle.  Every array is read-only."""
+    ``Horizon.plant(mm)``, which keeps the latest in a zero-budget store,
+    and refers to its horizon weakly, so the two make no reference cycle.
+    Every array is read-only."""
 
     horizon: spect.Horizon = field(repr=False)     # a weakref.proxy
     mm: MMatrix
@@ -326,9 +325,10 @@ class Plant:
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the plant formed so far, its certified
-        forward Gramian's among them (the horizon and m-matrix left out)."""
+        forward Gramian's among them (the horizon, which counts the plant,
+        left out)."""
         return nbytes(*(value for name, value in vars(self).items()
-                        if name not in ("horizon", "mm")))
+                        if name != "horizon"))
 
     @functools.cached_property
     def adjoint(self) -> tuple:
@@ -336,13 +336,13 @@ class Plant:
         cluster sums, the first member of every cluster, then the second
         members of the clusters ``pairs``, then the third members of the
         clusters ``pairs[triples]``."""
-        groups = self.horizon.clusters
+        spec = self.horizon.spec
+        groups = spec.clusters
         pairs = np.array([c for c, g in enumerate(groups) if len(g) > 1],
                          np.intp)
         triples = np.flatnonzero([len(groups[c]) > 2 for c in pairs])
         order = np.add([g[0] for g in groups] + [groups[c][1] for c in pairs]
-                       + [groups[c][2] for c in pairs[triples]],
-                       self.horizon.n)
+                       + [groups[c][2] for c in pairs[triples]], spec.n)
         return read_only(self.mm.operator.conj().T[:, order], order, pairs,
                          triples)
 
@@ -351,14 +351,14 @@ class Plant:
         """(alone, diagonal, blocks): the modes off 0 alone in their
         cluster with their m[k,k], and the rows and block M_j^T of each
         cluster of two or more such modes, for the amplitude solve."""
-        h, entries = self.horizon, self.mm.entries
-        nonzero = np.arange(-h.n, h.n + 1) != 0
-        members = np.bincount(h.slot[nonzero], minlength=len(h.clusters))
-        alone = nonzero & (members[h.slot] == 1)
+        spec, entries = self.horizon.spec, self.mm.entries
+        nonzero = spec.wavenumbers != 0
+        members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
+        alone = nonzero & (members[spec.slot] == 1)
         blocks = []
         for ci in np.flatnonzero(members >= 2):
-            nz = [k for k in h.clusters[ci] if k != 0]
-            pos = np.add(nz, h.n)
+            nz = [k for k in spec.clusters[ci] if k != 0]
+            pos = np.add(nz, spec.n)
             block = entries[np.ix_(pos, pos)]
             if np.linalg.cond(block) > 1e14:
                 raise SingularClusterBlockError(
@@ -390,7 +390,7 @@ class Plant:
         if vals[0] <= 0.0:
             raise ObservabilityError(
                 f"Gramian singular on mean-zero modes (min eigenvalue "
-                f"{vals[0]:.3e}) at rate={rate}, T={h.T}, n={h.n}")
+                f"{vals[0]:.3e}) at rate={rate}, T={h.T}, n={h.spec.n}")
         return Gramian(rate, h.T, W, float(vals[-1] / vals[0]), vals,
                        spect.from_real(vecs), self.mm)
 

@@ -25,7 +25,7 @@ from numbers import Rational
 import numpy as np
 
 from ._closedform import exp_kernel
-from ._memo import Latest, latest, nbytes, read_only, stored
+from ._memo import Store, nbytes, read_only, stored
 from .errors import ClusterSizeError, ConfigurationError
 
 #: Relative tolerance for float clustering decisions.
@@ -55,7 +55,8 @@ def eigenvalue(k: int, alpha, mu=0):
     return float(k) ** 3 + 2.0 * float(mu) * k - float(alpha) * k * abs(k)
 
 
-@latest(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu))
+@stored(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu),
+        Store())
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
     """Float array of lambda_k for k = -n..n, read-only; the latest is kept,
     keyed on the arguments with their types, a spectrum's identity:
@@ -117,17 +118,17 @@ class Spectrum:
         return nbytes(self.lambdas, self.slot, self.rep_rows)
 
     def horizon(self, T: float) -> Horizon:
-        """The Horizon at T > 0, kept in the store on ``(key, float(T))``,
-        so a spectrum rebuilt after eviction finds its horizons again."""
-        if T <= 0:
-            raise ConfigurationError("horizon T must be positive")
+        """The Horizon at a finite T > 0, kept in the store on ``(key,
+        float(T))``, so a spectrum rebuilt after eviction finds its
+        horizons again."""
+        if not 0 < T < math.inf:
+            raise ConfigurationError("horizon T must be positive and finite")
         return _horizon(self, float(T))
 
 
 @stored(lambda spec, T: (spec.key, T))
 def _horizon(spec: Spectrum, T: float) -> Horizon:
-    return Horizon(T, spec.n, spec.lambdas, spec.slot, spec.rep_rows,
-                   spec.clusters)
+    return Horizon(T, spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,41 +141,36 @@ class Horizon:
     representatives are ``gram``, the Gram matrix Gamma of the e^{i nu t}.
     D, with D^H = ``duals_h``, gives q_j = sum_m D[j, m] e^{i nu_m t}: the
     rows of Gamma^{-1}, one per cluster.  ``plant(mm)`` is what an m-matrix
-    adds; the horizon keeps the latest.  It holds the spectrum's arrays, not
-    the spectrum, so the two make no reference cycle.  Arrays are read-only;
-    ``nbytes`` counts those formed so far, its plant's among them.
+    adds; the horizon keeps the latest, in a zero-budget store.  It holds
+    its spectrum, which holds no horizon, so the two make no reference
+    cycle.  Arrays are read-only; ``nbytes`` counts those formed so far,
+    its spectrum's and its plant's among them.
     """
 
     T: float
-    n: int
-    mode_lambdas: np.ndarray       # lambda_k of the rows, index k+n
-    slot: np.ndarray               # column of row k's cluster, index k+n
-    rows: np.ndarray               # row of cluster c's representative
-    clusters: tuple
-    _plant: Latest = field(default_factory=Latest, init=False, repr=False)
+    spec: Spectrum
+    _plant: Store = field(default_factory=Store, init=False, repr=False)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the horizon holds now: its fields', those of
-        each ``cached_property`` formed so far, and its plant's (the
-        cluster tuples left out)."""
-        return nbytes(*(value for name, value in vars(self).items()
-                        if name != "clusters"))
+        """Bytes of the arrays the horizon holds now: its spectrum's, those
+        of each ``cached_property`` formed so far, and its plant's."""
+        return nbytes(*vars(self).values())
 
     def weighted_kernel(self, rate: float) -> np.ndarray:
         """``kernel`` under the weight e^{-2*rate*t}, evaluated afresh on
         the rows k >= 0: row -k is row k conjugated, its columns reversed
         (cluster c mirrors to N-1-c)."""
-        n, lam = self.n, self.mode_lambdas
-        matrix = np.empty((2 * n + 1, len(self.rows)), complex)
-        matrix[n:] = exp_kernel(lam[n:], lam[self.rows], self.T, rate)
+        n, lam, rows = self.spec.n, self.spec.lambdas, self.spec.rep_rows
+        matrix = np.empty((2 * n + 1, len(rows)), complex)
+        matrix[n:] = exp_kernel(lam[n:], lam[rows], self.T, rate)
         np.conjugate(matrix[:n:-1, ::-1], out=matrix[:n])
         return matrix
 
     @functools.cached_property
     def lambdas(self) -> np.ndarray:
         """The distinct eigenvalues nu, one per cluster."""
-        return read_only(self.mode_lambdas[self.rows])
+        return read_only(self.spec.lambdas[self.spec.rep_rows])
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -182,13 +178,13 @@ class Horizon:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        return read_only(self.kernel[self.rows])
+        return read_only(self.kernel[self.spec.rep_rows])
 
     @functools.cached_property
     def phases(self) -> tuple:
         """(e^{i lambda_k T}, e^{-i lambda_k T}) of the rows, read-only."""
-        return read_only(np.exp(1j * self.mode_lambdas * self.T),
-                         np.exp(-1j * self.mode_lambdas * self.T))
+        lam = self.spec.lambdas
+        return read_only(np.exp(1j * lam * self.T), np.exp(-1j * lam * self.T))
 
     @functools.cached_property
     def _duals(self) -> tuple:
@@ -226,14 +222,15 @@ class Horizon:
     def mode_duals(self) -> np.ndarray:
         """(D^H)^T[slot] = conj(D)[slot]: row j is the conjugated dual of
         wavenumber j's cluster, so mode j of a control is h_j times it."""
-        return read_only(self.duals_h.T[self.slot, :])
+        return read_only(self.duals_h.T[self.spec.slot, :])
 
     @functools.cached_property
     def slot_norms(self) -> np.ndarray:
         """Re diag(D Gamma D^H) = Re sum_m conj(P[m, c]) D^H[m, c], P = Gamma
         D^H the representatives' block of ``dual_moments``: ||q_c||^2 in
         L2(0, T), so mode j of a control has |h_j|^2 slot_norms[slot j]."""
-        P = self.dual_moments[np.ix_(self.rows, self.rows)]
+        rows = self.spec.rep_rows
+        P = self.dual_moments[np.ix_(rows, rows)]
         return read_only((P.conj() * self.duals_h).sum(axis=0).real)
 
     def plant(self, mm):

@@ -19,22 +19,24 @@ measurements; V = Q X for the eigenvectors X of B's real form.  The gaps
 above ``EIG_COND_LIMIT`` each sample takes scipy's matrix exponential.
 
 A law depends on the parameters only, so ``build_L_lambda``,
-``feedback_simple`` and ``feedback_gramian`` keep their latest result
-(``_memo.latest``), keyed on the m-matrix and L_lambda by identity and on
-the spectrum's ``key``: a repeat call returns the same law with its cached
-eigendecomposition, also after the spectrum was evicted and rebuilt.
+``feedback_simple`` and ``feedback_gramian`` keep their latest result (in a
+zero-budget ``_memo.Store``), keyed on the m-matrix and L_lambda by
+identity and on the spectrum's ``key``: a repeat call returns the same law
+with its cached eigendecomposition, also after the spectrum was evicted
+and rebuilt.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._memo import latest, read_only
+from ._memo import Store, read_only, stored
 from .errors import ConfigurationError, DecayFitError
 from .operators import Gramian, MMatrix, gg_star_matrix
 from .spectral import TWO_PI, TorusFunction, hs_weights
@@ -113,12 +115,14 @@ def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
     and certified positive definite on the mean-zero subspace.  The latest
     is kept; ``cache_clear()`` forgets it.
     """
-    if lam <= 0:
-        raise ConfigurationError("decay rate lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ConfigurationError(
+            "decay rate lambda must be positive and finite")
     return _L_lambda(mm, spec, lam, T)
 
 
-@latest(lambda mm, spec, lam, T: (mm, spec.key, type(lam), lam, float(T)))
+@stored(lambda mm, spec, lam, T: (mm, spec.key, type(lam), lam, float(T)),
+        Store())
 def _L_lambda(mm: MMatrix, spec: Spectrum, lam: float, T: float) -> Gramian:
     return spec.horizon(T).plant(mm).backward_gramian(lam)
 
@@ -126,7 +130,7 @@ def _L_lambda(mm: MMatrix, spec: Spectrum, lam: float, T: float) -> Gramian:
 build_L_lambda.cache_clear = _L_lambda.cache_clear
 
 
-@latest(lambda mm, spec: (mm, spec.key))
+@stored(lambda mm, spec: (mm, spec.key), Store())
 def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     """K = GG*: closed loop A_mu - GG*, strictly stable on mean-zero modes.
 
@@ -153,7 +157,7 @@ def feedback_gramian(L: Gramian, mm: MMatrix,
     return _gramian_law(L, mm, spec)
 
 
-@latest(lambda L, mm, spec: (L, mm, spec.key))
+@stored(lambda L, mm, spec: (L, mm, spec.key), Store())
 def _gramian_law(L: Gramian, mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     gg = gg_star_matrix(mm)
     nz = spec.wavenumbers != 0

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -118,3 +119,14 @@ def test_a_rebuilt_spectrum_keys_alike_and_compares_apart():
     again = benctrl.analyze_spectrum(8, 1.0)
     assert again is not first and again != first
     assert again.key == first.key == (8, float, 1.0, int, 0)
+
+
+def test_the_line_counter_leaves_out_blanks_comments_and_docstrings():
+    path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    text = ('"""Module\n\ndocstring."""\n\n# a comment\n'
+            'def f(x):\n    """One line."""\n    return (x +  # why\n'
+            '            1)\n\n\nTEXT = """not\na docstring"""\n')
+    assert src_lines.code_lines(text) == 5

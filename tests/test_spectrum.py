@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
@@ -9,8 +10,11 @@ import pytest
 
 import benctrl._memo as _memo
 import benctrl.spectrum as sp
-from benctrl.errors import ClusterSizeError
+from benctrl.errors import ClusterSizeError, ConfigurationError
+from benctrl.moment_control import ControlProblem
 from benctrl.operators import build_bump, m_matrix
+from benctrl.spectral import TorusFunction
+from benctrl.stabilization import build_L_lambda
 from oracles import brute_force_clusters
 
 
@@ -294,6 +298,62 @@ class TestMemo:
         get("b")                          # 400 > 300: a goes
         get("a")
         assert computed == list("abcdeba")
+
+    def test_a_zero_budget_store_keeps_its_newest_entry_only(self):
+        # each entry counts as at least a byte, arrays or none
+        store, computed = _memo.Store(), []
+
+        def get(key):
+            return store.get(key, lambda: computed.append(key) or object())
+
+        first = get("a")
+        assert get("a") is first
+        get("b")
+        get("b")
+        assert get("a") is not first
+        assert computed == list("aba")
+
+    def test_a_hit_hashes_its_key_twice(self):
+        hashed = []
+
+        class Key:
+            def __eq__(self, other):
+                return isinstance(other, Key)
+
+            def __hash__(self):
+                hashed.append(self)
+                return 1
+
+        store = _memo.Store(_memo.BUDGET)
+        for key in ("a", (Key(),), "b"):
+            store.get(key, object)
+        hashed.clear()
+        # a fresh tuple, whose hash CPython does not cache
+        store.get((Key(),), lambda: pytest.fail("a hit computed"))
+        assert len(hashed) == 2
+
+    def test_a_horizon_keeps_the_spectrum_it_was_built_from(self):
+        sp.analyze.cache_clear()
+        spec = sp.analyze(8, 7 / 3, 0.3)
+        assert spec.horizon(1.0).spec is spec
+        assert dataclasses.replace(spec).horizon(1.0).spec is spec
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_horizon_or_rate_is_refused_before_any_memo(self,
+                                                                     bad):
+        spec = sp.analyze(8, 1.0)
+        spec.horizon(1.0)
+        mm = m_matrix(build_bump(kmax=16), 8)
+        zero = TorusFunction.zero(8)
+        before = _memo.STORE.nbytes
+        with pytest.raises(ConfigurationError):
+            spec.horizon(bad)
+        with pytest.raises(ConfigurationError):
+            ControlProblem(1.0, 0.0, bad, 0.0, 8, build_bump(kmax=16), zero,
+                           zero)
+        with pytest.raises(ConfigurationError):
+            build_L_lambda(mm, spec, bad, 1.0)
+        assert _memo.STORE.nbytes == before
 
     def test_a_horizon_is_counted_at_its_filled_size(self, monkeypatch):
         sp.analyze.cache_clear()
