@@ -6,11 +6,12 @@ spectrum (``Spectrum.key``).  A record that a memo returned, an m-matrix or
 an L_lambda, is keyed by identity, as every record holding arrays compares,
 and is held in the key, so its ``id`` is never handed on.
 
-Every memo is a ``Store`` (``stored``), least recently used first out,
-under a byte budget.  Sizes are read at eviction: on a miss the store
-reads the ``nbytes`` of each entry as it is then, at least one byte each,
-a horizon's arrays formed since it was stored and its plant's among them,
-and drops the least recently used until the rest hold at most the budget.
+Every memo but the ``lru_cache`` ``hs_weights`` is a ``Store``
+(``stored``), least recently used first out, under a byte budget.  Sizes
+are read at eviction: on a miss the store reads the ``nbytes`` of each
+entry as it is then, at least one byte each, a horizon's arrays formed
+since it was stored and its plant's among them, and drops the least
+recently used until the rest hold at most the budget.
 Spectra and horizons share one ``STORE`` under ``BUDGET`` bytes.  At 4 MiB
 a CLI bundle's n=32 spectrum and horizons (up to 0.67 MB each with a
 plant) stay resident, while an n=96 horizon with its plant (about 6 MB) is

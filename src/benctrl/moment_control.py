@@ -137,11 +137,11 @@ class ControlSignal:
     The psi-coefficient of mode j at time t is
     sum_m exp_coeffs[j, m] * e^{-i lambdas[m] t}; this exact representation
     drives all closed-form integrals.  Sampled (x, t) grids are generated
-    only for export.  ``horizon`` is the Horizon the signal was built on;
-    a signal without one evaluates the same integrals on demand.  A route
-    also leaves its ``amplitudes``: the moment route's h_j, over the
-    horizon's duals, or the Gramian route's eta with its ``gramian`` W.
-    Its terminal state and L2 norm then cost (2n+1)^2 work at most.
+    only for export.  ``horizon`` is the Horizon the signal was built on,
+    which the coefficient form never reads.  A route also leaves its
+    ``amplitudes``: the moment route's h_j, over the horizon's duals, or
+    the Gramian route's eta with its ``gramian`` W.  Its terminal state
+    and L2 norm then cost (2n+1)^2 work at most.
     """
 
     n: int
@@ -174,7 +174,8 @@ class ControlSignal:
         the conjugate frequencies e^{-i lam t}.  A moment-route signal has
         E_j = h_j conj(D)[slot j], so its form is sum_j w_j |h_j|^2 times
         the horizon's ``slot_norms`` at slot j; at s = 0 a Gramian-route
-        signal reads sqrt(Re eta^H W eta).
+        signal reads sqrt(Re eta^H W eta).  Otherwise Gamma comes from
+        ``exp_kernel`` on the signal's own frequencies, not the horizon.
         """
         h = self.amplitudes
         if self.gramian is not None and s == 0:
@@ -184,8 +185,7 @@ class ControlSignal:
             slot_norms = self.horizon.slot_norms[self.horizon.spec.slot]
             quad = (h.real ** 2 + h.imag ** 2) * slot_norms
         else:
-            gram = self.horizon.gram if self.horizon is not None else \
-                exp_kernel(self.lambdas, self.lambdas, self.T)
+            gram = exp_kernel(self.lambdas, self.lambdas, self.T)
             E = self.exp_coeffs
             quad = ((E @ gram.T) * E.conj()).sum(axis=1).real
         total = float(hs_weights(self.n, s) @ quad)
@@ -227,11 +227,12 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
 
     Mode k of it is e^{-i lam_k t} int_0^t e^{i lam_k s} (G h(s))_k ds, and
     the integrand is a finite sum of exponentials, so the integral is
-    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t), (2n+1) x N^2 work
-    and the only path at other times and spectra and for a signal built
-    from coefficients.  At the signal's horizon (t = T, lam its rows) the
-    moment route's part is sum_j op[k,j] h_j (K D^H)[k, slot j] (the plant's
-    ``weighted_moments``), the Gramian route's W eta if W integrates ``mm``.
+    sum_j op[k,j] sum_m E[j,m] phi(i(lam_k - lam_m), t), (2n+1) x N^2 work,
+    reading no horizon: the reference, and the only path at other times
+    and spectra and for a signal of coefficients.  At the horizon (t = T,
+    lam its rows) the moment route's part is sum_j op[k,j] h_j (K D^H)[k,
+    slot j] (the plant's ``weighted_moments``), the Gramian route's W eta
+    if W integrates ``mm``.
     """
     horizon, h = signal.horizon, signal.amplitudes
     at_horizon = horizon is not None and t == horizon.T and (
@@ -240,11 +241,11 @@ def _duhamel(signal: ControlSignal, lam: np.ndarray, mm: MMatrix,
     if at_horizon and signal.gramian is not None \
             and signal.gramian.mmatrix is mm:
         return signal.gramian.matrix @ h
-    phase = horizon.phases[1] if at_horizon else np.exp(-1j * lam * t)
     if at_horizon and signal.gramian is None and h is not None:
-        return phase * (horizon.plant(mm).weighted_moments @ h)
-    inner = horizon.kernel if at_horizon else exp_kernel(lam, signal.lambdas, t)
-    return phase * ((mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
+        return horizon.phases[1] * (horizon.plant(mm).weighted_moments @ h)
+    inner = exp_kernel(lam, signal.lambdas, t)
+    return np.exp(-1j * lam * t) * (
+        (mm.operator @ signal.exp_coeffs) * inner).sum(axis=1)
 
 
 def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
@@ -302,14 +303,12 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
     eta = W.solve(c)
 
     # mode-k profile: sum_l G*[k,l] eta_l e^{i lam_l (T-t)}; a cluster's
-    # terms a, b, c add into its slot as a + (b + c), as np.add.reduce does
+    # terms add into its slot representative first: a, b, c as (a + b) + c
     horizon = spec.horizon(problem.T)
-    gstar, order, pairs, triples = horizon.plant(mm).adjoint
-    x, N, p = eta[order], len(spec.clusters), len(pairs)
-    E = gstar[:, :N] * x[:N]
-    rest = gstar[:, N:N + p] * x[N:N + p]
-    rest[:, triples] += gstar[:, N + p:] * x[N + p:]
-    E[:, pairs] += rest
+    g_reps, g_others, others = horizon.plant(mm).adjoint
+    E = g_reps * eta[spec.rep_rows]
+    for column, l in zip(g_others.T, others):
+        E[:, spec.slot[l]] += column * eta[l]
     E *= horizon.phases[0][spec.rep_rows]
     signal = ControlSignal(problem.n, problem.T, horizon.lambdas, E,
                            horizon=horizon, amplitudes=eta, gramian=W)

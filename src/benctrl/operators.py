@@ -332,38 +332,33 @@ class Plant:
 
     @functools.cached_property
     def adjoint(self) -> tuple:
-        """(G*, order, pairs, triples): G* with columns in the order of the
-        cluster sums, the first member of every cluster, then the second
-        members of the clusters ``pairs``, then the third members of the
-        clusters ``pairs[triples]``."""
-        spec = self.horizon.spec
-        groups = spec.clusters
-        pairs = np.array([c for c, g in enumerate(groups) if len(g) > 1],
-                         np.intp)
-        triples = np.flatnonzero([len(groups[c]) > 2 for c in pairs])
-        order = np.add([g[0] for g in groups] + [groups[c][1] for c in pairs]
-                       + [groups[c][2] for c in pairs[triples]], spec.n)
-        return read_only(self.mm.operator.conj().T[:, order], order, pairs,
-                         triples)
+        """(G*[:, rep_rows], G*[:, others], others): the columns of G* at
+        the clusters' representatives, in cluster order, and at the rows
+        ``others`` of the modes that are not their cluster's
+        representative, whose terms add into column ``slot`` of theirs."""
+        spec, gstar = self.horizon.spec, self.mm.operator.conj().T
+        others = np.flatnonzero(spec.rep_rows[spec.slot]
+                                != np.arange(2 * spec.n + 1))
+        return read_only(gstar[:, spec.rep_rows], gstar[:, others], others)
 
     @functools.cached_property
     def blocks(self) -> tuple:
         """(alone, diagonal, blocks): the modes off 0 alone in their
         cluster with their m[k,k], and the rows and block M_j^T of each
-        cluster of two or more such modes, for the amplitude solve."""
+        cluster of two or more such modes, for the amplitude solve; the
+        rows of cluster c are those of ``slot`` c."""
         spec, entries = self.horizon.spec, self.mm.entries
         nonzero = spec.wavenumbers != 0
-        members = np.bincount(spec.slot[nonzero], minlength=len(spec.clusters))
+        members = np.bincount(spec.slot[nonzero], minlength=len(spec.rep_rows))
         alone = nonzero & (members[spec.slot] == 1)
         blocks = []
-        for ci in np.flatnonzero(members >= 2):
-            nz = [k for k in spec.clusters[ci] if k != 0]
-            pos = np.add(nz, spec.n)
+        for c in np.flatnonzero(members >= 2):
+            pos = np.flatnonzero(nonzero & (spec.slot == c))
             block = entries[np.ix_(pos, pos)]
             if np.linalg.cond(block) > 1e14:
                 raise SingularClusterBlockError(
-                    f"cluster block {nz} numerically singular for this "
-                    "localizer")
+                    f"cluster block {(pos - spec.n).tolist()} numerically "
+                    "singular for this localizer")
             blocks.append(read_only(pos, block.T))
         return (*read_only(alone, np.diagonal(entries)[alone]), tuple(blocks))
 

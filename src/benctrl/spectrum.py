@@ -311,8 +311,10 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     the same arguments, of the same types, returns the same read-only
     Spectrum while the store keeps it, and ``cache_clear()`` empties the
     store, horizons included.  The near-cluster warning is raised on every
-    call.
+    call.  A bad alpha or mu is refused before any store is read.
     """
+    if not (0 < alpha < math.inf and -math.inf < mu < math.inf):
+        raise ConfigurationError("alpha must be positive and finite, mu finite")
     spec, near = _spectrum(n, alpha, mu)
     if near:
         warnings.warn(near, RuntimeWarning)
@@ -322,8 +324,6 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
 @stored(eigenvalues.key)
 def _spectrum(n: int, alpha, mu) -> tuple:
     """The Spectrum and its near-cluster warning, None if there is none."""
-    if float(alpha) <= 0:
-        raise ValueError("alpha must be positive")
     lam = eigenvalues(n, alpha, mu)
     groups, exact, rows, slot = _partition(n, alpha, mu)
     gaps = np.sort(np.diff(np.sort(lam[rows])))

@@ -113,11 +113,13 @@ def build_L_lambda(mm: MMatrix, spec: Spectrum, lam: float,
 
     Assembled in closed form (the backward-flow ``gramian`` at rate lambda)
     and certified positive definite on the mean-zero subspace.  The latest
-    is kept; ``cache_clear()`` forgets it.
+    is kept; ``cache_clear()`` forgets it; a bad rate or T is refused first.
     """
     if not 0 < lam < math.inf:
         raise ConfigurationError(
             "decay rate lambda must be positive and finite")
+    if not 0 < T < math.inf:
+        raise ConfigurationError("horizon T must be positive and finite")
     return _L_lambda(mm, spec, lam, T)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import types
 import warnings
@@ -384,7 +385,7 @@ class TestHorizonKernel:
 class TestPerCaseEvaluation:
     """A route-built signal's terminal state and Gramian-route norm come
     from its route's per-horizon products, in (2n+1)^2 work; the Duhamel
-    sum over its coefficients stays the reference."""
+    sum over its coefficients stays the reference, and reads no horizon."""
 
     @staticmethod
     def _coefficients_only(signal):
@@ -439,6 +440,30 @@ class TestPerCaseEvaluation:
         norms = [signal.l2_hs_norm(0.0) for signal in (hum, blind[1])]
         assert np.isfinite(residuals[1]) and residuals[0] == residuals[1]
         assert np.isfinite(norms[1]) and norms[0] == norms[1]
+
+    def test_the_coefficient_form_reads_no_horizon(self, monkeypatch):
+        # with the horizon's kernel and gram unreadable, a signal reduced
+        # to its coefficients evaluates bitwise as without its horizon
+        prob = make_problem(n=16, alpha=7 / 3, mu=0.3, T=1.0, s=1.0, seed=3)
+        res = synthesize_control(prob)
+        hum, _ = hum_control(prob, res.spectrum, res.mmatrix)
+
+        def unreadable(horizon):
+            raise AssertionError("the coefficient form read the horizon")
+
+        for name in ("kernel", "gram"):
+            monkeypatch.setattr(spectrum_mod.Horizon, name,
+                                property(unreadable))
+        for signal in (res.signal, hum):
+            kept = self._coefficients_only(signal)
+            bare = dataclasses.replace(kept, horizon=None)
+            assert kept.horizon is signal.horizon is not None
+            for t in (prob.T, prob.T / 2):
+                a, b = (evolve_controlled(prob.u0, sig, t, prob.alpha,
+                                          prob.mu, res.mmatrix).psi_coeffs
+                        for sig in (kept, bare))
+                assert a.tobytes() == b.tobytes()
+            assert kept.l2_hs_norm(1.0) == bare.l2_hs_norm(1.0)
 
     def test_another_m_matrix_at_the_horizon(self):
         # W eta holds the G the Gramian was built with; under another
@@ -519,37 +544,30 @@ class TestMemo:
             spec, mm, fam = res.spectrum, res.mmatrix, res.family
             W = controllability_gramian(mm, spec, T)
             plant = spec.horizon(T).plant(mm)
-            gstar, order, pairs, triples = plant.adjoint
+            g_reps, g_others, others = plant.adjoint
             seen.append((fam, (fam.slot_norms, fam.mode_duals,
-                               plant.weighted_moments, gstar, order, pairs,
-                               triples, W.eigvecs_h)))
+                               plant.weighted_moments, g_reps, g_others,
+                               others, W.eigvecs_h)))
         (fam, first), (again, second) = seen
         assert again is fam
         for a, b in zip(first, second):
             assert a is b and not b.flags.writeable
         D, gram = fam.duals_h.conj().T, fam.gram
-        # the columns of G*: every cluster's first member in cluster order,
-        # then the second members of ``pairs``, then the third members of
-        # ``pairs[triples]``
-        N, p = len(spec.clusters), len(pairs)
-        assert np.array_equal(np.sort(order), np.arange(2 * n + 1))
-        assert np.array_equal(spec.slot[order[:N]], np.arange(N))
-        assert np.array_equal(spec.slot[order[N:N + p]], pairs)
-        assert np.array_equal(spec.slot[order[N + p:]], pairs[triples])
-        sizes = np.bincount(spec.slot)
-        assert np.array_equal(pairs, np.flatnonzero(sizes > 1))
-        assert np.array_equal(pairs[triples], np.flatnonzero(sizes > 2))
-        for c, members in enumerate(spec.clusters):
-            got = [order[c]] + [order[N + i] for i in np.flatnonzero(
-                pairs == c)] + [order[N + p + i] for i in np.flatnonzero(
-                pairs[triples] == c)]
-            assert got == list(np.add(members, n))
+        # the columns of G* at the representatives, in cluster order, and
+        # at exactly the modes off their cluster's representative, in row
+        # order
+        reps = [min(members, key=lambda k: (abs(k), k)) + n
+                for members in spec.clusters]
+        assert spec.rep_rows.tolist() == reps
+        assert others.tolist() == sorted(set(range(2 * n + 1)) - set(reps))
         assert np.array_equal(plant.weighted_moments,
                               mm.operator * fam.dual_moments)
+        gstar = mm.operator.conj().T
+        assert np.array_equal(g_reps, gstar[:, spec.rep_rows])
+        assert np.array_equal(g_others, gstar[:, others])
         for got, want in (
                 (fam.slot_norms, np.diag(D @ gram @ D.conj().T).real),
                 (fam.mode_duals, D.conj()[spec.slot]),
-                (gstar, mm.operator.conj().T[:, order]),
                 (W.eigvecs_h, np.linalg.inv(W.eigvecs))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -866,22 +884,21 @@ class TestHUM:
         (7 / 3 + 1e-12, 0, [2, 2]), (0.7, 0, []),
         (Fraction(6), Fraction(11, 2), [3, 3])])
     def test_cluster_sums_are_bitwise_the_reduction(self, alpha, mu, sizes):
-        # the gathered cluster sums add a cluster's terms a, b, c as
-        # a + (b + c), as a reduction over runs of columns sorted by cluster
-        # does; only a triple without mode 0 (k = 1, 2, 3 at alpha=6,
-        # mu=11/2) has three nonzero terms, whose grouping shows in the
-        # rounding
+        # the cluster sums add a cluster's terms representative first, then
+        # the others in row order: a, b, c as (a + b) + c; only a triple
+        # without mode 0 (k = 1, 2, 3 at alpha=6, mu=11/2) has three
+        # nonzero terms, whose grouping shows in the rounding
         n, T = 16, 1.0
         prob = make_problem(n=n, alpha=alpha, mu=mu, T=T, seed=3)
         spec = spectrum_mod.analyze(n, alpha, mu)
         mm = m_matrix(prob.bump, n)
         assert sorted(len(g) for g in spec.clusters if len(g) > 1) == sizes
         hum, _ = hum_control(prob, spec, mm)
-        order = np.argsort(spec.slot, kind="stable")
-        starts = np.searchsorted(spec.slot[order],
-                                 np.arange(len(spec.clusters)))
-        want = np.add.reduceat(mm.operator.conj().T[:, order]
-                               * hum.amplitudes[order], starts, axis=1)
+        terms = mm.operator.conj().T * hum.amplitudes
+        want = np.empty((2 * n + 1, len(spec.clusters)), complex)
+        for c, (rep, members) in enumerate(zip(spec.rep_rows, spec.clusters)):
+            rows = [rep] + sorted(k + n for k in members if k + n != rep)
+            want[:, c] = functools.reduce(np.add, terms[:, rows].T)
         want *= np.exp(1j * spec.lambdas[spec.rep_rows] * T)
         assert hum.exp_coeffs.tobytes() == want.tobytes()
 

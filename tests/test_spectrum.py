@@ -226,6 +226,19 @@ class TestSpectrumAnalysis:
         with pytest.raises(ValueError):
             sp.analyze(8, -1.0)
 
+    @pytest.mark.parametrize("alpha,mu", [
+        (-1.0, 0.0), (0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+        (1.0, math.nan), (1.0, math.inf)])
+    def test_bad_parameters_are_refused_before_any_store(self, alpha, mu):
+        # nothing kept is evicted by a call that is refused
+        lam = sp.eigenvalues(8, 1.0)
+        spec = sp.analyze(8, 1.0)
+        with pytest.raises(ConfigurationError,
+                           match="alpha must be positive and finite, mu"):
+            sp.analyze(8, alpha, mu)
+        assert sp.eigenvalues(8, 1.0) is lam
+        assert sp.analyze(8, 1.0) is spec
+
     def test_report_fields(self):
         rep = sp.spectrum_report(sp.analyze(4, 1.0))
         assert set(rep) == {"alpha", "mu", "n", "lambdas", "clusters", "gamma",
