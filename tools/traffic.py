@@ -1,41 +1,32 @@
 """Memo traffic and unexecuted library lines of the benchmark's workloads.
 
 Runs the cases of each workload in ``perfbench/workloads.py`` (``control``,
-``stabilize``, ``cli``) for rounds 0 .. ROUNDS-1 at one seed, each workload
-from a cold start (every memo emptied), the ``cli`` workload's scenario
-files and artifacts in a temporary directory.  Each case is prepared,
-called and checked as ``perfbench/run.py`` does it, without its warm-up
-case.  Prints, per workload:
-
-- the hits and misses of each memo inside the workload's ``call``, counted
-  by wrapping ``benctrl._memo.Store.get``: a memo is named by its
-  function's ``__qualname__``, a horizon's plant slot ``Horizon.plant``;
-- how many cases failed, with the problems their checks named.
+``stabilize``, ``cli``) for rounds 0 and 1 at seed 11, each workload from a
+cold start (every memo emptied), the ``cli`` workload's scenario files and
+artifacts in a temporary directory.  Each case goes through
+``perfbench/run.py``'s ``execute``, without its warm-up case; importing
+``run`` pins BLAS and OpenMP threads to one before numpy loads.  Prints,
+per workload, the hits and misses of each memo inside the workload's
+``call``, counted by wrapping ``benctrl._memo.Store.get``: a memo is named
+by its function's ``__qualname__``, a horizon's plant slot ``Horizon.plant``.
 
 Then the statement lines of ``src/benctrl`` that no workload executed, a
 line trace taken from before the library is imported, docstrings left out.
 A statement is executed when any of its own lines (a compound statement's
 header, not its body) ran; a line counts if the compiler gave it code.
 
-BLAS and OpenMP threads are pinned to one before numpy loads.
-
-Usage: ``python tools/traffic.py [--seed 11] [--rounds 2]``
+Usage: ``python tools/traffic.py``
 """
 
 from __future__ import annotations
 
-import os
+import ast
+import gc
 import sys
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import ast  # noqa: E402
-import gc  # noqa: E402
-import tempfile  # noqa: E402
-from collections import Counter  # noqa: E402
-from pathlib import Path  # noqa: E402
+import tempfile
+import types
+from collections import Counter
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "benctrl"
@@ -113,24 +104,20 @@ def cold_start(memo, spectral):
     spectral.hs_weights.cache_clear()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--rounds", type=int, default=2)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     sys.settrace(_trace)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
     import benctrl._memo as memo
     import benctrl.spectral as spectral
     import workloads
 
     traffic = Counter()
-    counting = False
+    flag = types.SimpleNamespace(active=False)
     get = memo.Store.get
 
     def counted_get(store, key, compute):
-        if counting:
+        if flag.active:
             fn = key[0] if isinstance(key, tuple) else None
             name = getattr(fn, "__qualname__", "Horizon.plant")
             traffic[name, key in store._entries] += 1
@@ -144,28 +131,10 @@ def main(argv=None) -> int:
                              workloads.CliWorkload(Path(tmp) / "cli")):
                 cold_start(memo, spectral)
                 traffic.clear()
-                cases = failed = 0
-                problems = Counter()
-                for r in range(args.rounds):
-                    for case in workload.cases(args.seed, r):
-                        inputs = workload.prepare(case)
-                        counting = True
-                        try:
-                            outputs = workload.call(inputs)
-                        except Exception as exc:          # noqa: BLE001
-                            counting = False
-                            found = [f"raised {type(exc).__name__}: {exc}"]
-                        else:
-                            counting = False
-                            found = workload.check(case, inputs,
-                                                   outputs).problems
-                        cases += 1
-                        failed += bool(found)
-                        problems.update(found)
-                print(f"{workload.name}: seed {args.seed}, rounds "
-                      f"0-{args.rounds - 1}, {failed} of {cases} cases "
-                      "failed" + "".join(f"; {p} {k}" for p, k in
-                                         sorted(problems.items())))
+                for r in (0, 1):
+                    for case in workload.cases(11, r):
+                        run.execute(workload, case, flag)
+                print(f"{workload.name}: seed 11, rounds 0-1")
                 print(f"  {'memo':<20} {'hits':>6} {'misses':>6}")
                 for name in dict.fromkeys(name for name, _ in traffic):
                     print(f"  {name:<20} {traffic[name, True]:>6} "
