@@ -30,7 +30,7 @@ print(f"moment method   : terminal residual {result.terminal_residual:.3e}, "
       f"moment residual {result.moment_residual:.3e}")
 print(f"                  control norm {result.control_norm:.4f}, "
       f"empirical nu {result.nu_empirical:.4f}, "
-      f"cond(Gamma) {result.cond_gamma:.3e}")
+      f"cond(Gamma) {result.signal.horizon.cond:.3e}")
 
 hum_signal, info = hum_control(problem, result.spectrum, result.mmatrix)
 print(f"gramian control : terminal residual "
@@ -55,4 +55,4 @@ for T in (5.0, 1.0, 0.5, 0.2):
     sig, _ = hum_control(prob, res.spectrum, res.mmatrix)
     print(f"  T={T:4.1f}: |h_moment| = {res.control_norm:10.2f}, "
           f"|h_gramian| = {sig.l2_hs_norm(0.0):10.2f}, "
-          f"cond(Gamma) = {res.cond_gamma:.2e}")
+          f"cond(Gamma) = {res.signal.horizon.cond:.2e}")

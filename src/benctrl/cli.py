@@ -427,7 +427,7 @@ def _run_control(scn: Scenario) -> tuple:
         "reached": result.terminal_residual <= TERMINAL_TOL,
         "moment_residual": result.moment_residual,
         "nu_empirical": result.nu_empirical,
-        "cond_gamma": result.cond_gamma,
+        "cond_gamma": result.signal.horizon.cond,
         "control_norm": result.control_norm,
         "hermitian_defect": result.signal.hermitian_defect(),
         "spillover_beyond_n": spillover,
@@ -512,7 +512,7 @@ def run(scn: Scenario) -> int:
     run that reaches u1 by neither route still writes every artifact, then
     raises BenctrlError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         payload, artifacts = _RUNNERS[scn.experiment](scn)
     texts = {name: value if isinstance(value, (str, bytes))
              else _json_text(name, value)
@@ -534,14 +534,16 @@ def run(scn: Scenario) -> int:
 def _exit_code(step, where: str = ""):
     """What ``step()`` returns, or the exit code of its failure after one
     line on stderr: 3 for a numerical failure (a BenctrlError other than a
-    ConfigurationError), 2 for a validation error (a ConfigurationError, or
-    a file that cannot be read or decoded, or an output path that cannot be
-    made: an OSError or any other ValueError)."""
+    ConfigurationError, or numpy's LinAlgError, as from an eigensolve of a
+    matrix that overflowed), 2 for a validation error (a
+    ConfigurationError, or a file that cannot be read or decoded, or an
+    output path that cannot be made: an OSError or any other ValueError)."""
     try:
         return step()
     except (BenctrlError, OSError, ValueError) as exc:
-        numerical = isinstance(exc, BenctrlError) and \
-            not isinstance(exc, ConfigurationError)
+        numerical = isinstance(exc, np.linalg.LinAlgError) or (
+            isinstance(exc, BenctrlError)
+            and not isinstance(exc, ConfigurationError))
         kind = "numerical failure" if numerical else "validation error"
         print(f"{kind}{where}: {exc}", file=sys.stderr)
         return 3 if numerical else 2

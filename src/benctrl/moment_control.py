@@ -207,16 +207,15 @@ class ControlSignal:
         return float(defect / max(np.abs(E).max(), 1e-300))
 
 
-def assemble_control(h: np.ndarray, family: Horizon,
-                     spec: Spectrum) -> ControlSignal:
+def assemble_control(h: np.ndarray, family: Horizon) -> ControlSignal:
     """h(x,t) = sum_j h_j conj(q_j)(t) psi_j(x) in exponential-coefficient form.
 
     conj(q_j) = sum_m conj(D[j, m]) e^{-i lam_m t}, D^H the horizon's
     ``duals_h``, so mode j's row is h_j times the horizon's ``mode_duals``
-    row j.  The signal keeps the horizon and h.
+    row j, at the order of its spectrum.  The signal keeps horizon and h.
     """
     h = np.asarray(h, complex)
-    return ControlSignal(spec.n, family.T, family.lambdas,
+    return ControlSignal(family.spec.n, family.T, family.lambdas,
                          h[:, None] * family.mode_duals, horizon=family,
                          amplitudes=h)
 
@@ -284,20 +283,15 @@ def controllability_gramian(mm: MMatrix, spec: Spectrum, T: float) -> Gramian:
     return spec.horizon(T).plant(mm).forward_gramian
 
 
-def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
-                mm: MMatrix | None = None) -> tuple[ControlSignal, dict]:
+def hum_control(problem: ControlProblem, spec: Spectrum,
+                mm: MMatrix) -> tuple[ControlSignal, dict]:
     """Minimal-norm control through the controllability Gramian.
 
-    h(t) = G* U(T-t)^* eta with W_T eta = u1 - U(T)u0 (restricted to
-    mean-zero modes, solved through the eigenpairs of the certified W_T).
-    Independent of the moment construction; by the minimizer property its
-    L2([0,T]; L2) norm, sqrt(Re eta^H W_T eta), is a lower bound for any
-    steering control's.
+    h(t) = G* U(T-t)^* eta with W_T eta = u1 - U(T)u0 on the mean-zero
+    modes, by the certified W_T's eigenpairs; ``spec`` and ``mm`` are the
+    problem's.  Its L2([0,T]; L2) norm sqrt(Re eta^H W_T eta) is, by the
+    minimizer property, a lower bound for any steering control's.
     """
-    if spec is None:
-        spec = spectrum_mod.analyze(problem.n, problem.alpha, problem.mu)
-    if mm is None:
-        mm = m_matrix(problem.bump, problem.n)
     c = problem.target
     W = controllability_gramian(mm, spec, problem.T)
     eta = W.solve(c)
@@ -317,19 +311,17 @@ def hum_control(problem: ControlProblem, spec: Spectrum | None = None,
 
 @dataclass(frozen=True, eq=False)
 class SynthesisResult:
-    """Everything produced by one moment-method synthesis run."""
+    """One moment-method synthesis run: its targets are ``problem.target``,
+    its horizon ``signal.horizon``, cond(Gamma) ``signal.horizon.cond``."""
 
     problem: ControlProblem
     spectrum: Spectrum
     mmatrix: MMatrix
-    family: Horizon              # the horizon, which carries the duals
-    targets: np.ndarray
     signal: ControlSignal
     terminal_residual: float
     moment_residual: float
     control_norm: float
     nu_empirical: float
-    cond_gamma: float
 
 
 def _relative_miss(problem: ControlProblem, miss: np.ndarray) -> float:
@@ -358,7 +350,7 @@ def synthesize_control(problem: ControlProblem,
     family = build_biorthogonal(spec, problem.T, on_singular=on_singular)
     c = problem.target
     h = solve_coefficients(c, mm, spec, problem.T)
-    signal = assemble_control(h, family, spec)
+    signal = assemble_control(h, family)
     check = verify_moments(signal, c, spec, mm)
     miss = TorusFunction.from_psi_coeffs(check["moments"] - c, problem.n)
     t_res = _relative_miss(problem, miss.coeffs)
@@ -366,5 +358,4 @@ def synthesize_control(problem: ControlProblem,
     norm = signal.l2_hs_norm(problem.s)
     denom = sobolev_norm(problem.u0, problem.s) + sobolev_norm(problem.u1, problem.s)
     nu = norm / denom if denom > 0 else 0.0
-    return SynthesisResult(problem, spec, mm, family, c, signal,
-                           t_res, m_res, norm, nu, family.cond)
+    return SynthesisResult(problem, spec, mm, signal, t_res, m_res, norm, nu)

@@ -68,16 +68,14 @@ class TorusFunction:
         """Coefficients in the orthonormal basis psi_k = e^{ikx}/sqrt(2pi)."""
         return np.sqrt(TWO_PI) * self.coeffs
 
-    def with_coeffs(self, coeffs, real_flag=None) -> "TorusFunction":
-        return TorusFunction(
-            self.n, coeffs, self.real_flag if real_flag is None else real_flag
-        )
+    def with_coeffs(self, coeffs) -> "TorusFunction":
+        return TorusFunction(self.n, coeffs, self.real_flag)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(n: int, real_flag: bool = True) -> "TorusFunction":
-        return TorusFunction(n, np.zeros(2 * n + 1, dtype=complex), real_flag)
+    def zero(n: int) -> "TorusFunction":
+        return TorusFunction(n, np.zeros(2 * n + 1, dtype=complex), True)
 
     @staticmethod
     def basis(k: int, n: int) -> "TorusFunction":
@@ -89,8 +87,8 @@ class TorusFunction:
         return TorusFunction(n, c, real_flag=(k == 0))
 
     @staticmethod
-    def from_psi_coeffs(v, n: int, real_flag: bool = False) -> "TorusFunction":
-        return TorusFunction(n, np.asarray(v, complex) / np.sqrt(TWO_PI), real_flag)
+    def from_psi_coeffs(v, n: int) -> "TorusFunction":
+        return TorusFunction(n, np.asarray(v, complex) / np.sqrt(TWO_PI))
 
 
 # -- core operations -----------------------------------------------------

@@ -55,16 +55,25 @@ def eigenvalue(k: int, alpha, mu=0):
     return float(k) ** 3 + 2.0 * float(mu) * k - float(alpha) * k * abs(k)
 
 
+def _float(x) -> float:
+    """float(x), or NaN for an int or Fraction past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
+
+
 @stored(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu),
         Store())
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
     """Float array of lambda_k for k = -n..n, read-only; the latest is kept,
     keyed on the arguments with their types, a spectrum's identity:
     ``Fraction(1) == 1.0``, yet only the rational one clusters exactly.
-    Eigenvalues past the float range raise ConfigurationError."""
+    Eigenvalues past the float range, or an alpha or mu past it, raise
+    ConfigurationError."""
     k = np.arange(-n, n + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = k**3 + 2.0 * float(mu) * k - float(alpha) * k * np.abs(k)
+        lam = k**3 + 2.0 * _float(mu) * k - _float(alpha) * k * np.abs(k)
     if not np.isfinite(lam).all():
         raise ConfigurationError(
             f"eigenvalues past the float range: n={n}, alpha={alpha}, mu={mu}")
@@ -311,9 +320,11 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     the same arguments, of the same types, returns the same read-only
     Spectrum while the store keeps it, and ``cache_clear()`` empties the
     store, horizons included.  The near-cluster warning is raised on every
-    call.  A bad alpha or mu is refused before any store is read.
+    call.  A bad alpha or mu, one past the float range among them, is
+    refused before any store is read.
     """
-    if not (0 < alpha < math.inf and -math.inf < mu < math.inf):
+    if not (0 < alpha and math.isfinite(_float(alpha))
+            and math.isfinite(_float(mu))):
         raise ConfigurationError("alpha must be positive and finite, mu finite")
     spec, near = _spectrum(n, alpha, mu)
     if near:

@@ -147,7 +147,8 @@ def test_criterion_04_moment_equation_residual():
                           random_state(101, n, 0.0), random_state(102, n, 0.0))
     res = synthesize_control(prob)
     quad = moments_quadrature(res.signal, res.spectrum, res.mmatrix)
-    closed = verify_moments(res.signal, res.targets, res.spectrum, res.mmatrix)
+    closed = verify_moments(res.signal, res.problem.target, res.spectrum,
+                            res.mmatrix)
     gap = np.abs(quad - closed["moments"]).max()
     ok = res.moment_residual <= 1e-9 and gap <= 1e-8
     _report(4, "moment-equation residual", ok,

@@ -729,6 +729,25 @@ class TestNonFiniteResults:
         assert "Warning:" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["observability", "--n", "4", "--T-list", "1e307"],
+        ["stabilize", "--n", "4", "--alpha", "1e10", "--T", "1e300",
+         "--law", "gramian"],
+        ["control", "--n", "4", "--alpha", "7e306"],
+        ["stabilize", "--n", "4", "--alpha", "1e300"]])
+    def test_an_overflow_from_valid_inputs_exits_3(self, tmp_path, args):
+        """Valid parameters whose computation leaves the float range (a
+        kernel of lambda_k T past it, eigenvalues whose spread is, a decay
+        fit over times that underflow) are a numerical failure: numpy's
+        LinAlgError or a non-finite field, one line and no warning."""
+        out = tmp_path / "out"
+        proc = run_fresh(*args, "--outdir", str(out))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "Warning:" not in proc.stderr
+        assert not out.exists()
+
     def test_the_field_is_named_by_its_path(self):
         payload = {"b": 1.0, "a": [0.5, {"c": [2.0, -np.inf]}]}
         with pytest.raises(BenctrlError,

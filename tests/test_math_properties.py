@@ -11,7 +11,10 @@
 (e) the Gramian feedback of rate lambda places the closed loop's spectral
     abscissa at or below -lambda;
 (f) the simple feedback keeps the energy identity
-    d/dt(1/2||u||^2) = -||Gu||^2 to rounding, for a drawn localizer.
+    d/dt(1/2||u||^2) = -||Gu||^2 to rounding, for a drawn localizer;
+(g) the Gramian feedback's certificate, the Lyapunov identity
+    C L + L C^* + 2 lambda L = -(Q + R) <= 0 (Komornik, SIAM J. Control
+    Optim. 35, 1997), holds to rounding for lambda in (0, 4].
 """
 
 from fractions import Fraction
@@ -25,7 +28,7 @@ import benctrl.moment_control as mc
 import benctrl.spectrum as spectrum_mod
 import benctrl.stabilization as stab
 from benctrl.cli import TERMINAL_TOL, random_state
-from benctrl.operators import build_bump, m_matrix
+from benctrl.operators import build_bump, gg_star_matrix, m_matrix
 from oracles import brute_force_clusters
 
 EPS = np.finfo(float).eps
@@ -75,9 +78,9 @@ def test_clusters_reverse_and_partition(alpha, mu, n):
 @pytest.mark.filterwarnings("ignore:.*rank-revealing:RuntimeWarning")
 def test_controls_keep_mode_zero(alpha, mu, n, T, seed):
     prob = problem(alpha, mu, n, T, seed)
-    mm = m_matrix(prob.bump, n)
+    spec, mm = spectrum_mod.analyze(n, alpha, mu), m_matrix(prob.bump, n)
     for signal in (mc.synthesize_control(prob, on_singular="lstsq").signal,
-                   mc.hum_control(prob)[0]):
+                   mc.hum_control(prob, spec, mm)[0]):
         # row 0 of G vanishes to rounding: the drift is eps-sized against
         # the mean and the control's whole size
         bound = EPS * (abs(prob.u0.coeffs[n])
@@ -135,3 +138,25 @@ def test_simple_law_keeps_the_energy_identity(alpha, mu, n, bump, t, seed):
     unit = EPS * (np.abs(spec.lambdas).max()
                   + np.abs(mm.gg_star).sum(axis=1).max()) * power
     assert np.all(stab.energy_identity_defect(u0, law, times) <= 4 * unit)
+
+
+@PROPERTY
+@given(ALPHAS, MUS, NS, TS, st.floats(0.0, 4.0, exclude_min=True))
+def test_gramian_law_keeps_the_lyapunov_identity(alpha, mu, n, T, lam):
+    # on the mean-zero block, with C the closed loop, L = L_lambda, Q = GG*
+    # and R = e^{-2 lambda T} U(-T) Q U(-T)^*, U(-T) = diag(e^{i lambda_k T})
+    spec, mm = plant(alpha, mu, n)
+    L_lambda = stab.build_L_lambda(mm, spec, lam, T)
+    law = stab.feedback_gramian(L_lambda, mm, spec)
+    nz = spec.wavenumbers != 0
+    block = np.ix_(nz, nz)
+    C, L = law.closed_loop[block], L_lambda.matrix[block]
+    Q = gg_star_matrix(mm)[block]
+    U = np.exp(1j * spec.lambdas[nz] * T)
+    R = np.exp(-2 * lam * T) * (U[:, None] * Q * U.conj()[None, :])
+    lhs = C @ L + L @ C.conj().T + 2 * lam * L
+    # every term is a product of C and L, so rounding scales with
+    # max|C| max|L|: the drawn worst are 3.7e-16 and 5.9e-18 of it
+    unit = EPS * np.abs(C).max() * np.abs(L).max()
+    assert np.abs(lhs + Q + R).max() <= 64 * unit
+    assert np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))[-1] <= 64 * unit

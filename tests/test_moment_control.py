@@ -192,7 +192,7 @@ class TestHorizonKernel:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a: calls.append(a) or eigh(*a))
-        signal = assemble_control(h, early, spec)
+        signal = assemble_control(h, early)
         assert signal.horizon is early and signal.amplitudes is h
         # its (2n+1)^2 path agrees with the one its coefficients take
         mm = m_matrix(build_bump(kmax=2 * n), n)
@@ -400,9 +400,9 @@ class TestPerCaseEvaluation:
         lam = res.spectrum.lambdas
         want = np.exp(-1j * lam * T) * duhamel_mpmath(res.signal,
                                                        res.mmatrix, lam)
-        scale = np.abs(res.targets).max()
+        scale = np.abs(res.problem.target).max()
         for signal in (res.signal, self._coefficients_only(res.signal)):
-            got = verify_moments(signal, res.targets, res.spectrum,
+            got = verify_moments(signal, res.problem.target, res.spectrum,
                                  res.mmatrix)["moments"]
             assert np.abs(got - want).max() <= bound * scale
 
@@ -430,7 +430,7 @@ class TestPerCaseEvaluation:
         blind = [dataclasses.replace(
             signal, exp_coeffs=np.full_like(signal.exp_coeffs, np.nan))
             for signal in (res.signal, hum)]
-        moments = [verify_moments(signal, res.targets, res.spectrum,
+        moments = [verify_moments(signal, res.problem.target, res.spectrum,
                                   res.mmatrix)["moments"]
                    for signal in (res.signal, blind[0])]
         assert np.all(np.isfinite(moments[1]))
@@ -481,10 +481,10 @@ class TestPerCaseEvaluation:
     def test_a_second_case_reuses_the_dual_moments(self):
         clear_memos()
         first = synthesize_control(make_problem(n=16, alpha=1.0, seed=5))
-        kdh = first.family.dual_moments
+        kdh = first.signal.horizon.dual_moments
         assert not kdh.flags.writeable
         second = synthesize_control(make_problem(n=16, alpha=1.0, seed=6))
-        assert second.family.dual_moments is kdh
+        assert second.signal.horizon.dual_moments is kdh
         # its rows at the cluster representatives are Gamma Gamma^{-1}
         spec = second.spectrum
         reps = spec.rep_rows
@@ -506,7 +506,7 @@ class TestMemo:
         assert second[0].problem.bump is first[0].problem.bump
         assert second[0].spectrum is first[0].spectrum
         assert second[0].mmatrix is first[0].mmatrix
-        assert second[0].family is first[0].family
+        assert second[0].signal.horizon is first[0].signal.horizon
         spec, mm = first[0].spectrum, first[0].mmatrix
         assert controllability_gramian(mm, spec, 1.0) is \
             controllability_gramian(mm, spec, 1.0)
@@ -522,12 +522,13 @@ class TestMemo:
         clear_memos()
         miss = _pipeline(make_problem(n=16, seed=8, **kw))
         hit = _pipeline(make_problem(n=16, seed=8, **kw))
-        assert hit[0].family is miss[0].family
+        assert hit[0].signal.horizon is miss[0].signal.horizon
         a, b = miss[0], hit[0]
         assert np.array_equal(a.signal.exp_coeffs, b.signal.exp_coeffs)
         assert (a.terminal_residual, a.moment_residual, a.control_norm,
-                a.cond_gamma) == (b.terminal_residual, b.moment_residual,
-                                  b.control_norm, b.cond_gamma)
+                a.signal.horizon.cond) == (
+                    b.terminal_residual, b.moment_residual, b.control_norm,
+                    b.signal.horizon.cond)
         assert np.array_equal(miss[1].exp_coeffs, hit[1].exp_coeffs)
         assert miss[2] == hit[2] and miss[3] == hit[3]
 
@@ -541,7 +542,7 @@ class TestMemo:
             prob = make_problem(n=n, alpha=alpha, mu=mu, T=T, seed=seed)
             res = synthesize_control(prob)
             hum_control(prob, res.spectrum, res.mmatrix)
-            spec, mm, fam = res.spectrum, res.mmatrix, res.family
+            spec, mm, fam = res.spectrum, res.mmatrix, res.signal.horizon
             W = controllability_gramian(mm, spec, T)
             plant = spec.horizon(T).plant(mm)
             g_reps, g_others, others = plant.adjoint
@@ -584,7 +585,7 @@ class TestMemo:
         n = 8
         prob = make_problem(n=n, alpha=1.0, seed=2)
         res = synthesize_control(prob)
-        fam, mm = res.family, res.mmatrix
+        fam, mm = res.signal.horizon, res.mmatrix
         horizon = res.spectrum.horizon(prob.T)
         mine = horizon.plant(mm).weighted_moments
         for _ in range(2):
@@ -604,15 +605,16 @@ class TestMemo:
             m_matrix.cache_clear()
         again = horizon.plant(mm).weighted_moments
         assert again is not mine and np.array_equal(again, mine)
-        check = verify_moments(res.signal, res.targets, res.spectrum, mm)
+        check = verify_moments(res.signal, prob.target, res.spectrum, mm)
         assert check["max_residual"] == res.moment_residual
 
     def test_memoized_arrays_are_read_only(self):
         prob = make_problem(n=8, alpha=1.0, seed=2)
         res = synthesize_control(prob)
         W = controllability_gramian(res.mmatrix, res.spectrum, prob.T)
-        for arr in (res.family.duals_h, res.family.lambdas, W.matrix,
-                    W.eigvecs, W.eigvals):
+        horizon = res.signal.horizon
+        for arr in (horizon.duals_h, horizon.lambdas, W.matrix, W.eigvecs,
+                    W.eigvals):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
@@ -655,7 +657,7 @@ class TestMemo:
             hum_control(prob, res.spectrum, res.mmatrix)
             spec = res.spectrum
             kept = [weakref.ref(obj) for obj in (
-                spec.horizon(prob.T), res.family,
+                spec.horizon(prob.T), res.signal.horizon,
                 spec.horizon(prob.T).plant(res.mmatrix),
                 controllability_gramian(res.mmatrix, spec, prob.T))]
             del res
@@ -771,7 +773,7 @@ class TestSolveCoefficients:
         c[n] = 0.0
         h = solve_coefficients(c, mm, spec, T)
         fam = build_biorthogonal(spec, T)
-        sig = assemble_control(h, fam, spec)
+        sig = assemble_control(h, fam)
         quad = moments_quadrature(sig, spec, mm)
         assert np.abs(quad - c).max() <= 1e-8
 
@@ -780,7 +782,7 @@ class TestAssembleAndVerify:
     def test_zero_amplitudes(self):
         spec = spectrum_mod.analyze(4, 1.0)
         fam = build_biorthogonal(spec, 1.0)
-        sig = assemble_control(np.zeros(9), fam, spec)
+        sig = assemble_control(np.zeros(9), fam)
         assert np.abs(sig.exp_coeffs).max() == 0.0
         assert sig.l2_hs_norm(0.0) == 0.0
 
@@ -790,7 +792,7 @@ class TestAssembleAndVerify:
         fam = build_biorthogonal(spec, 1.0)
         h = np.zeros(9, dtype=complex)
         h[5] = 2.0
-        sig = assemble_control(h, fam, spec)
+        sig = assemble_control(h, fam)
         times = np.linspace(0, 1, 7)
         profile = sig.mode_values(times)[5]
         ci = spec.slot[1 + 4]
@@ -805,7 +807,7 @@ class TestAssembleAndVerify:
         spec = spectrum_mod.analyze(n, 1.0)
         mm = m_matrix(build_bump(kmax=2 * n), n)
         fam = build_biorthogonal(spec, 1.0)
-        sig = assemble_control(np.zeros(2 * n + 1), fam, spec)
+        sig = assemble_control(np.zeros(2 * n + 1), fam)
         rep = verify_moments(sig, np.zeros(2 * n + 1), spec, mm)
         assert rep["max_residual"] == 0.0
 
@@ -826,10 +828,10 @@ class TestAssembleAndVerify:
         res = synthesize_control(prob)
         again = terminal_residual(prob, res.signal, res.mmatrix)
         assert abs(res.terminal_residual - again) <= 1e-12
-        moments = verify_moments(res.signal, res.targets, res.spectrum,
+        moments = verify_moments(res.signal, prob.target, res.spectrum,
                                  res.mmatrix)
         assert abs(res.moment_residual - moments["max_residual"]) \
-            <= 1e-12 * np.abs(res.targets).max()
+            <= 1e-12 * np.abs(prob.target).max()
         assert res.terminal_residual <= 1e-12
 
     def test_closed_form_vs_quadrature(self):
@@ -837,7 +839,7 @@ class TestAssembleAndVerify:
         prob = make_problem(n=n, alpha=1.0, seed=9)
         res = synthesize_control(prob)
         quad = moments_quadrature(res.signal, res.spectrum, res.mmatrix)
-        closed = verify_moments(res.signal, res.targets, res.spectrum,
+        closed = verify_moments(res.signal, prob.target, res.spectrum,
                                 res.mmatrix)
         assert np.abs(quad - closed["moments"]).max() <= 1e-8
 
@@ -848,7 +850,7 @@ class TestEvolveControlled:
         spec = spectrum_mod.analyze(n, 0.7, 0.3)
         mm = m_matrix(build_bump(kmax=2 * n), n)
         fam = build_biorthogonal(spec, 1.0)
-        sig = assemble_control(np.zeros(2 * n + 1), fam, spec)
+        sig = assemble_control(np.zeros(2 * n + 1), fam)
         u0 = random_state(11, n, 0.0)
         for t in (0.0, 0.4, 1.0):
             out = evolve_controlled(u0, sig, t, 0.7, 0.3, mm)
@@ -908,7 +910,8 @@ class TestHUM:
         u1 = evolve_free(u0, 1.0, 1.0)
         prob = ControlProblem(1.0, 0.0, 1.0, 0.0, n, build_bump(kmax=2 * n),
                               u0, u1)
-        sig, _ = hum_control(prob)
+        sig, _ = hum_control(prob, spectrum_mod.analyze(n, 1.0),
+                             m_matrix(prob.bump, n))
         assert sig.l2_hs_norm(0.0) <= 1e-10
 
     def test_reaches_target_and_is_smaller(self):
@@ -965,7 +968,8 @@ class TestProperties:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 res = synthesize_control(make_problem(n=n, alpha=0.1, T=T),
                                          on_singular="lstsq")
-            tol = 1e-8 if res.cond_gamma <= 1e4 else 1e-12 * res.cond_gamma
+            cond = res.signal.horizon.cond
+            tol = 1e-8 if cond <= 1e4 else 1e-12 * cond
             assert res.terminal_residual <= tol
 
     def test_real_targets_give_real_control(self):

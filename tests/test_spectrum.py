@@ -228,9 +228,12 @@ class TestSpectrumAnalysis:
 
     @pytest.mark.parametrize("alpha,mu", [
         (-1.0, 0.0), (0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
-        (1.0, math.nan), (1.0, math.inf)])
+        (1.0, math.nan), (1.0, math.inf),
+        pytest.param(10**400, 0, id="int-alpha-1e400"),
+        pytest.param(1.0, 10**400, id="int-mu-1e400")])
     def test_bad_parameters_are_refused_before_any_store(self, alpha, mu):
-        # nothing kept is evicted by a call that is refused
+        # nothing kept is evicted by a call that is refused; an int past
+        # the float range compares as finite, so it is refused by float()
         lam = sp.eigenvalues(8, 1.0)
         spec = sp.analyze(8, 1.0)
         with pytest.raises(ConfigurationError,
@@ -238,6 +241,11 @@ class TestSpectrumAnalysis:
             sp.analyze(8, alpha, mu)
         assert sp.eigenvalues(8, 1.0) is lam
         assert sp.analyze(8, 1.0) is spec
+
+    def test_an_int_past_the_float_range_has_no_eigenvalues(self):
+        with pytest.raises(ConfigurationError,
+                           match="eigenvalues past the float range"):
+            sp.eigenvalues(8, 1.0, 10**400)
 
     def test_report_fields(self):
         rep = sp.spectrum_report(sp.analyze(4, 1.0))
