@@ -22,8 +22,7 @@ from .operators import (BumpProfile, Gramian, MMatrix, apply_G, build_bump,
                         bump_from_coefficients, evolve_free, gg_star_matrix,
                         gramian, m_matrix)
 from .spectral import TorusFunction, hs_weights, mean, sobolev_norm
-from .spectrum import (Horizon, Spectrum, clusters, eigenvalue,
-                       eigenvalues, gap_gamma)
+from .spectrum import Horizon, Spectrum, clusters, eigenvalues, gap_gamma
 from .spectrum import analyze as analyze_spectrum
 from .spectrum import spectrum_report, window_bound
 from .stabilization import (DecayFit, FeedbackLaw, build_L_lambda,
@@ -51,8 +50,8 @@ __all__ = [
     # spectral
     "TorusFunction", "hs_weights", "mean", "sobolev_norm",
     # spectrum
-    "Horizon", "Spectrum", "analyze_spectrum", "clusters", "eigenvalue",
-    "eigenvalues", "gap_gamma", "spectrum_report", "window_bound",
+    "Horizon", "Spectrum", "analyze_spectrum", "clusters", "eigenvalues",
+    "gap_gamma", "spectrum_report", "window_bound",
     # stabilization
     "DecayFit", "FeedbackLaw", "build_L_lambda", "energy_identity_defect",
     "estimate_decay_rate", "feedback_gramian", "feedback_simple",

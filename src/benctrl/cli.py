@@ -534,8 +534,8 @@ def run(scn: Scenario) -> int:
 def _exit_code(step, where: str = ""):
     """What ``step()`` returns, or the exit code of its failure after one
     line on stderr: 3 for a numerical failure (a BenctrlError other than a
-    ConfigurationError, or numpy's LinAlgError, as from an eigensolve of a
-    matrix that overflowed), 2 for a validation error (a
+    ConfigurationError, or numpy's LinAlgError, as from an eigensolve that
+    did not converge), 2 for a validation error (a
     ConfigurationError, or a file that cannot be read or decoded, or an
     output path that cannot be made: an OSError or any other ValueError)."""
     try:

@@ -254,20 +254,21 @@ def verify_moments(signal: ControlSignal, c: np.ndarray, spec: Spectrum,
     moment_k = e^{-i lam_k T} sum_j m[j,k] int_0^T a_j(t) e^{i lam_k t} dt
     with a_j the mode-j time profile: the controlled part of u(T), so
     ``moments - c`` is the terminal miss u(T) - u1 in psi coefficients.
+    Returns {"moments": ..., "max_residual": max_k |moment_k - c_k|}.
     """
     moments = _duhamel(signal, spec.lambdas, mm, signal.T)
     resid = np.abs(moments - np.asarray(c, complex))
-    return {"moments": moments, "max_residual": float(resid.max()),
-            "residuals": resid}
+    return {"moments": moments, "max_residual": float(resid.max())}
 
 
 def evolve_controlled(u0: TorusFunction, signal: ControlSignal, t: float,
                       alpha, mu, mm: MMatrix) -> TorusFunction:
     """Variation-of-constants solution u(t) = U(t)u0 + int_0^t U(t-s) Gh(s) ds.
 
-    Per mode u(t)_k = e^{-i lam_k t} v0_k plus the controlled part.
+    Per mode u(t)_k = e^{-i lam_k t} v0_k plus the controlled part; a t
+    outside [0, T], NaN among them, raises ConfigurationError.
     """
-    if t < 0 or t > signal.T + 1e-12:
+    if not 0 <= t <= signal.T + 1e-12:
         raise ConfigurationError("time must lie in [0, T]")
     lam = eigenvalues(u0.n, alpha, mu)
     v = np.exp(-1j * lam * t) * u0.psi_coeffs + _duhamel(signal, lam, mm, t)

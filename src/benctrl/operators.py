@@ -42,7 +42,9 @@ class BumpProfile:
 
     ``ghat`` stores Fourier coefficients for |k| <= kmax, normalized so that
     ghat(0) = 1/(2pi) exactly; ``tail_l1`` reports the l1 mass of coefficients
-    beyond kmax dropped at profiling time.
+    beyond kmax dropped at profiling time.  ``key``, the bytes of ``ghat``
+    formed once, is what the memos of ``m_matrix`` and ``_widening`` key
+    on: a bytes object keeps its hash.
     """
 
     kind: str
@@ -56,6 +58,10 @@ class BumpProfile:
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.ghat, dtype=complex))
         object.__setattr__(self, "ghat", read_only(g))
+
+    @functools.cached_property
+    def key(self) -> bytes:
+        return self.ghat.tobytes()
 
     def ghat_at(self, k):
         """ghat(k) for scalar or array k, zero outside the stored band."""
@@ -176,12 +182,13 @@ class MMatrix:
         return read_only(0.5 * (out + out.conj().T))
 
 
-@stored(lambda bump, n: (bump.ghat.tobytes(), n), Store())
+@stored(lambda bump, n: (bump.key, n), Store())
 def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     """Assemble m[j,k] = ghat(k-j) - 2*pi*ghat(-j)*ghat(k) for |j|,|k| <= n.
 
-    The latest matrix is memoized on the coefficients of the bump and n, so
-    equal bumps built apart share it (``cache_clear()`` forgets it).
+    The latest matrix is memoized on the coefficients of the bump (its
+    ``key``) and n, so equal bumps built apart share it (``cache_clear()``
+    forgets it).
     """
     if bump.kmax < 2 * n:
         raise ConfigurationError(
@@ -378,10 +385,13 @@ class Plant:
         return self._certify(rate, "backward")
 
     def _certify(self, rate: float, flow: str) -> Gramian:
-        W = gramian(self.mm, self.horizon, rate, flow)
+        h = self.horizon
+        W = gramian(self.mm, h, rate, flow)
+        if not np.isfinite(W).all():
+            raise ObservabilityError(
+                f"Gramian not finite at rate={rate}, T={h.T}, n={h.spec.n}")
         # mode 0 is the middle index, the real form's last row and column
         vals, vecs = np.linalg.eigh(spect.real_form(W)[:-1, :-1])
-        h = self.horizon
         if vals[0] <= 0.0:
             raise ObservabilityError(
                 f"Gramian singular on mean-zero modes (min eigenvalue "

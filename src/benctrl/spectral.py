@@ -118,15 +118,9 @@ def mean(f: TorusFunction) -> complex:
 
 
 def csv_text(header: str, rows) -> str:
-    """A header line and one line per row of floats, each written as the
-    shortest repr of its float; ``rows`` is a 2-D array or an iterable of
-    equal-length rows.  Each distinct value of a column is formatted once,
-    keyed by its bits, so -0.0 and 0.0 keep their own text."""
-    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows),
-                       dtype=float)
-    columns = []
-    for column in table.T:
-        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(float).tolist())), object)
-        columns.append(texts[index].tolist())
+    """A header line and one line per row of floats, each value written
+    on its own as the shortest repr of its float; ``rows`` is an iterable
+    of equal-length rows, a 2-D array among them."""
+    table = np.asarray(list(rows), dtype=float)
+    columns = [map(repr, column) for column in table.T.tolist()]
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._closedform import exp_kernel
 from ._memo import Store, nbytes, read_only, stored
-from .errors import ClusterSizeError, ConfigurationError
+from .errors import ClusterSizeError, ConfigurationError, SingularGramError
 
 #: Relative tolerance for float clustering decisions.
 CLUSTER_RTOL = 1e-9
@@ -42,17 +42,6 @@ GRAM_COND_LIMIT = 1e14
 
 #: singular-value cutoff (relative) for the rank-revealing fallback solve
 LSTSQ_RCOND = 1e-13
-
-
-def eigenvalue(k: int, alpha, mu=0):
-    """lambda_k = k^3 + 2*mu*k - alpha*k*|k| (mu=0 recovers the unshifted case).
-
-    Exact when alpha and mu are rationals (Fraction in, Fraction out);
-    float otherwise.
-    """
-    if isinstance(alpha, Rational) and isinstance(mu, Rational):
-        return Fraction(k**3) + 2 * Fraction(mu) * k - Fraction(alpha) * k * abs(k)
-    return float(k) ** 3 + 2.0 * float(mu) * k - float(alpha) * k * abs(k)
 
 
 def _float(x) -> float:
@@ -201,7 +190,11 @@ class Horizon:
         M gives cond(Gamma) = max|w| / min|w| and Gamma^{-1} = Q M^{-1}
         Q^H, refined once against Gamma.  Beyond ``GRAM_COND_LIMIT`` the
         family is degenerate: least-squares duals from the eigenpairs
-        ``np.linalg.pinv`` would keep, |w| > LSTSQ_RCOND max|w|."""
+        ``np.linalg.pinv`` would keep, |w| > LSTSQ_RCOND max|w|.  A Gamma
+        that is not finite raises SingularGramError."""
+        if not np.isfinite(self.gram).all():
+            raise SingularGramError(
+                f"Gram matrix not finite at T={self.T}, n={self.spec.n}")
         w, V = np.linalg.eigh(real_form(self.gram))
         mag = np.abs(w)
         cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf

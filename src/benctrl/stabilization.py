@@ -69,11 +69,11 @@ class FeedbackLaw:
     ``matrix`` is K (the state equation is u' = A_mu u - K u);
     ``closed_loop`` is A_mu - K.  Mode 0 is invariant with zero dynamics
     under both laws.  ``gain_cond`` is the condition number of the solve
-    that formed K, cond(L_lambda) for the Gramian law.
+    that formed K, cond(L_lambda) for the Gramian law, whose decay rate is
+    the ``rate`` of that L_lambda: the law keeps no copy of it.
     """
 
     kind: str                  # "simple" | "gramian"
-    lam: float                 # requested decay rate (0 for simple)
     matrix: np.ndarray
     closed_loop: np.ndarray
     spectrum: Spectrum
@@ -138,8 +138,7 @@ def feedback_simple(mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
 
     The latest law is kept, its arrays read-only."""
     gg = gg_star_matrix(mm)
-    return FeedbackLaw("simple", 0.0, gg, read_only(_generator(spec) - gg),
-                       spec)
+    return FeedbackLaw("simple", gg, read_only(_generator(spec) - gg), spec)
 
 
 def feedback_gramian(L: Gramian, mm: MMatrix,
@@ -165,8 +164,8 @@ def _gramian_law(L: Gramian, mm: MMatrix, spec: Spectrum) -> FeedbackLaw:
     nz = spec.wavenumbers != 0
     K = np.zeros_like(gg)
     K[np.ix_(nz, nz)] = L.solve(gg)[np.ix_(nz, nz)].conj().T
-    return FeedbackLaw("gramian", L.rate, *read_only(K, _generator(spec) - K),
-                       spec, L.cond)
+    return FeedbackLaw("gramian", *read_only(K, _generator(spec) - K), spec,
+                       L.cond)
 
 
 feedback_gramian.cache_clear = _gramian_law.cache_clear
@@ -297,8 +296,8 @@ def observability_constant(mm: MMatrix, spec: Spectrum, T: float):
     delta^2 is the smallest eigenvalue of the observability Gramian
     int_0^T U(-tau)^* GG* U(-tau) dtau on the mean-zero subspace, read with
     its eigenvector off the plant's certified forward Gramian, which
-    raises ObservabilityError where it is singular; the minimizing phi is
-    returned alongside.
+    raises ObservabilityError where it is singular or not finite; the
+    minimizing phi is returned alongside.
     """
     W = spec.horizon(T).plant(mm).forward_gramian
     phi = np.zeros(2 * spec.n + 1, dtype=complex)

@@ -7,14 +7,17 @@ a centred difference; the Duhamel integral of a control at 50 digits by
 mpmath, and so the L2([0,T]; H^s) norm of a control; the decay-rate fit
 by one ``np.polyfit`` per suffix window; phi(z, T) = int_0^T e^{zt} dt with
 the quotient and the series each evaluated on its own entries only; the
-cluster partition by grouping the exact Fraction eigenvalues.
+scalar eigenvalue lambda_k, exact on Fractions, and the cluster partition
+by grouping those eigenvalues.
 ``exp_gram``, ``l2_hs_norm_conjugate_gram`` and
 ``gramian_direct`` assemble, each on its own, the Gram matrices and
 Gramians the library reads off one shared horizon kernel.
 """
 
 import warnings
+from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 import mpmath
 import numpy as np
@@ -23,9 +26,17 @@ from benctrl._closedform import SERIES_THRESHOLD
 from benctrl.errors import DecayFitError
 from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
-from benctrl.spectrum import eigenvalue, eigenvalues
+from benctrl.spectrum import eigenvalues
 from benctrl.stabilization import (FIT_R2, NORM_FLOOR, DecayFit,
                                    FeedbackLaw, simulate_closed_loop)
+
+
+def eigenvalue(k: int, alpha, mu=0):
+    """lambda_k = k^3 + 2*mu*k - alpha*k*|k| for one wavenumber: exact when
+    alpha and mu are rationals (Fraction in, Fraction out), float otherwise."""
+    if isinstance(alpha, Rational) and isinstance(mu, Rational):
+        return Fraction(k**3) + 2 * Fraction(mu) * k - Fraction(alpha) * k * abs(k)
+    return float(k) ** 3 + 2.0 * float(mu) * k - float(alpha) * k * abs(k)
 
 
 def brute_force_clusters(n, alpha, mu):
@@ -110,7 +121,7 @@ def evolve_controlled_quadrature(u0, signal, t, alpha, mu, mm,
 def feedback_none(spec) -> FeedbackLaw:
     """Zero feedback: the closed loop is the free generator."""
     nd = 2 * spec.n + 1
-    return FeedbackLaw("none", 0.0, np.zeros((nd, nd), dtype=complex),
+    return FeedbackLaw("none", np.zeros((nd, nd), dtype=complex),
                        np.diag(-1j * spec.lambdas), spec)
 
 

@@ -291,6 +291,14 @@ class TestHorizonKernel:
                                              mu, res.mmatrix)
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-9
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5, np.inf, np.nan])
+    def test_evolve_controlled_refuses_a_time_outside_the_horizon(self, t):
+        # NaN fails every comparison, so the check must be one that NaN fails
+        prob = make_problem(n=4, seed=1)
+        res = synthesize_control(prob)
+        with pytest.raises(ConfigurationError, match="time must lie"):
+            evolve_controlled(prob.u0, res.signal, t, 1.0, 0.0, res.mmatrix)
+
     @staticmethod
     def _count_kernels(monkeypatch) -> list:
         """Shapes of the phi evaluations made from now on."""

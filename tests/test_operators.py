@@ -230,6 +230,14 @@ class TestMMatrix:
         assert m_matrix(bump, 7) is not mm
         assert not mm.entries.flags.writeable
 
+    def test_the_bump_keeps_the_bytes_it_is_keyed_on(self):
+        # a bytes object caches its hash: a hit hashes no fresh copy
+        bump = bump_from_coefficients(np.array(build_bump(kmax=16).ghat))
+        m_matrix(bump, 8)
+        key = vars(bump)["key"]
+        m_matrix(bump, 8)
+        assert vars(bump)["key"] is key and key == bump.ghat.tobytes()
+
 
 def multiplier(k, t, alpha, mu=0):
     """Factor the free group puts on psi_k, read off the evolved basis function."""

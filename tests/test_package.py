@@ -63,6 +63,35 @@ def test_no_module_reads_another_objects_private_attribute():
     assert reads == []
 
 
+def test_every_record_field_has_a_reader():
+    """Each annotated field of a class in ``src/benctrl`` is read as an
+    attribute (``x.field``) somewhere in ``src``, ``tests``, ``demos``,
+    ``tools`` or ``perfbench``: a field that nothing reads goes.  The scan
+    matches names only, so a field counts as read where any attribute of
+    its name is: it cannot see that ``Gramian.rate`` is unread, because
+    ``DecayFit.rate`` is (``fit.rate``)."""
+    root = Path(benctrl.__file__).resolve().parents[2]
+
+    def trees(*dirs):
+        for d in dirs:
+            for path in sorted((root / d).rglob("*.py")):
+                yield path, ast.parse(path.read_text())
+
+    read = {node.attr for _, tree in trees("src", "tests", "demos", "tools",
+                                           "perfbench")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}: {cls.name}.{stmt.target.id}"
+              for path, tree in trees("src/benctrl")
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert unread == []
+
+
 def test_only_run_writes_a_runs_files():
     """A runner computes and formats; ``cli.run`` checks every artifact,
     then makes the output directory and writes them all, so no runner

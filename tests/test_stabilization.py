@@ -10,7 +10,8 @@ import benctrl._closedform as closedform
 import benctrl.operators as operators
 import benctrl.spectrum as spectrum_mod
 from benctrl.cli import random_state
-from benctrl.errors import ConfigurationError
+from benctrl.errors import (ConfigurationError, ObservabilityError,
+                            SingularGramError)
 from benctrl.operators import (build_bump, evolve_free, gg_star_matrix,
                                gramian, m_matrix)
 from benctrl.spectral import (TWO_PI, TorusFunction, hs_weights, mean,
@@ -131,7 +132,7 @@ class TestSimpleFeedback:
         spec, mm = setup(n=16)
         simple = feedback_simple(mm, spec)
         shift = 0.1 * np.diag((spec.wavenumbers != 0).astype(float))
-        law = FeedbackLaw("simple", 0.0, simple.matrix,
+        law = FeedbackLaw("simple", simple.matrix,
                           simple.closed_loop + shift, spec)
         u0 = random_state(3, 16, 1.0)
         times = np.linspace(1.0, 40.0, 20)
@@ -266,7 +267,7 @@ def jordan_law(similar=Q4):
     C = np.zeros((5, 5), dtype=complex)
     C[np.ix_(nz, nz)] = similar @ (-np.eye(4) + np.eye(4, k=1)) \
         @ similar.conj().T
-    return FeedbackLaw("jordan", 0.0, -C, C, spec)
+    return FeedbackLaw("jordan", -C, C, spec)
 
 
 class TestEigenPropagation:
@@ -460,6 +461,19 @@ class TestObservability:
             delta, minimizer = observability_constant(mm, spec, T)
             assert delta > 0
             assert abs(mean(minimizer)) == 0.0
+
+    def test_a_matrix_past_the_float_range_raises_the_librarys_error(self):
+        # lambda_k T past the float range leaves the kernel, so Gamma and
+        # the Gramians, not finite: each is refused, naming T and n, before
+        # an eigensolve fails on it with numpy's LinAlgError
+        _, mm = setup(n=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ObservabilityError, match=r"T=1e\+307, n=4"):
+                observability_constant(mm, spectrum_mod.analyze(4, 1.0), 1e307)
+            with pytest.raises(ObservabilityError, match=r"T=1e\+300, n=4"):
+                build_L_lambda(mm, spectrum_mod.analyze(4, 1e10), 1.0, 1e300)
+            with pytest.raises(SingularGramError, match=r"T=1.0, n=4"):
+                spectrum_mod.analyze(4, 7e306).horizon(1.0).duals_h
 
 
 def _count_calls(monkeypatch, module, name) -> list:
