@@ -45,7 +45,8 @@ from . import moment_control as mc
 from . import spectrum as spectrum_mod
 from . import stabilization as stab
 from .errors import BenctrlError, ConfigurationError
-from .operators import apply_G, build_bump, bump_from_coefficients, m_matrix
+from .operators import (BUMP_KINDS, apply_G, build_bump,
+                        bump_from_coefficients, m_matrix)
 from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights, mean,
                        sobolev_norm)
 
@@ -166,9 +167,9 @@ def _read_bump(cfg):
     if "coefficients" in cfg:
         rows = _rows("bump coefficients", cfg["coefficients"])
         return bump_from_coefficients(_placed(rows, len(rows) // 2))
+    kind = _choice("bump kind", cfg.get("kind", "raised_cosine"), BUMP_KINDS)
     with _reading("bump center and width", "finite numbers"):
-        return (cfg.get("kind", "raised_cosine"),
-                float(_number("center", cfg.get("center", np.pi))),
+        return (kind, float(_number("center", cfg.get("center", np.pi))),
                 float(_number("width", cfg.get("width", np.pi / 2))))
 
 
@@ -378,7 +379,8 @@ def _run_simulate(scn: Scenario) -> tuple:
 
 def _run_control(scn: Scenario) -> tuple:
     # one profile for the spillover band n_sim + n and the m-matrix's |k| <= 2n
-    fine = scn.n_sim and scn.n_sim > scn.n and "coefficients" not in scn.bump
+    fine = (scn.n_sim and scn.n_sim > scn.n
+            and isinstance(scn.parsed["bump"], tuple))
     bump = _build_bump(scn, scn.n_sim + scn.n if fine else 2 * scn.n)
     u0 = _build_state(scn, "u0", scn.seed)
     # u1 draws from its own stream: seed + 1 is the next sweep case's u0

@@ -15,6 +15,7 @@ diagonal off mode 0.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,29 +32,20 @@ BUMP_SAMPLES = 8192
 BUMP_KINDS = ("uniform", "raised_cosine", "smooth_exp_bump")
 
 
-def _wrap(y):
-    """Wrap offsets into [-pi, pi)."""
-    return (np.asarray(y, dtype=float) + np.pi) % TWO_PI - np.pi
-
-
 @dataclass(frozen=True, eq=False)
 class BumpProfile:
-    """Localizer g: unit-mean, non-negative, supported on (center +/- width/2).
+    """Localizer g, real and of unit integral, by its Fourier coefficients.
 
-    ``ghat`` stores Fourier coefficients for |k| <= kmax, normalized so that
-    ghat(0) = 1/(2pi) exactly; ``tail_l1`` reports the l1 mass of coefficients
-    beyond kmax dropped at profiling time.  ``key``, the bytes of ``ghat``
-    formed once, is what the memos of ``m_matrix`` and ``_widening`` key
-    on: a bytes object keeps its hash.
+    ``ghat`` stores them for |k| <= kmax, normalized so that ghat(0) =
+    1/(2pi) exactly; ``tail_l1`` reports the l1 mass of coefficients beyond
+    kmax dropped at profiling time.  ``key``, the bytes of ``ghat`` formed
+    once, is what the memos of ``m_matrix`` and ``_widening`` key on: a
+    bytes object keeps its hash.
     """
 
-    kind: str
-    center: float
-    width: float
     kmax: int
     ghat: np.ndarray          # index k + kmax
-    tail_l1: float
-    scale: float = 1.0        # normalization applied to raw profile samples
+    tail_l1: float = 0.0
 
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.ghat, dtype=complex))
@@ -71,25 +63,20 @@ class BumpProfile:
         out[inside] = self.ghat[karr[inside] + self.kmax]
         return complex(out[0]) if np.ndim(k) == 0 else out
 
-    def sample(self, x):
-        """Pointwise values of g (the true profile, not its truncation)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            return np.full(x.shape, 1.0 / TWO_PI) * self.scale
-        y = _wrap(x - self.center)
-        half = self.width / 2.0
-        if self.kind == "raised_cosine":
-            raw = np.where(np.abs(y) <= half,
-                           (2.0 / self.width) * np.cos(np.pi * y / self.width) ** 2,
-                           0.0)
-        elif self.kind == "smooth_exp_bump":
-            u = y / half
-            raw = np.zeros(x.shape)
-            inside = np.abs(u) < 1.0
-            raw[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        else:
-            raise ConfigurationError(f"unknown bump kind {self.kind!r}")
-        return raw * self.scale
+
+def _profile(kind: str, center: float, width: float, x) -> np.ndarray:
+    """Pointwise values at x of a sampled kind, supported on (center +/-
+    width/2), before normalization."""
+    y = (np.asarray(x, dtype=float) - center + np.pi) % TWO_PI - np.pi
+    half = width / 2.0
+    if kind == "raised_cosine":
+        return np.where(np.abs(y) <= half,
+                        (2.0 / width) * np.cos(np.pi * y / width) ** 2, 0.0)
+    u = y / half                                    # smooth_exp_bump
+    raw = np.zeros(u.shape)
+    inside = np.abs(u) < 1.0
+    raw[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return raw
 
 
 @stored(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
@@ -98,18 +85,20 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                width: float = np.pi / 2, kmax: int = 64) -> BumpProfile:
     """Construct a localizer and profile its Fourier coefficients.
 
-    Coefficients are taken by uniform-grid quadrature at ``BUMP_SAMPLES``
-    points and rescaled so ghat(0) = 1/(2pi) holds to rounding (unit integral).
-    The uniform kind is the constant 1/(2pi), whose coefficients are exact.
-    The latest profile is memoized on the arguments and their types
-    (``cache_clear()`` forgets it).
+    A sampled kind (``_profile``) is profiled by uniform-grid quadrature at
+    ``BUMP_SAMPLES`` points and rescaled so ghat(0) = 1/(2pi) holds to
+    rounding (unit integral).  The uniform kind is the constant 1/(2pi),
+    whose coefficients are exact.  The latest profile is memoized on the
+    arguments and their types (``cache_clear()`` forgets it).
     """
     if kind not in BUMP_KINDS:
         raise ConfigurationError(f"bump kind must be one of {BUMP_KINDS}")
+    if operator.index(kmax) < 0:             # TypeError: 16.0 is no band
+        raise ConfigurationError("bump band kmax must be >= 0")
     if kind == "uniform":
         ghat = np.zeros(2 * kmax + 1, dtype=complex)
         ghat[kmax] = 1.0 / TWO_PI
-        return BumpProfile("uniform", np.pi, TWO_PI, kmax, ghat, 0.0, 1.0)
+        return BumpProfile(kmax, ghat)
 
     if not 0 < width < TWO_PI:
         raise ConfigurationError("bump width must lie in (0, 2pi)")
@@ -120,25 +109,19 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     if BUMP_SAMPLES < 2 * kmax + 1:
         raise ConfigurationError("too few samples for the requested band")
 
-    proto = BumpProfile(kind, center, width, kmax,
-                        np.zeros(2 * kmax + 1, complex), 0.0, 1.0)
     x = np.arange(BUMP_SAMPLES) * (TWO_PI / BUMP_SAMPLES)
-    vals = proto.sample(x)
+    vals = _profile(kind, center, width, x)
     if vals.min() < -1e-12:
         raise ConfigurationError("bump profile must be non-negative")
     full = np.fft.fft(vals) / BUMP_SAMPLES   # full[k % BUMP_SAMPLES] ~ ghat(k)
-    scale = 1.0 / (TWO_PI * full[0].real)    # enforce unit integral
-    full = full * scale
+    full = full * (1.0 / (TWO_PI * full[0].real))   # enforce unit integral
     idx = np.arange(-kmax, kmax + 1) % BUMP_SAMPLES
-    ghat = full[idx]
     tail = full[kmax + 1: BUMP_SAMPLES - kmax]
-    return BumpProfile(kind, center, width, kmax, ghat,
-                       float(np.abs(tail).sum()), scale)
+    return BumpProfile(kmax, full[idx], float(np.abs(tail).sum()))
 
 
 def bump_from_coefficients(ghat) -> BumpProfile:
-    """Wrap an explicit coefficient list (index -kmax..kmax) of a real g,
-    a ``"custom"`` bump, which cannot be sampled."""
+    """Wrap an explicit coefficient list (index -kmax..kmax) of a real g."""
     ghat = np.asarray(ghat, dtype=complex)
     if ghat.ndim != 1 or ghat.size % 2 == 0:
         raise ConfigurationError("coefficient list must have odd length")
@@ -146,7 +129,7 @@ def bump_from_coefficients(ghat) -> BumpProfile:
     if not np.isclose(ghat[kmax].real, 1.0 / TWO_PI, rtol=1e-12, atol=1e-14):
         raise ConfigurationError("ghat(0) must equal 1/(2pi) (unit integral)")
     spect.require_mirror(ghat, "localizer coefficients (g must be real)")
-    return BumpProfile("custom", np.pi, np.pi, kmax, ghat, 0.0, 1.0)
+    return BumpProfile(kmax, ghat)
 
 
 # -- the m-matrix ----------------------------------------------------------

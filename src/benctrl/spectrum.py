@@ -60,13 +60,17 @@ def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
     ``Fraction(1) == 1.0``, yet only the rational one clusters exactly.
     Eigenvalues past the float range, or an alpha or mu past it, raise
     ConfigurationError."""
-    k = np.arange(-n, n + 1, dtype=float)
+    return read_only(_lambdas(np.arange(-n, n + 1, dtype=float), n, alpha, mu))
+
+
+def _lambdas(k: np.ndarray, n: int, alpha, mu) -> np.ndarray:
+    """lambda_k at the float wavenumbers k, refused past the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         lam = k**3 + 2.0 * _float(mu) * k - _float(alpha) * k * np.abs(k)
     if not np.isfinite(lam).all():
         raise ConfigurationError(
             f"eigenvalues past the float range: n={n}, alpha={alpha}, mu={mu}")
-    return read_only(lam)
+    return lam
 
 
 def window_bound(alpha) -> int:
@@ -313,12 +317,15 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     the same arguments, of the same types, returns the same read-only
     Spectrum while the store keeps it, and ``cache_clear()`` empties the
     store, horizons included.  The near-cluster warning is raised on every
-    call.  A bad alpha or mu, one past the float range among them, is
-    refused before any store is read.
+    call.  A bad alpha or mu, one past the float range among them, and
+    eigenvalues past the float range are refused before any store is read.
     """
     if not (0 < alpha and math.isfinite(_float(alpha))
             and math.isfinite(_float(mu))):
         raise ConfigurationError("alpha must be positive and finite, mu finite")
+    # every term of lambda_k is largest at |k| = n, and keeps its sign on
+    # each side of 0, so the ends are finite only if every lambda_k is
+    _lambdas(np.array([-n, n], dtype=float), n, alpha, mu)
     spec, near = _spectrum(n, alpha, mu)
     if near:
         warnings.warn(near, RuntimeWarning)

@@ -24,7 +24,7 @@ import numpy as np
 
 from benctrl._closedform import SERIES_THRESHOLD
 from benctrl.errors import DecayFitError
-from benctrl.operators import BUMP_SAMPLES, BumpProfile, gg_star_matrix
+from benctrl.operators import BUMP_SAMPLES, gg_star_matrix
 from benctrl.spectral import TWO_PI, TorusFunction, hs_weights
 from benctrl.spectrum import eigenvalues
 from benctrl.stabilization import (FIT_R2, NORM_FLOOR, DecayFit,
@@ -83,14 +83,17 @@ def weighted_gramian_quadrature(gg, lams, T, rate=0.0, flow="backward",
     return out
 
 
-def m_entry_quadrature(bump: BumpProfile, j: int, k: int,
-                       samples: int = BUMP_SAMPLES) -> complex:
-    """m[j,k] = int G(psi_j)(x) conj(psi_k)(x) dx on the uniform grid.
+def m_entry_quadrature(j: int, k: int, samples: int = BUMP_SAMPLES) -> complex:
+    """m[j,k] = int G(psi_j)(x) conj(psi_k)(x) dx on the uniform grid, for
+    the default localizer: the raised cosine on (3pi/4, 5pi/4), normalized
+    to unit integral by its mean on the grid.
 
     Samples the true profile, not its truncated coefficients.
     """
     x = np.arange(samples) * (TWO_PI / samples)
-    g = bump.sample(x)
+    y = x - np.pi
+    g = np.where(np.abs(y) <= np.pi / 4, np.cos(2.0 * y) ** 2, 0.0)
+    g = g / (TWO_PI * g.mean())
     psi_j = np.exp(1j * j * x) / np.sqrt(TWO_PI)
     avg = np.sum(g * psi_j) * (TWO_PI / samples)
     gpsi = g * (psi_j - avg)

@@ -258,7 +258,7 @@ def test_criterion_10_m_matrix_structure():
     for _ in range(20):
         j, k = (int(v) for v in rng.integers(-n, n + 1, size=2))
         quad_gap = max(quad_gap, abs(
-            mm.entries[j + n, k + n] - m_entry_quadrature(bump, j, k)))
+            mm.entries[j + n, k + n] - m_entry_quadrature(j, k)))
     ok = col0 <= 1e-12 and herm <= 1e-12 and mm.beta > 0 and quad_gap <= 1e-10
     _report(10, "m-matrix structural identities", ok,
             f"|m[:,0]| {col0:.1e} <= 1e-12; Hermitian defect {herm:.1e}; "

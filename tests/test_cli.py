@@ -155,7 +155,7 @@ class TestScenario:
          "bump coefficients must be a list of [k, re, im]"),
         ("control", "bump", {"coefficients": [[0, 0.1, 0]]},
          "ghat(0) must equal 1/(2pi)"),
-        ("control", "bump", {"kind": "nope"}, "bump kind must be one of"),
+        ("control", "bump", {"kind": "nope"}, 'bump kind must be "uniform"'),
         ("control", "bump", {"width": 7}, "bump width must lie in (0, 2pi)"),
         ("control", "u0", {"type": "coeffs", "real": True,
                            "data": [[1, 1, 0]]}, "Hermitian-symmetry defect"),
@@ -186,7 +186,10 @@ class TestScenario:
         # rows are placed by k: seventeen rows all labelled k=0 collide
         ("control", "bump", {"coefficients": [
             [0, z.real, z.imag] for z in operators.build_bump(kmax=8).ghat]},
-         "bump coefficients must be a list of [k, re, im]")])
+         "bump coefficients must be a list of [k, re, im]"),
+        # the kind is a choice for every experiment, as a state's type is
+        ("spectrum", "bump", {"kind": "nope"}, 'bump kind must be "uniform"'),
+        ("simulate", "bump", {"kind": 1}, 'bump kind must be "uniform"')])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"
@@ -917,21 +920,22 @@ class TestOversampledDiagnostic:
                "T": 1.0, "seed": 3, "outdir": str(tmp_path)}
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(scn))
-        profiles, sample = [], operators.BumpProfile.sample
+        profiles, profile = [], operators._profile
 
-        def counted(self, x):
-            profiles.append(self.kmax)
-            return sample(self, x)
+        def counted(*args):
+            profiles.append(args[:3])
+            return profile(*args)
 
-        monkeypatch.setattr(operators.BumpProfile, "sample", counted)
+        monkeypatch.setattr(operators, "_profile", counted)
         operators.build_bump.cache_clear()
         reports = []
         for _ in range(3):
             assert main(["control", "--scenario", str(path)]) == 0
             reports.append((tmp_path / "report.json").read_bytes())
-        assert profiles == [32]
+        assert profiles == [("raised_cosine", np.pi, np.pi / 2)]
         assert reports[1] == reports[0] and reports[2] == reports[0]
         wide = operators.build_bump(kmax=32).ghat
+        assert len(profiles) == 1                  # served from the memo
         narrow = operators.build_bump(kmax=16).ghat
         assert np.array_equal(wide[16:49], narrow)
 

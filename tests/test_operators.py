@@ -47,8 +47,8 @@ class TestBumpProfile:
     def test_nonnegative_samples(self):
         x = np.linspace(0, TWO_PI, 1001)
         for kind in ("raised_cosine", "smooth_exp_bump"):
-            bump = build_bump(kind=kind, kmax=8)
-            assert bump.sample(x).min() >= -1e-12
+            g = operators._profile(kind, np.pi, np.pi / 2, x)
+            assert g.min() >= -1e-12
 
     def test_hermitian_coefficients(self):
         bump = build_bump(kmax=12)
@@ -65,6 +65,11 @@ class TestBumpProfile:
             build_bump("raised_cosine", center=0.1, width=1.0, kmax=4)
         with pytest.raises(ConfigurationError):
             build_bump("raised_cosine", width=TWO_PI + 1, kmax=4)
+
+    def test_negative_band_refused(self):
+        for kind in operators.BUMP_KINDS:
+            with pytest.raises(ConfigurationError, match="kmax must be >= 0"):
+                build_bump(kind, kmax=-1)
 
     def test_tail_reported(self):
         coarse = build_bump("raised_cosine", kmax=8)
@@ -214,7 +219,7 @@ class TestMMatrix:
         rng = np.random.default_rng(0)
         for _ in range(20):
             j, k = rng.integers(-16, 17, size=2)
-            quad = m_entry_quadrature(bump, int(j), int(k))
+            quad = m_entry_quadrature(int(j), int(k))
             assert abs(mm.entries[j + 16, k + 16] - quad) <= 1e-10
 
     def test_band_requirement(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from benctrl import cli
 from benctrl.errors import ConfigurationError
+from benctrl.operators import BUMP_KINDS
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text(max_size=6)
@@ -84,6 +85,7 @@ def _check(scn):
                    for k, z in rows.items())
     bump = cli._read_bump(scn.bump)
     if isinstance(bump, tuple):             # (kind, center, width)
+        assert bump[0] in BUMP_KINDS
         _number(bump[1])
         _number(bump[2])
     else:                                   # the localizer of its rows

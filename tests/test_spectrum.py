@@ -242,6 +242,19 @@ class TestSpectrumAnalysis:
         assert sp.eigenvalues(8, 1.0) is lam
         assert sp.analyze(8, 1.0) is spec
 
+    @pytest.mark.parametrize("alpha,mu", [(1e308, 0), (1.0, 1e308)])
+    def test_eigenvalues_past_the_float_range_are_refused_before_any_store(
+            self, alpha, mu):
+        lam = sp.eigenvalues(8, 1.0)
+        with pytest.raises(ConfigurationError,
+                           match="eigenvalues past the float range"):
+            sp.analyze(8, alpha, mu)
+        assert sp.eigenvalues(8, 1.0) is lam
+
+    def test_eigenvalues_near_the_float_range_are_accepted(self):
+        for alpha in (1.7e306, 2.7e306):      # n=8 overflows near 2.8e306
+            assert np.isfinite(sp.analyze(8, alpha).lambdas).all()
+
     def test_an_int_past_the_float_range_has_no_eigenvalues(self):
         with pytest.raises(ConfigurationError,
                            match="eigenvalues past the float range"):

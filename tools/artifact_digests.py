@@ -6,7 +6,9 @@ file written, ``<sha256>  <run>/<file>``, sorted.  The scenarios cover
 every experiment; both feedback laws, with the point of seed 15 (alpha=1,
 mu=0.3, lambda=1.5, n=32) among them; a ``control`` scenario file with
 ``n_sim``; a ``control`` case with the bump and both states given as
-coefficient lists, the format of the benchmark's ``cli`` workload; and an
+coefficient lists, the format of the benchmark's ``cli`` workload; for each
+bump kind other than the default raised cosine, a ``control`` scenario file
+with ``n_sim`` and a Gramian-law ``stabilize`` one; and an
 ``observability`` run whose Gramian overflows (exit 3, no files).
 
 Two trees print the same lines when their artifacts are byte-identical.
@@ -65,7 +67,8 @@ def _rows(values, n: int) -> list:
 
 
 def scenario_files() -> dict:
-    """Run name -> scenario object, each run from ``--scenario``."""
+    """Run name -> scenario object, each run from ``--scenario`` as its
+    ``experiment``, ``control`` by default."""
     n = 12
     ks = np.arange(-n, n + 1)
     state = 1.0 / (1.0 + ks**2) + 1j * ks / (1.0 + np.abs(ks) ** 3)
@@ -80,6 +83,16 @@ def scenario_files() -> dict:
             "u0": {"type": "coeffs", "real": True, "data": _rows(state, n)},
             "u1": {"type": "coeffs", "real": True, "data": _rows(target, n)},
         },
+        **{f"{run}_{kind}": {**scenario, "bump": bump}
+           for kind, bump in [
+               ("uniform", {"kind": "uniform"}),
+               ("smooth_exp_bump", {"kind": "smooth_exp_bump",
+                                    "center": 3.0, "width": 2.0})]
+           for run, scenario in [
+               ("control_n_sim", {"experiment": "control", "n": 8,
+                                  "n_sim": 20, "seed": 2}),
+               ("stabilize_gramian", {"experiment": "stabilize",
+                                      "law": "gramian", "n": 12})]},
     }
 
 
@@ -93,7 +106,8 @@ def digests() -> list[str]:
         for name, scenario in scenario_files().items():
             path = tmp / f"{name}.json"
             path.write_text(json.dumps(scenario))
-            runs[name] = ["control", "--scenario", str(path),
+            runs[name] = [scenario.get("experiment", "control"),
+                          "--scenario", str(path),
                           "--outdir", str(tmp / name)]
         for name, argv in runs.items():
             with contextlib.redirect_stdout(io.StringIO()), \
