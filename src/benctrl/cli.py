@@ -46,8 +46,8 @@ from . import spectrum as spectrum_mod
 from . import stabilization as stab
 from .errors import BenctrlError, ConfigurationError
 from .operators import (BUMP_KINDS, apply_G, build_bump,
-                        bump_from_coefficients, m_matrix)
-from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights, mean,
+                        bump_from_coefficients, check_support, m_matrix)
+from .spectral import (TWO_PI, TorusFunction, csv_text, hs_weights,
                        sobolev_norm)
 
 SCHEMA_VERSION = 3
@@ -162,15 +162,19 @@ def _read_state(key: str, cfg, n: int):
 
 def _read_bump(cfg):
     """The bump object ``cfg``, read with its defaults: the localizer its
-    coefficient rows give, or the (kind, center, width) of a profile."""
+    coefficient rows give, or the (kind, center, width) of a profile, the
+    support of a sampled kind checked by the library."""
     _typed("bump", cfg, dict)
     if "coefficients" in cfg:
         rows = _rows("bump coefficients", cfg["coefficients"])
         return bump_from_coefficients(_placed(rows, len(rows) // 2))
     kind = _choice("bump kind", cfg.get("kind", "raised_cosine"), BUMP_KINDS)
     with _reading("bump center and width", "finite numbers"):
-        return (kind, float(_number("center", cfg.get("center", np.pi))),
-                float(_number("width", cfg.get("width", np.pi / 2))))
+        center = float(_number("center", cfg.get("center", np.pi)))
+        width = float(_number("width", cfg.get("width", np.pi / 2)))
+    if kind != "uniform":
+        check_support(center, width)
+    return kind, center, width
 
 
 @dataclass
@@ -387,7 +391,7 @@ def _run_control(scn: Scenario) -> tuple:
     u1 = _build_state(scn, "u1", [scn.seed, 1])
     # the shared mean rides along in mode 0 (feedback/control never touch it);
     # recorded so downstream tools can re-add it after mean-zero analysis
-    mu0 = complex(mean(u0))
+    mu0 = u0.coeff(0)
     problem = mc.ControlProblem(scn.alpha, scn.mu, scn.T, scn.s, scn.n, bump,
                                 u0, u1)
     result = mc.synthesize_control(

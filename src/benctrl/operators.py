@@ -79,6 +79,17 @@ def _profile(kind: str, center: float, width: float, x) -> np.ndarray:
     return raw
 
 
+def check_support(center: float, width: float) -> None:
+    """ConfigurationError unless the support (center -/+ width/2) of a
+    sampled bump, of width in (0, 2pi), lies inside (0, 2pi)."""
+    if not 0 < width < TWO_PI:
+        raise ConfigurationError("bump width must lie in (0, 2pi)")
+    a, b = center - width / 2.0, center + width / 2.0
+    if not (0.0 < a and b < TWO_PI):
+        raise ConfigurationError(
+            f"bump support ({a:.4f}, {b:.4f}) must be contained in (0, 2pi)")
+
+
 @stored(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
         tuple((type(v), v) for v in (kind, center, width, kmax)), Store())
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
@@ -100,12 +111,7 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
         ghat[kmax] = 1.0 / TWO_PI
         return BumpProfile(kmax, ghat)
 
-    if not 0 < width < TWO_PI:
-        raise ConfigurationError("bump width must lie in (0, 2pi)")
-    a, b = center - width / 2.0, center + width / 2.0
-    if not (0.0 < a and b < TWO_PI):
-        raise ConfigurationError(
-            f"bump support ({a:.4f}, {b:.4f}) must be contained in (0, 2pi)")
+    check_support(center, width)
     if BUMP_SAMPLES < 2 * kmax + 1:
         raise ConfigurationError("too few samples for the requested band")
 

@@ -112,11 +112,6 @@ def sobolev_norm(f: TorusFunction, s: float) -> float:
                                          * np.abs(f.coeffs) ** 2)))
 
 
-def mean(f: TorusFunction) -> complex:
-    """Mean value [f] = (1/2pi) * int f dx = fhat(0)."""
-    return complex(f.coeffs[f.n])
-
-
 def csv_text(header: str, rows) -> str:
     """A header line and one line per row of floats, each value written
     on its own as the shortest repr of its float; ``rows`` is an iterable

@@ -22,7 +22,7 @@ from benctrl.errors import BenctrlError, ConfigurationError
 from benctrl.moment_control import ControlSignal
 from benctrl.operators import apply_G, evolve_free
 from benctrl.stabilization import EIG_COND_LIMIT
-from benctrl.spectral import TorusFunction, mean, sobolev_norm
+from benctrl.spectral import TorusFunction, sobolev_norm
 
 
 def run_fresh(*args):
@@ -42,7 +42,7 @@ class TestRandomState:
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_mean_zero(self):
-        assert mean(random_state(7, 10, 0.0)) == 0
+        assert random_state(7, 10, 0.0).coeff(0) == 0
 
     def test_requested_norm(self):
         for s, norm in [(0.0, 1.0), (1.0, 2.5), (2.0, 0.3)]:
@@ -189,7 +189,14 @@ class TestScenario:
          "bump coefficients must be a list of [k, re, im]"),
         # the kind is a choice for every experiment, as a state's type is
         ("spectrum", "bump", {"kind": "nope"}, 'bump kind must be "uniform"'),
-        ("simulate", "bump", {"kind": 1}, 'bump kind must be "uniform"')])
+        ("simulate", "bump", {"kind": 1}, 'bump kind must be "uniform"'),
+        # so are a sampled bump's width and support
+        ("spectrum", "bump", {"width": 7}, "bump width must lie in (0, 2pi)"),
+        ("simulate", "bump", {"width": 7}, "bump width must lie in (0, 2pi)"),
+        ("spectrum", "bump", {"center": 0.5, "width": 2.0},
+         "bump support (-0.5000, 1.5000) must be contained in (0, 2pi)"),
+        ("simulate", "bump", {"center": 0.5, "width": 2.0},
+         "bump support (-0.5000, 1.5000) must be contained in (0, 2pi)")])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, experiment, field,
                                     value, message):
         path = tmp_path / "scn.json"

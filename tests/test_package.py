@@ -13,25 +13,50 @@ import benctrl
 import benctrl.cli
 
 
-def test_all_lists_every_public_name_once():
-    names = benctrl.__all__
-    assert len(names) == len(set(names))
-    assert all(hasattr(benctrl, name) for name in names)
-    public = {name for name, value in vars(benctrl).items()
-              if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)}
-    assert public <= set(names)
-    modules = {name for name in names
-               if isinstance(getattr(benctrl, name), types.ModuleType)}
-    assert modules == {"errors", "moment_control", "operators", "spectral",
-                       "spectrum", "stabilization"}
+def test_the_package_exposes_its_modules_only():
+    """Each public name has one import path, through its module: the
+    package's ``__all__`` is its six modules, and every public attribute of
+    the package is a module."""
+    assert benctrl.__all__ == ["errors", "moment_control", "operators",
+                               "spectral", "spectrum", "stabilization"]
+    public = {name: value for name, value in vars(benctrl).items()
+              if not name.startswith("_")}
+    assert all(isinstance(value, types.ModuleType)
+               for value in public.values())
+    assert set(benctrl.__all__) <= set(public)
+
+
+def test_no_file_reads_a_name_from_the_package_itself():
+    """``src``, ``tests``, ``demos``, ``tools`` and ``perfbench`` read a
+    public name through its module: no ``benctrl.<name>`` and no ``from
+    benctrl import <name>`` unless the name is a submodule or a dunder."""
+    root = Path(benctrl.__file__).resolve().parents[2]
+    modules = {path.stem for path in Path(benctrl.__file__).parent.glob("*.py")}
+
+    def flat(name):
+        return name not in modules and not name.startswith("__")
+
+    reads = []
+    for d in ("src", "tests", "demos", "tools", "perfbench"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "benctrl" and flat(node.attr)):
+                    reads.append(f"{path.name}:{node.lineno}: {node.attr}")
+                if (isinstance(node, ast.ImportFrom)
+                        and node.module == "benctrl" and node.level == 0):
+                    reads += [f"{path.name}:{node.lineno}: {alias.name}"
+                              for alias in node.names if flat(alias.name)]
+    assert reads == []
 
 
 def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
     """Start-up pays for numpy and the standard library only: scipy loads
     with the expm fallback, the process pool with a sweep.  A ``spectrum``
     run draws no random state and profiles no bump, so it loads neither
-    ``numpy.random`` nor ``numpy.fft``."""
+    ``numpy.random`` nor ``numpy.fft``.  The import itself loads the ten
+    modules of the package and no more."""
     src = Path(benctrl.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
@@ -39,12 +64,18 @@ def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
               " 'numpy.random', 'numpy.fft') if m in sys.modules))")
     spectrum = ("benctrl.cli.main(['spectrum', '--alpha', '7/3', '--n', '8',"
                 f" '--outdir', {str(tmp_path)!r}])")
-    probe = f"import sys, benctrl, benctrl.cli; {loaded}; {spectrum}; {loaded}"
+    own = "print(sorted(m for m in sys.modules if m.startswith('benctrl')))"
+    probe = (f"import sys, benctrl, benctrl.cli; {own}; {loaded}; {spectrum};"
+             f" {loaded}")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", str(tmp_path / "report.json"),
-                                        "[]"]
+    package = ["benctrl", "benctrl._closedform", "benctrl._memo",
+               "benctrl.cli", "benctrl.errors", "benctrl.moment_control",
+               "benctrl.operators", "benctrl.spectral", "benctrl.spectrum",
+               "benctrl.stabilization"]
+    assert proc.stdout.splitlines() == [str(package), "[]",
+                                        str(tmp_path / "report.json"), "[]"]
 
 
 def test_no_module_reads_another_objects_private_attribute():
@@ -117,12 +148,13 @@ def test_only_run_writes_a_runs_files():
 def records():
     """One of each record that holds arrays, from one small pipeline."""
     n = 8
-    u0, u1 = (benctrl.TorusFunction.basis(k, n) for k in (1, 2))
-    bump = benctrl.build_bump(kmax=2 * n)
-    problem = benctrl.ControlProblem(1.0, 0.0, 1.0, 0.0, n, bump, u0, u1)
-    result = benctrl.synthesize_control(problem)
-    L = benctrl.build_L_lambda(result.mmatrix, result.spectrum, 1.0, 1.0)
-    law = benctrl.feedback_gramian(L, result.mmatrix, result.spectrum)
+    mc, stab = benctrl.moment_control, benctrl.stabilization
+    u0, u1 = (benctrl.spectral.TorusFunction.basis(k, n) for k in (1, 2))
+    bump = benctrl.operators.build_bump(kmax=2 * n)
+    problem = mc.ControlProblem(1.0, 0.0, 1.0, 0.0, n, bump, u0, u1)
+    result = mc.synthesize_control(problem)
+    L = stab.build_L_lambda(result.mmatrix, result.spectrum, 1.0, 1.0)
+    law = stab.feedback_gramian(L, result.mmatrix, result.spectrum)
     return {"TorusFunction": u0, "BumpProfile": bump, "Gramian": L,
             "FeedbackLaw": law, "ControlProblem": problem,
             "ControlSignal": result.signal, "SynthesisResult": result,
@@ -143,9 +175,9 @@ def test_records_compare_and_hash_by_identity(records, name):
 
 
 def test_a_rebuilt_spectrum_keys_alike_and_compares_apart():
-    first = benctrl.analyze_spectrum(8, 1.0)
-    benctrl.analyze_spectrum.cache_clear()
-    again = benctrl.analyze_spectrum(8, 1.0)
+    first = benctrl.spectrum.analyze(8, 1.0)
+    benctrl.spectrum.analyze.cache_clear()
+    again = benctrl.spectrum.analyze(8, 1.0)
     assert again is not first and again != first
     assert again.key == first.key == (8, float, 1.0, int, 0)
 

@@ -85,9 +85,13 @@ def _check(scn):
                    for k, z in rows.items())
     bump = cli._read_bump(scn.bump)
     if isinstance(bump, tuple):             # (kind, center, width)
-        assert bump[0] in BUMP_KINDS
-        _number(bump[1])
-        _number(bump[2])
+        kind, center, width = bump
+        assert kind in BUMP_KINDS
+        _number(center)
+        _number(width)
+        if kind != "uniform":               # a sampled kind's support
+            assert 0 < width < 2 * math.pi
+            assert 0 < center - width / 2 and center + width / 2 < 2 * math.pi
     else:                                   # the localizer of its rows
         assert all(map(cmath.isfinite, bump.ghat))
 
@@ -105,6 +109,20 @@ def test_a_file_loads_checked_or_raises_configuration_error(
     scenario_file.write_text(json.dumps(data))
     try:
         scn = cli.load_scenario(scenario_file, {"experiment": experiment})
+    except ConfigurationError:
+        return
+    _check(scn)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(bump=BUMPS, experiment=st.sampled_from(cli.EXPERIMENTS))
+def test_a_bump_object_loads_checked_or_raises_configuration_error(
+        bump, experiment):
+    """The bump reader with every other field valid, so that a drawn
+    center and width reach ``_check`` for every experiment."""
+    try:
+        scn = cli.load_scenario(overrides={"experiment": experiment, "n": 4,
+                                           "bump": bump})
     except ConfigurationError:
         return
     _check(scn)

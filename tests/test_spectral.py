@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benctrl.errors import ConfigurationError
-from benctrl.spectral import (TorusFunction, csv_text, hs_weights, mean,
+from benctrl.spectral import (TorusFunction, csv_text, hs_weights,
                               sobolev_norm)
 
 
@@ -27,15 +27,15 @@ class TestSobolevNorm:
 class TestMeanOps:
     def test_constant(self):
         c = np.array([0, 1.0, 0], dtype=complex)
-        assert mean(TorusFunction(1, c)) == pytest.approx(1.0)
+        assert TorusFunction(1, c).coeff(0) == pytest.approx(1.0)
 
     def test_basis_mean_zero(self):
-        assert mean(TorusFunction.basis(1, 2)) == 0
+        assert TorusFunction.basis(1, 2).coeff(0) == 0
 
     def test_definitional(self):
         c = np.zeros(3, dtype=complex)
         c[1] = 0.25
-        assert mean(TorusFunction(1, c)) == pytest.approx(0.25)
+        assert TorusFunction(1, c).coeff(0) == pytest.approx(0.25)
 
 
 class TestRealFlag:
