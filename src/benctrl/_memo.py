@@ -20,8 +20,9 @@ own with a budget of 0, which keeps its newest entry only: the bump and
 the m-matrix repeat anyway, and a round of two dozen feedback laws (0.2 to
 0.3 MB each at n=32) would not hit within the budget.  Either way an entry
 is evicted before the new value is computed, and a computation that
-raises stores nothing.  What a memo keeps is shared, so its arrays are
-made read-only (``read_only``).
+raises stores nothing, so a memoized function refuses what it can check
+on its arguments before its store is read.  What a memo keeps is shared,
+so its arrays are made read-only (``read_only``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ every run writes a ``report.json`` plus the experiment's CSV, JSON and
 64-bit seed through NumPy's PCG64 generator, and reports are canonical JSON
 (sorted keys, shortest round-trip float repr, no timestamps, one line
 written by ``json``'s C encoder), so identical scenario + seed reproduces
-byte-identical reports.
+byte-identical reports.  ``control_coeffs.json`` is encoded from its
+float64 arrays by orjson, imported by a control run only, on one line with
+sorted keys and shortest round-trip floats.
 
 Every scenario value is read once, by the one reader for its kind:
 ``_number``, ``_choice``, ``_typed`` (objects, lists, strings), ``_rows``,
@@ -355,8 +357,7 @@ def _report_text(payload: dict, scn: Scenario) -> str:
 
 
 # Each runner returns its report payload and its other artifacts by file
-# name: CSV text, the bytes of a binary file, or the payload of a JSON
-# file.  ``run`` writes them.
+# name: CSV text or the bytes of a binary or JSON file.  ``run`` writes them.
 
 
 def _run_spectrum(scn: Scenario) -> tuple:
@@ -379,6 +380,26 @@ def _run_simulate(scn: Scenario) -> tuple:
         "norm_drift": abs(hs[-1] - sobolev_norm(u0, scn.s)),
         "mean_drift": abs(traj[-1, scn.n] - u0.coeffs[scn.n]),
     }, {"norms.csv": csv_text("t,L2_norm,Hs_norm", zip(times, l2, hs))}
+
+
+def _coeffs_json(lambdas: np.ndarray, coeffs: np.ndarray) -> bytes:
+    """control_coeffs.json of the frequencies and of the (2n+1, N, 2) array
+    of each mode k's [re, im] coefficient pairs, encoded from the float64
+    arrays by orjson on one line: sorted keys, shortest round-trip floats.
+    orjson writes NaN and infinity as null, so a non-finite value is a
+    numerical failure naming its field first."""
+    for field_path, arr in (("lambdas[{}]", lambdas),
+                            ("modes[{}].coeffs[{}][{}]", coeffs)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            raise BenctrlError(f"control_coeffs.json field "
+                               f"{field_path.format(*bad[0])} is not finite")
+    import orjson                  # only a control run pays for its import
+    n = len(coeffs) // 2
+    return orjson.dumps(
+        {"lambdas": lambdas, "modes": [{"k": k, "coeffs": row} for k, row
+                                       in zip(range(-n, n + 1), coeffs)]},
+        option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _run_control(scn: Scenario) -> tuple:
@@ -414,12 +435,8 @@ def _run_control(scn: Scenario) -> tuple:
 
     # per-mode coefficient JSON + sampled control table, exact in .npy
     E = result.signal.exp_coeffs
-    coeff_payload = {
-        "lambdas": result.signal.lambdas.tolist(),
-        "modes": [{"k": k, "coeffs": c} for k, c in zip(
-            range(-scn.n, scn.n + 1),
-            np.stack([E.real, E.imag], axis=-1).tolist())],
-    }
+    coeffs_json = _coeffs_json(result.signal.lambdas,
+                               np.stack([E.real, E.imag], axis=-1))
     xs = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
     ts = np.linspace(0.0, scn.T, 33)
     vals = result.signal.sample_grid(xs, ts)
@@ -442,7 +459,7 @@ def _run_control(scn: Scenario) -> tuple:
                 "reached": hum_res <= TERMINAL_TOL,
                 "control_norm": hum_signal.l2_hs_norm(0.0),
                 "cond_W": hum_info["cond_W"]},
-    }, {"control_coeffs.json": coeff_payload,
+    }, {"control_coeffs.json": coeffs_json,
         "control_samples.npy": samples.getvalue()}
 
 
@@ -514,19 +531,16 @@ def run(scn: Scenario) -> int:
 
     Every artifact is formatted and checked before the output directory is
     made and all of them are written, so a run that fails writes none: a
-    JSON artifact holding NaN or infinity is a numerical failure.  A control
-    run that reaches u1 by neither route still writes every artifact, then
-    raises BenctrlError.
+    JSON artifact that would hold NaN or infinity is a numerical failure.
+    A control run that reaches u1 by neither route still writes every
+    artifact, then raises BenctrlError.
     """
     with np.errstate(all="ignore"):
         payload, artifacts = _RUNNERS[scn.experiment](scn)
-    texts = {name: value if isinstance(value, (str, bytes))
-             else _json_text(name, value)
-             for name, value in artifacts.items()}
-    texts["report.json"] = _report_text(payload, scn)
+    artifacts["report.json"] = _report_text(payload, scn)
     outdir = Path(scn.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
+    for name, text in artifacts.items():
         mode = "wb" if isinstance(text, bytes) else "w"
         with open(outdir / name, mode) as fh:
             fh.write(text)

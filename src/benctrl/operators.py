@@ -90,8 +90,6 @@ def check_support(center: float, width: float) -> None:
             f"bump support ({a:.4f}, {b:.4f}) must be contained in (0, 2pi)")
 
 
-@stored(lambda kind="raised_cosine", center=np.pi, width=np.pi / 2, kmax=64:
-        tuple((type(v), v) for v in (kind, center, width, kmax)), Store())
 def build_bump(kind: str = "raised_cosine", center: float = np.pi,
                width: float = np.pi / 2, kmax: int = 64) -> BumpProfile:
     """Construct a localizer and profile its Fourier coefficients.
@@ -100,20 +98,26 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     ``BUMP_SAMPLES`` points and rescaled so ghat(0) = 1/(2pi) holds to
     rounding (unit integral).  The uniform kind is the constant 1/(2pi),
     whose coefficients are exact.  The latest profile is memoized on the
-    arguments and their types (``cache_clear()`` forgets it).
+    arguments and their types (``cache_clear()`` forgets it); an unknown
+    kind, a bad band or a bad support is refused before the memo is read.
     """
     if kind not in BUMP_KINDS:
         raise ConfigurationError(f"bump kind must be one of {BUMP_KINDS}")
     if operator.index(kmax) < 0:             # TypeError: 16.0 is no band
         raise ConfigurationError("bump band kmax must be >= 0")
+    if kind != "uniform":
+        check_support(center, width)
+        if BUMP_SAMPLES < 2 * kmax + 1:
+            raise ConfigurationError("too few samples for the requested band")
+    return _bump(kind, center, width, kmax)
+
+
+@stored(lambda *args: tuple((type(v), v) for v in args), Store())
+def _bump(kind: str, center: float, width: float, kmax: int) -> BumpProfile:
     if kind == "uniform":
         ghat = np.zeros(2 * kmax + 1, dtype=complex)
         ghat[kmax] = 1.0 / TWO_PI
         return BumpProfile(kmax, ghat)
-
-    check_support(center, width)
-    if BUMP_SAMPLES < 2 * kmax + 1:
-        raise ConfigurationError("too few samples for the requested band")
 
     x = np.arange(BUMP_SAMPLES) * (TWO_PI / BUMP_SAMPLES)
     vals = _profile(kind, center, width, x)
@@ -124,6 +128,9 @@ def build_bump(kind: str = "raised_cosine", center: float = np.pi,
     idx = np.arange(-kmax, kmax + 1) % BUMP_SAMPLES
     tail = full[kmax + 1: BUMP_SAMPLES - kmax]
     return BumpProfile(kmax, full[idx], float(np.abs(tail).sum()))
+
+
+build_bump.cache_clear = _bump.cache_clear
 
 
 def bump_from_coefficients(ghat) -> BumpProfile:
@@ -171,18 +178,23 @@ class MMatrix:
         return read_only(0.5 * (out + out.conj().T))
 
 
-@stored(lambda bump, n: (bump.key, n), Store())
 def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     """Assemble m[j,k] = ghat(k-j) - 2*pi*ghat(-j)*ghat(k) for |j|,|k| <= n.
 
     The latest matrix is memoized on the coefficients of the bump (its
     ``key``) and n, so equal bumps built apart share it (``cache_clear()``
-    forgets it).
+    forgets it); a bump profiled to fewer than 2n modes is refused before
+    the memo is read.
     """
     if bump.kmax < 2 * n:
         raise ConfigurationError(
             f"bump profiled to kmax={bump.kmax} < 2n={2 * n}; rebuild with a "
             "wider band")
+    return _m_matrix(bump, n)
+
+
+@stored(lambda bump, n: (bump.key, n), Store())
+def _m_matrix(bump: BumpProfile, n: int) -> MMatrix:
     ks = np.arange(-n, n + 1)
     J, K = np.meshgrid(ks, ks, indexing="ij")
     entries = bump.ghat_at(K - J) - TWO_PI * bump.ghat_at(-J) * bump.ghat_at(K)
@@ -193,6 +205,10 @@ def m_matrix(bump: BumpProfile, n: int) -> MMatrix:
             f"m[k,k] reaches {beta:.3e} <= 0 at this truncation; the "
             "localizer is too oscillatory for n={n}".format(n=n))
     return MMatrix(n, entries, beta)
+
+
+m_matrix.key = _m_matrix.key
+m_matrix.cache_clear = _m_matrix.cache_clear
 
 
 @stored(m_matrix.key, Store())

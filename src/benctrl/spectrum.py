@@ -52,25 +52,43 @@ def _float(x) -> float:
         return math.nan
 
 
-@stored(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu),
-        Store())
 def eigenvalues(n: int, alpha, mu=0) -> np.ndarray:
     """Float array of lambda_k for k = -n..n, read-only; the latest is kept,
     keyed on the arguments with their types, a spectrum's identity:
     ``Fraction(1) == 1.0``, yet only the rational one clusters exactly.
     Eigenvalues past the float range, or an alpha or mu past it, raise
-    ConfigurationError."""
-    return read_only(_lambdas(np.arange(-n, n + 1, dtype=float), n, alpha, mu))
+    ConfigurationError before the store is read."""
+    _check_range(n, alpha, mu)
+    return _eigenvalues(n, alpha, mu)
 
 
-def _lambdas(k: np.ndarray, n: int, alpha, mu) -> np.ndarray:
-    """lambda_k at the float wavenumbers k, refused past the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = k**3 + 2.0 * _float(mu) * k - _float(alpha) * k * np.abs(k)
-    if not np.isfinite(lam).all():
-        raise ConfigurationError(
-            f"eigenvalues past the float range: n={n}, alpha={alpha}, mu={mu}")
-    return lam
+@stored(lambda n, alpha, mu=0: (n, type(alpha), alpha, type(mu), mu),
+        Store())
+def _eigenvalues(n: int, alpha, mu) -> np.ndarray:
+    return read_only(_lambda(np.arange(-n, n + 1, dtype=float), alpha, mu))
+
+
+eigenvalues.key = _eigenvalues.key
+eigenvalues.cache_clear = _eigenvalues.cache_clear
+
+
+def _lambda(k, alpha, mu):
+    """lambda_k at the float wavenumber k, a float or an array of them."""
+    return k**3 + 2.0 * _float(mu) * k - _float(alpha) * k * abs(k)
+
+
+def _check_range(n: int, alpha, mu) -> None:
+    """ConfigurationError unless lambda_{-n} and lambda_n are finite floats.
+    Every term of lambda_k is largest at |k| = n, and keeps its sign on
+    each side of 0, so the ends are finite only if every lambda_k is."""
+    for k in (-_float(n), _float(n)):
+        try:
+            finite = math.isfinite(_lambda(k, alpha, mu))
+        except OverflowError:              # k**3 past the float range
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"eigenvalues past the float range: "
+                                     f"n={n}, alpha={alpha}, mu={mu}")
 
 
 def window_bound(alpha) -> int:
@@ -323,9 +341,7 @@ def analyze(n: int, alpha, mu=0) -> Spectrum:
     if not (0 < alpha and math.isfinite(_float(alpha))
             and math.isfinite(_float(mu))):
         raise ConfigurationError("alpha must be positive and finite, mu finite")
-    # every term of lambda_k is largest at |k| = n, and keeps its sign on
-    # each side of 0, so the ends are finite only if every lambda_k is
-    _lambdas(np.array([-n, n], dtype=float), n, alpha, mu)
+    _check_range(n, alpha, mu)
     spec, near = _spectrum(n, alpha, mu)
     if near:
         warnings.warn(near, RuntimeWarning)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import benctrl.cli as cli
@@ -389,11 +391,35 @@ class TestControlCommand:
         assert report["terminal_residual"] <= 1e-8
         assert report["hum"]["terminal_residual"] <= 1e-8
 
-    def test_coeffs_json_is_canonical(self, tmp_path):
+    def test_coeffs_json_is_canonical(self, tmp_path, monkeypatch):
+        """One line that orjson's sorted re-encoding of its parse repeats,
+        whose numbers are the signal's frequencies and coefficients, bit
+        for bit."""
+        results = []
+        synthesize = mc.synthesize_control
+
+        def keeping(*args, **kwargs):
+            results.append(synthesize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mc, "synthesize_control", keeping)
         assert main(["control", "--alpha", "1.0", "--n", "8", "--T", "1.0",
                      "--seed", "3", "--outdir", str(tmp_path)]) == 0
-        raw = (tmp_path / "control_coeffs.json").read_text()
-        assert raw == json.dumps(json.loads(raw), sort_keys=True)
+        raw = (tmp_path / "control_coeffs.json").read_bytes()
+        assert raw == orjson.dumps(orjson.loads(raw),
+                                   option=orjson.OPT_SORT_KEYS)
+        payload = json.loads(raw)
+        signal, = (result.signal for result in results)
+        E = signal.exp_coeffs
+        assert [mode["k"] for mode in payload["modes"]] == list(range(-8, 9))
+        for parsed, exact in (
+                (payload["lambdas"], signal.lambdas),
+                ([mode["coeffs"] for mode in payload["modes"]],
+                 np.stack([E.real, E.imag], axis=-1))):
+            parsed = np.array(parsed, dtype=np.float64)
+            assert parsed.shape == exact.shape
+            assert np.array_equal(parsed.view(np.uint64),
+                                  exact.view(np.uint64))
 
     def test_samples_npy_is_numeric_grid(self, tmp_path):
         assert main(["control", "--alpha", "7/3", "--n", "8", "--T", "1.0",
@@ -757,6 +783,32 @@ class TestNonFiniteResults:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert "Warning:" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("field,index,bad", [
+        ("lambdas[2]", 2, np.nan),
+        ("modes[1].coeffs[3][1]", (1, 3, 1), -np.inf),
+        ("modes[4].coeffs[0][0]", (4, 0, 0), np.inf)])
+    def test_a_non_finite_coefficient_is_named_by_its_path(self, field, index,
+                                                           bad):
+        lambdas, coeffs = np.arange(5.0), np.ones((5, 5, 2))
+        (coeffs if isinstance(index, tuple) else lambdas)[index] = bad
+        with pytest.raises(BenctrlError, match="^" + re.escape(
+                f"control_coeffs.json field {field} is not finite") + "$"):
+            cli._coeffs_json(lambdas, coeffs)
+
+    def test_overflowing_coefficients_exit_3_without_a_directory(
+            self, tmp_path, capsys):
+        """Targets of norm 1e307 overflow the moment coefficients: the run
+        names the first one and writes nothing."""
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({key: {"type": "random", "norm": 1e307}
+                                    for key in ("u0", "u1")}))
+        assert main(["control", "--n", "4", "--scenario", str(path),
+                     "--outdir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: control_coeffs.json field "
+            "modes[3].coeffs[0][0] is not finite"]
+        assert not (tmp_path / "out").exists()
 
     def test_the_field_is_named_by_its_path(self):
         payload = {"b": 1.0, "a": [0.5, {"c": [2.0, -np.inf]}]}

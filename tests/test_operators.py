@@ -71,6 +71,18 @@ class TestBumpProfile:
             with pytest.raises(ConfigurationError, match="kmax must be >= 0"):
                 build_bump(kind, kmax=-1)
 
+    @pytest.mark.parametrize("args,match", [
+        ({"width": 7.0}, "width must lie in"),
+        ({"center": 0.5}, "support"),
+        ({"kind": "gaussian"}, "kind must be one of"),
+        ({"kmax": -1}, "kmax must be >= 0"),
+        ({"kmax": operators.BUMP_SAMPLES}, "too few samples")])
+    def test_a_refused_bump_keeps_the_stored_profile(self, args, match):
+        bump = build_bump(kmax=16)
+        with pytest.raises(ConfigurationError, match=match):
+            build_bump(**{"kmax": 16, **args})
+        assert build_bump(kmax=16) is bump
+
     def test_tail_reported(self):
         coarse = build_bump("raised_cosine", kmax=8)
         fine = build_bump("raised_cosine", kmax=32)
@@ -203,6 +215,13 @@ class TestMMatrix:
     def test_hermitian(self):
         mm = m_matrix(build_bump(kmax=16), 8)
         assert np.abs(mm.entries - mm.entries.conj().T).max() <= 1e-14
+
+    def test_a_refused_m_matrix_keeps_the_stored_one(self):
+        bump = build_bump(kmax=16)
+        mm = m_matrix(bump, 8)
+        with pytest.raises(ConfigurationError, match="kmax=16 < 2n=18"):
+            m_matrix(bump, 9)
+        assert m_matrix(bump, 8) is mm
 
     def test_diagonal_formula_and_beta(self):
         bump = build_bump(kmax=16)

@@ -53,7 +53,8 @@ def test_no_file_reads_a_name_from_the_package_itself():
 
 def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
     """Start-up pays for numpy and the standard library only: scipy loads
-    with the expm fallback, the process pool with a sweep.  A ``spectrum``
+    with the expm fallback, the process pool with a sweep, orjson when a
+    ``control`` run writes its coefficients.  A ``spectrum``
     run draws no random state and profiles no bump, so it loads neither
     ``numpy.random`` nor ``numpy.fft``.  The import itself loads the ten
     modules of the package and no more."""
@@ -61,7 +62,7 @@ def test_import_loads_neither_scipy_nor_the_process_pool(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     loaded = ("print(sorted(m for m in ('scipy', 'concurrent.futures.process',"
-              " 'numpy.random', 'numpy.fft') if m in sys.modules))")
+              " 'numpy.random', 'numpy.fft', 'orjson') if m in sys.modules))")
     spectrum = ("benctrl.cli.main(['spectrum', '--alpha', '7/3', '--n', '8',"
                 f" '--outdir', {str(tmp_path)!r}])")
     own = "print(sorted(m for m in sys.modules if m.startswith('benctrl')))"

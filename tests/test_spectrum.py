@@ -251,6 +251,17 @@ class TestSpectrumAnalysis:
             sp.analyze(8, alpha, mu)
         assert sp.eigenvalues(8, 1.0) is lam
 
+    @pytest.mark.parametrize("alpha,mu", [
+        (math.inf, 0), (math.nan, 0), (1.0, -math.inf), (1e308, 0),
+        (1.0, 1e308), pytest.param(1.0, 10**400, id="int-mu-1e400")])
+    def test_a_refused_eigenvalue_call_keeps_the_stored_array(self, alpha,
+                                                              mu):
+        lam = sp.eigenvalues(8, 1.0)
+        with pytest.raises(ConfigurationError,
+                           match="eigenvalues past the float range"):
+            sp.eigenvalues(8, alpha, mu)
+        assert sp.eigenvalues(8, 1.0) is lam
+
     def test_eigenvalues_near_the_float_range_are_accepted(self):
         for alpha in (1.7e306, 2.7e306):      # n=8 overflows near 2.8e306
             assert np.isfinite(sp.analyze(8, alpha).lambdas).all()
